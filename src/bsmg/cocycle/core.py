@@ -13,8 +13,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import NotMeasurePreserving
-from ..groupoid.core import ErgodicDecomposition, Subgroupoid, index_of_pair
+from ..errors import NotMeasurePreserving, VerificationFailure
+from ..groupoid.core import (
+    ErgodicDecomposition,
+    Subgroupoid,
+    index_within,
+    spanning_forest,
+)
 from ..groupoid.pseudogroup import arrows_within, witness_family
 from .values import GroupoidCocycle, QPos
 
@@ -43,12 +48,8 @@ def _per_unit_local_index(G, ambient_ids, sub_ids, units, sub_dec):
     for x in units:
         c = sub_dec.component_of[x]
         if c not in per_comp:
-            comp_units = set(sub_dec.components[c])
-            ambient_cut = [g for g in ambient_ids
-                           if G.src[g] in comp_units and G.rng[g] in comp_units]
-            sub_cut = [g for g in sub_ids
-                       if G.src[g] in comp_units and G.rng[g] in comp_units]
-            per_comp[c] = Fraction(index_of_pair(G, ambient_cut, sub_cut, x))
+            per_comp[c] = Fraction(index_within(
+                G, ambient_ids, sub_ids, sub_dec.components[c], x))
         out[x] = per_comp[c]
     return out
 
@@ -73,10 +74,6 @@ def modular_pair(G, S, *, witnesses=None):
     else:
         family = list(witnesses)
 
-    fibers = {}
-    for g in range(G.n_arrows):
-        fibers.setdefault(G.src[g], []).append(g)
-
     d_values = [None] * G.n_arrows
     k_values = [None] * G.n_arrows
 
@@ -100,7 +97,10 @@ def modular_pair(G, S, *, witnesses=None):
             den = G.masses[y] / plus_dec.masses[plus_dec.component_of[y]]
             val = num / den
             if c in scalar_of:
-                assert scalar_of[c] == val, "pushforward scalar not constant"
+                if scalar_of[c] != val:
+                    raise VerificationFailure(
+                        f"pushforward scalar not constant at unit {x}: "
+                        f"{val} != {scalar_of[c]}")
             else:
                 scalar_of[c] = val
 
@@ -114,7 +114,7 @@ def modular_pair(G, S, *, witnesses=None):
             d_val = (dec.conditional_mass(x)) / (dec.conditional_mass(y))
             k_val = li_plus[y] / li_minus[x]
             # every arrow in the left S-class of g0 carries the same values
-            for g in fibers.get(x, ()):
+            for g in G.source_fiber(x):
                 w = G.product(g, g0_inv)
                 if w is None:
                     raise ValueError("modular cocycle needs a complete product")
@@ -125,23 +125,21 @@ def modular_pair(G, S, *, witnesses=None):
                     if store[g] is None:
                         store[g] = val
                     elif store[g] != val:
-                        raise AssertionError(
-                            f"witnesses disagree on {name} at arrow {g}")
+                        raise VerificationFailure(
+                            f"witnesses disagree on {name} at arrow {g}: "
+                            f"{val} != {store[g]}")
 
     # right translation by an S arrow fixes both values (each cocycle is
     # the identity on S), so witnessed values spread across source classes
-    by_rng = {}
-    for s in s_ids:
-        by_rng.setdefault(G.rng[s], []).append(s)
-    for fiber in by_rng.values():
-        fiber.sort()
     changed = True
     while changed:
         changed = False
         for g in range(G.n_arrows):
             if d_values[g] is not None:
                 continue
-            for s in by_rng.get(G.src[g], ()):
+            for s in G.range_fiber(G.src[g]):
+                if s not in s_ids:
+                    continue
                 k = G.product(g, s)
                 if k is None or k == g or d_values[k] is None:
                     continue
@@ -181,32 +179,14 @@ def cohomologous(G, c1, c2):
     """
     v1 = _as_values(c1, G)
     v2 = _as_values(c2, G)
-    dec = ErgodicDecomposition(G)
-    by_unit = {}
-    for g in range(G.n_arrows):
-        by_unit.setdefault(G.src[g], []).append((g, False))
-        by_unit.setdefault(G.rng[g], []).append((g, True))
     psi = {}
-    for comp in dec.components:
-        root = min(comp)
-        psi[root] = Fraction(1)
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for g, backwards in sorted(by_unit.get(u, ())):
-                    ratio = v2[g] / v1[g]
-                    if backwards:
-                        other = G.src[g]
-                        if other not in psi:
-                            psi[other] = psi[u] / ratio
-                            nxt.append(other)
-                    else:
-                        other = G.rng[g]
-                        if other not in psi:
-                            psi[other] = psi[u] * ratio
-                            nxt.append(other)
-            frontier = nxt
+    for x, g, backwards in spanning_forest(G)[1]:
+        if g is None:
+            psi[x] = Fraction(1)
+        elif backwards:
+            psi[x] = psi[G.rng[g]] / (v2[g] / v1[g])
+        else:
+            psi[x] = psi[G.src[g]] * (v2[g] / v1[g])
     for g in range(G.n_arrows):
         if v2[g] != psi[G.rng[g]] * v1[g] / psi[G.src[g]]:
             return None

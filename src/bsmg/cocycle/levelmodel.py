@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import InvalidLevel
+from ..errors import InvalidLevel, VerificationFailure
 from ..groupoid.core import FiniteMeasuredGroupoid, Subgroupoid
 from ..groupoid.pseudogroup import PartialIso
 from .core import modular_pair
@@ -150,17 +150,19 @@ class BSLevelModel:
         checked = 0
         for g in self.t_arrow_ids:
             if D(g) * K(g) != want:
-                raise AssertionError(
+                raise VerificationFailure(
                     f"raise arrow {g}: D*K = {D(g) * K(g)} != {want}")
             checked += 1
         for g in self.lower_arrow_ids:
             if D(g) * K(g) != 1 / want:
-                raise AssertionError(
+                raise VerificationFailure(
                     f"lower arrow {g}: D*K = {D(g) * K(g)} != {1 / want}")
             checked += 1
         for g in sorted(self.S.ids):
             if D(g) != 1 or K(g) != 1:
-                raise AssertionError(f"arrow {g} of S has nontrivial D or K")
+                raise VerificationFailure(
+                    f"arrow {g} of S has nontrivial D or K: "
+                    f"D = {D(g)}, K = {K(g)}")
             checked += 1
         return checked
 

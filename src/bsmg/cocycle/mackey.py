@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import gcd
 
 from .._kernels import component_labels
-from ..errors import InfiniteComponents, NotPowerValued
-from ..groupoid.core import ErgodicDecomposition
+from ..errors import InfiniteComponents, NotPowerValued, VerificationFailure
+from ..groupoid.core import spanning_forest
 from .core import radon_nikodym
 from .values import GroupoidCocycle, ZModAdd
 
@@ -60,31 +60,14 @@ def _exponent_vector(value, primes):
 def _defects(G, rn_values):
     """Multiset of nontrivial spanning-forest defect values of a positive
     cocycle, pooled across all arrow-connected components."""
-    by_unit = {}
-    for g in range(G.n_arrows):
-        by_unit.setdefault(G.src[g], []).append((g, False))
-        by_unit.setdefault(G.rng[g], []).append((g, True))
-    dec = ErgodicDecomposition(G)
     psi = {}
-    for comp in dec.components:
-        root = min(comp)
-        psi[root] = Fraction(1)
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for g, backwards in sorted(by_unit.get(u, ())):
-                    if backwards:
-                        other = G.src[g]
-                        if other not in psi:
-                            psi[other] = psi[G.rng[g]] / rn_values[g]
-                            nxt.append(other)
-                    else:
-                        other = G.rng[g]
-                        if other not in psi:
-                            psi[other] = psi[G.src[g]] * rn_values[g]
-                            nxt.append(other)
-            frontier = nxt
+    for x, g, backwards in spanning_forest(G)[1]:
+        if g is None:
+            psi[x] = Fraction(1)
+        elif backwards:
+            psi[x] = psi[G.rng[g]] / rn_values[g]
+        else:
+            psi[x] = psi[G.src[g]] * rn_values[g]
     defects = []
     for g in range(G.n_arrows):
         d = rn_values[g] * psi[G.src[g]] / psi[G.rng[g]]
@@ -158,7 +141,8 @@ def mackey_range(G, tau, m):
             if action[c1] is None:
                 action[c1] = c2
             elif action[c1] != c2:
-                raise AssertionError("translation is not well defined")
+                raise VerificationFailure(
+                    f"translation is not well defined at ({x},{h})")
     seen = [False] * n_comp
     orbits = []
     for c in range(n_comp):
@@ -185,38 +169,20 @@ def ranges_isomorphic(r1, r2):
 def _int_defect_period(G, tau_values):
     """gcd of the spanning-forest defects of an integer cocycle, per
     arrow-connected component of G; 0 means the defect subgroup is trivial."""
-    by_unit = {}
-    for g in range(G.n_arrows):
-        by_unit.setdefault(G.src[g], []).append((g, False))
-        by_unit.setdefault(G.rng[g], []).append((g, True))
-    dec = ErgodicDecomposition(G)
+    dec, steps = spanning_forest(G)
     height = {}
-    periods = []
-    for comp in dec.components:
-        root = min(comp)
-        height[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for g, backwards in sorted(by_unit.get(u, ())):
-                    if backwards:
-                        other = G.src[g]
-                        if other not in height:
-                            height[other] = height[G.rng[g]] - tau_values[g]
-                            nxt.append(other)
-                    else:
-                        other = G.rng[g]
-                        if other not in height:
-                            height[other] = height[G.src[g]] + tau_values[g]
-                            nxt.append(other)
-            frontier = nxt
-        period = 0
-        for g in range(G.n_arrows):
-            if dec.component_of[G.src[g]] == dec.component_of[root]:
-                period = gcd(period,
-                             tau_values[g] + height[G.src[g]] - height[G.rng[g]])
-        periods.append(period)
+    for x, g, backwards in steps:
+        if g is None:
+            height[x] = 0
+        elif backwards:
+            height[x] = height[G.rng[g]] - tau_values[g]
+        else:
+            height[x] = height[G.src[g]] + tau_values[g]
+    periods = [0] * dec.n_components
+    for g in range(G.n_arrows):
+        c = dec.component_of[G.src[g]]
+        periods[c] = gcd(periods[c],
+                         tau_values[g] + height[G.src[g]] - height[G.rng[g]])
     return periods, dec
 
 
@@ -276,7 +242,9 @@ def mackey_range_int(G, tau, *, cap=512):
                 break
         expected = periods[ci]
         if observed and (not expected or observed % expected):
-            raise AssertionError("windowed period disagrees with defects")
+            raise VerificationFailure(
+                f"windowed period {observed} at unit {x} disagrees with the "
+                f"defect period {expected}")
     return periods
 
 
@@ -286,30 +254,32 @@ def power_exponents(values, base):
     base = Fraction(base)
     if base <= 0 or base == 1:
         raise ValueError("base must be positive and not 1")
+    # base = n/d in lowest terms, so base^k is n^k/d^k for k >= 0 and
+    # d^-k/n^-k for k < 0, both in lowest terms. With n >= 2 the only
+    # candidate k is the n-adic valuation of v (with d >= 2 instead, minus
+    # the d-adic one), and one exact power confirms or refutes it.
+    n, sign = ((base.numerator, 1) if base.numerator > 1
+               else (base.denominator, -1))
     out = []
     for v in values:
         v = Fraction(v)
         if v <= 0:
             raise NotPowerValued(f"{v} is not positive")
-        if v == 1:
-            out.append(0)
-            continue
-        k = 0
-        cur = Fraction(1)
-        found = None
-        while abs(k) <= 128:
-            if cur == v:
-                found = k
-                break
-            if cur == 1 / v:
-                found = -k
-                break
-            k += 1
-            cur *= base
-        if found is None:
+        k = sign * (_multiplicity(v.numerator, n)
+                    - _multiplicity(v.denominator, n))
+        if base ** k != v:
             raise NotPowerValued(f"{v} is not a power of {base}")
-        out.append(found)
+        out.append(k)
     return out
+
+
+def _multiplicity(n, m):
+    """The largest k with m^k dividing the positive integer n (m >= 2)."""
+    k = 0
+    while n % m == 0:
+        n //= m
+        k += 1
+    return k
 
 
 def flow_type(G, base):

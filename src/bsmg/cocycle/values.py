@@ -30,8 +30,9 @@ class QPos:
 
     @staticmethod
     def coerce(v):
-        f = Fraction(v)
-        if f <= 0:
+        # an exact Fraction is kept as it is, and its sign is its numerator's
+        f = v if type(v) is Fraction else Fraction(v)
+        if f.numerator <= 0:
             raise TargetMismatch(f"{v!r} is not a positive rational")
         return f
 
@@ -104,6 +105,9 @@ class GroupoidCocycle:
         return self.values[g]
 
     def check(self):
+        """Units go to the identity, inverses to inverses, and every defined
+        product multiplies: sum over units x of |r^-1(x)|.|s^-1(x)| pairs,
+        walked by fiber. Raises NotACocycle at the first failure."""
         G, t = self.G, self.target
         for x in range(G.n_units):
             if self.values[G.unit_arrow(x)] != t.identity:
@@ -112,13 +116,12 @@ class GroupoidCocycle:
             if self.values[G.inv[g]] != t.inverse(self.values[g]):
                 raise NotACocycle(f"value at the inverse of {g} does not invert")
         for g in range(G.n_arrows):
-            for h in range(G.n_arrows):
-                if G.src[g] == G.rng[h]:
-                    k = G.product(g, h)
-                    if k is None:
-                        continue
-                    if self.values[k] != t.op(self.values[g], self.values[h]):
-                        raise NotACocycle(f"not multiplicative at ({g},{h})")
+            for h in G.range_fiber(G.src[g]):
+                k = G.product(g, h)
+                if k is None:
+                    continue
+                if self.values[k] != t.op(self.values[g], self.values[h]):
+                    raise NotACocycle(f"not multiplicative at ({g},{h})")
         return self
 
     def is_identity(self):

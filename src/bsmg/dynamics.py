@@ -167,10 +167,21 @@ def affine_sign(theta, value):
 def affine_floor(theta, value):
     """Largest integer n with n <= a + b*theta, decided exactly."""
     value = as_affine(value)
+    a, b = value.a, value.b
     if theta.kind == "rational":
-        return math.floor(value.a + value.b * theta.frac)
-    n = math.floor(float(value.a) + float(value.b) * float(theta))
-    # float gave a candidate; exact signs settle the fencepost
+        return math.floor(a + b * theta.frac)
+    if theta.kind == "golden":
+        # a + b*phi = (U + W sqrt5) / (2d) over the common denominator d.
+        # floor(W sqrt5) is isqrt(5 W^2), or -isqrt(5 W^2) - 1 for W < 0
+        # (5 W^2 is a square only at W = 0), and the integer floor commutes
+        # with flooring by the positive 2d.
+        d = math.lcm(a.denominator, b.denominator)
+        w = b.numerator * (d // b.denominator)
+        u = 2 * a.numerator * (d // a.denominator) + w
+        root = math.isqrt(5 * w * w)
+        return (u + (root if w >= 0 else -root - 1)) // (2 * d)
+    n = math.floor(a + b * (theta.lo + theta.hi) / 2)
+    # the midpoint gave a candidate; exact signs settle the fencepost
     while affine_sign(theta, value - n) < 0:
         n -= 1
     while affine_sign(theta, value - (n + 1)) >= 0:
@@ -250,7 +261,8 @@ def beta_cocycle(n, x, theta):
     if theta.kind != "interval":
         if affine_sign(theta, landed) < 0 or \
                 affine_sign(theta, width - landed) <= 0:
-            raise AssertionError("return time left the fundamental window")
+            raise VerificationFailure(
+                f"return time {m} of ({n}, {x}) left the fundamental window")
     return m
 
 
@@ -740,7 +752,8 @@ def periodicity_check(model, d, m, n, kmax, lmax):
                     x = (x + model.step) % model.size
                     label = (label + 1) % modulus
                 if x != x0 or label != 0:
-                    raise AssertionError("orbit walk failed to close")
+                    raise VerificationFailure(
+                        f"orbit walk from {x0} failed to close modulo {modulus}")
     return True
 
 

@@ -18,7 +18,16 @@ import json
 from fractions import Fraction
 
 from .._kernels import component_labels, perm_closure
-from ..errors import ClosureTooLarge, EmptySet, GroupTooLarge
+from ..errors import ClosureTooLarge, EmptySet, GroupTooLarge, VerificationFailure
+
+
+def arrows_by(ends, arrow_ids):
+    """{unit: [arrow ids]} grouping arrow_ids by ends[g] (pass G.src or
+    G.rng), each list in the order of arrow_ids."""
+    out = {}
+    for g in arrow_ids:
+        out.setdefault(ends[g], []).append(g)
+    return out
 
 
 def _free_reduce(word):
@@ -84,6 +93,13 @@ class FiniteMeasuredGroupoid:
         # product is endpoint lookup; the callable maps (src, rng) to an id
         self._principal = principal_map
         self._prod = dict(explicit_products) if explicit_products else {}
+        # the fiber index, each half built on first use (src and rng never
+        # change). Declared here: writing a new key into the instance dict
+        # later, as functools.cached_property does, slowed every attribute
+        # read of the instance (products included) by about 40% on CPython
+        # 3.11.
+        self._src_fibers = None
+        self._rng_fibers = None
         self.product_complete = product_complete
         self.rn_values = tuple(rn_values) if rn_values is not None else None
         for x in range(self.n_units):
@@ -113,10 +129,18 @@ class FiniteMeasuredGroupoid:
         return g < self.n_units
 
     def source_fiber(self, x):
-        return [g for g in range(self.n_arrows) if self.src[g] == x]
+        """The arrows g with s(g) = x, in ascending id order. Shared with the
+        fiber index; do not mutate."""
+        if self._src_fibers is None:
+            self._src_fibers = arrows_by(self.src, range(self.n_arrows))
+        return self._src_fibers.get(x, ())
 
     def range_fiber(self, x):
-        return [g for g in range(self.n_arrows) if self.rng[g] == x]
+        """The arrows g with r(g) = x, in ascending id order. Shared with the
+        fiber index; do not mutate."""
+        if self._rng_fibers is None:
+            self._rng_fibers = arrows_by(self.rng, range(self.n_arrows))
+        return self._rng_fibers.get(x, ())
 
     def product(self, g, h):
         """g . h for s(g) = r(h); None when not composable or outside a window."""
@@ -133,7 +157,8 @@ class FiniteMeasuredGroupoid:
         label = self._composer.mul(self.labels[g], self.labels[h])
         result = self._by_src_label.get((self.src[h], label))
         if result is None:
-            raise AssertionError("closed groupoid is missing a composite arrow")
+            raise VerificationFailure(
+                f"closed groupoid is missing the composite of ({g},{h})")
         self._prod[key] = result
         return result
 
@@ -256,6 +281,8 @@ class FiniteMeasuredGroupoid:
         composer = _WordComposer(label_normalizer)
         src, rng, labs = [], [], []
         by_key = {}
+        # the fiber index of the arrows so far, each list ascending
+        out_of, into = {}, {}
 
         def add_arrow(s, r, label):
             key = (s, label)
@@ -269,6 +296,8 @@ class FiniteMeasuredGroupoid:
             rng.append(r)
             labs.append(label)
             by_key[key] = gid
+            out_of.setdefault(s, []).append(gid)
+            into.setdefault(r, []).append(gid)
             return gid
 
         for x in range(n_units):
@@ -288,7 +317,11 @@ class FiniteMeasuredGroupoid:
         while cursor < len(worklist):
             g = worklist[cursor]
             cursor += 1
-            for h in range(len(src)):
+            # the arrows h composable with g on either side, in ascending id
+            # order, which fixes the ids the new composites get
+            partners = sorted(set(into.get(src[g], ())).union(
+                out_of.get(rng[g], ())))
+            for h in partners:
                 for left, right in ((g, h), (h, g)):
                     if src[left] == rng[right]:
                         label = composer.mul(labs[left], labs[right])
@@ -303,7 +336,8 @@ class FiniteMeasuredGroupoid:
             ilabel = composer.mul(tuple(-s for s in reversed(labs[g])), ())
             partner = by_key.get((rng[g], ilabel))
             if partner is None:
-                raise AssertionError("closure is missing an inverse arrow")
+                raise VerificationFailure(
+                    f"closure is missing the inverse of arrow {g}")
             inv[g] = partner
         return cls(range(n_units), masses, src, rng, inv, labs, composer)
 
@@ -396,11 +430,10 @@ class FiniteMeasuredGroupoid:
         if include_products:
             table = []
             for g in range(self.n_arrows):
-                for h in range(self.n_arrows):
-                    if self.src[g] == self.rng[h]:
-                        k = self.product(g, h)
-                        if k is not None:
-                            table.append([g, h, k])
+                for h in self.range_fiber(self.src[g]):
+                    k = self.product(g, h)
+                    if k is not None:
+                        table.append([g, h, k])
             doc["products"] = table
         if self.rn_values is not None:
             doc["rn"] = [str(v) for v in self.rn_values]
@@ -436,6 +469,7 @@ class Subgroupoid:
         ids = set(arrow_ids)
         ids.update(range(parent.n_units))
         self.ids = frozenset(ids)
+        self._by_src = None
         if check:
             self._check()
 
@@ -444,38 +478,50 @@ class Subgroupoid:
         for g in self.ids:
             if G.inv[g] not in self.ids:
                 raise ValueError(f"subgroupoid not closed under inverse at {g}")
-        for g in self.ids:
-            for h in self.ids:
-                if G.src[g] == G.rng[h]:
-                    k = G.product(g, h)
-                    if k is None:
-                        raise ValueError(
-                            "subgroupoid needs a complete ambient product")
-                    if k not in self.ids:
-                        raise ValueError(
-                            f"subgroupoid not closed under product ({g},{h})")
+        for g in sorted(self.ids):
+            for h in G.range_fiber(G.src[g]):
+                if h not in self.ids:
+                    continue
+                k = G.product(g, h)
+                if k is None:
+                    raise ValueError(
+                        "subgroupoid needs a complete ambient product")
+                if k not in self.ids:
+                    raise ValueError(
+                        f"subgroupoid not closed under product ({g},{h})")
+
+    @property
+    def by_src(self):
+        """{unit: [arrows of this subgroupoid leaving it]}, ascending ids;
+        built once, on first use."""
+        if self._by_src is None:
+            self._by_src = arrows_by(self.parent.src, sorted(self.ids))
+        return self._by_src
 
     @classmethod
     def generated_by(cls, parent, arrow_ids):
         """Closure of the given arrows inside the parent."""
         ids = set(range(parent.n_units))
         work = []
+
+        def add(k):
+            if k is not None and k not in ids:
+                ids.add(k)
+                work.append(k)
+
         for g in arrow_ids:
-            for h in (g, parent.inv[g]):
-                if h not in ids:
-                    ids.add(h)
-                    work.append(h)
+            add(g)
+            add(parent.inv[g])
         cursor = 0
         while cursor < len(work):
             g = work[cursor]
             cursor += 1
-            for h in sorted(ids):
-                for left, right in ((g, h), (h, g)):
-                    if parent.src[left] == parent.rng[right]:
-                        k = parent.product(left, right)
-                        if k is not None and k not in ids:
-                            ids.add(k)
-                            work.append(k)
+            for h in parent.range_fiber(parent.src[g]):
+                if h in ids:
+                    add(parent.product(g, h))
+            for h in parent.source_fiber(parent.rng[g]):
+                if h in ids:
+                    add(parent.product(h, g))
         return cls(parent, ids, check=False)
 
     def __contains__(self, g):
@@ -541,6 +587,40 @@ def ergodic_decomposition(G):
     return ErgodicDecomposition(G)
 
 
+def spanning_forest(G):
+    """Breadth-first spanning forest of the arrow-connected components.
+
+    Returns (dec, steps): dec is the ErgodicDecomposition of G and steps
+    lists (x, g, backwards) for every unit in the order it is reached. Each
+    component starts at its lowest unit x with g None; every other x is
+    reached through the arrow g, x = s(g) when backwards and x = r(g)
+    otherwise. At each unit the arrows are tried in sorted (arrow,
+    backwards) order, so a potential built along the steps depends only on
+    G and the arrow values.
+    """
+    dec = ErgodicDecomposition(G)
+    steps = []
+    reached = set()
+    for comp in dec.components:
+        root = min(comp)
+        reached.add(root)
+        steps.append((root, None, False))
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                edges = sorted([(g, False) for g in G.source_fiber(u)]
+                               + [(g, True) for g in G.range_fiber(u)])
+                for g, backwards in edges:
+                    other = G.src[g] if backwards else G.rng[g]
+                    if other not in reached:
+                        reached.add(other)
+                        steps.append((other, g, backwards))
+                        nxt.append(other)
+            frontier = nxt
+    return dec, steps
+
+
 def restrict(G, units):
     """(G)_A: the restriction to a nonempty unit subset.
 
@@ -586,11 +666,14 @@ def restrict(G, units):
     else:
         prod = {}
         for i, g in enumerate(kept):
-            for j, h in enumerate(kept):
-                if G.src[g] == G.rng[h]:
-                    k = G.product(g, h)
-                    if k is not None and k in arrow_map:
-                        prod[(i, j)] = arrow_map[k]
+            # kept ascends in parent ids, so j ascends within each i
+            for h in G.range_fiber(G.src[g]):
+                j = arrow_map.get(h)
+                if j is None:
+                    continue
+                k = G.product(g, h)
+                if k is not None and k in arrow_map:
+                    prod[(i, j)] = arrow_map[k]
         sub = FiniteMeasuredGroupoid(
             [G.unit_names[x] for x in A],
             [G.masses[x] for x in A],
@@ -612,15 +695,20 @@ def index_of_pair(G, ambient_ids, sub_ids, x):
     """Classes of {g in ambient : s(g) = x} under g ~ h iff g h^-1 in sub.
 
     Computed as orbits of left multiplication by sub, which is the same
-    relation: g h^-1 = s in sub iff g = s h.
+    relation: g h^-1 = s in sub iff g = s h. ambient_ids is tested for
+    membership once per arrow of s^-1(x), so pass a range or a set. sub_ids
+    may be a Subgroupoid of G, whose cached arrows-by-source map is then
+    used instead of one built for this call. Cost: one product per pair
+    (h, s) with h in the fiber and s in sub leaving r(h).
     """
-    fiber = [g for g in ambient_ids if G.src[g] == x]
-    sub_by_src = {}
-    for s in sub_ids:
-        sub_by_src.setdefault(G.src[s], []).append(s)
+    fiber = [g for g in G.source_fiber(x) if g in ambient_ids]
+    if isinstance(sub_ids, Subgroupoid):
+        sub_by_src = sub_ids.by_src
+    else:
+        sub_by_src = arrows_by(G.src, sub_ids)
     unseen = set(fiber)
     classes = 0
-    for g in sorted(fiber):
+    for g in fiber:
         if g not in unseen:
             continue
         classes += 1
@@ -639,12 +727,17 @@ def index_of_pair(G, ambient_ids, sub_ids, x):
 
 
 def index(G, H, x):
-    """[G : H]_x = the number of left H-classes of s^-1(x), a positive int."""
+    """[G : H]_x = the number of left H-classes of s^-1(x), a positive int.
+
+    Walks s^-1(x) and, from each of its arrows h, the arrows of H leaving
+    r(h): sum over y of |H-arrows leaving y| products. A Subgroupoid H
+    builds its arrows-by-source map once, so a sweep over every unit x
+    does not rebuild it."""
     if isinstance(H, Subgroupoid):
-        parent, sub_ids = H.parent, H.ids
+        parent = H.parent
     else:
-        parent, sub_ids = G, H
-    return index_of_pair(parent, range(parent.n_arrows), sub_ids, x)
+        parent = G
+    return index_of_pair(parent, range(parent.n_arrows), H, x)
 
 
 def local_index(G, H, x):
@@ -664,16 +757,31 @@ def local_index_of_pair(G, ambient_ids, sub_ids, x):
     only changes when the restriction severs genuine structure."""
     sub_ids = set(sub_ids) | set(range(G.n_units))
     dec = ErgodicDecomposition(G, sorted(sub_ids))
-    Y = dec.component(x)
-    GY, unit_map, arrow_map = restrict(G, Y)
-    amb = [arrow_map[g] for g in ambient_ids if g in arrow_map]
-    sub = [arrow_map[g] for g in sub_ids if g in arrow_map]
-    return Fraction(index_of_pair(GY, amb, sub, unit_map[x]))
+    return Fraction(index_within(G, set(ambient_ids), sub_ids,
+                                 dec.component(x), x))
+
+
+def index_within(G, ambient_ids, sub_ids, units, x):
+    """index_of_pair at x in the restriction of G to units (x among them),
+    counted in G itself: the ambient arrows of s^-1(x) and the sub arrows
+    leaving units, each kept when its range lies in units. Restriction keeps
+    every product of two kept arrows, so the count is the same. Both id
+    collections are tested for membership: pass sets or a range."""
+    inside = set(units)
+    amb = {g for g in G.source_fiber(x)
+           if g in ambient_ids and G.rng[g] in inside}
+    sub = [g for y in sorted(inside) for g in G.source_fiber(y)
+           if g in sub_ids and G.rng[g] in inside]
+    return index_of_pair(G, amb, sub, x)
 
 
 def validate(G):
-    """Axiom check; returns a list of human-readable violations. Exhaustive,
-    so intended for desk-scale instances and tests."""
+    """Axiom check; returns a list of human-readable violations.
+
+    Exhaustive over the composable pairs (g, h), sum over units x of
+    |r^-1(x)|.|s^-1(x)| of them, and over the triples (g, h, f) with (g, h)
+    defined and f in r^-1(s(h)). Both are walked by fiber: a principal
+    groupoid on n units costs n^3 pairs and n^4 triples."""
     problems = []
     for x in range(G.n_units):
         if G.masses[x] <= 0:
@@ -690,27 +798,25 @@ def validate(G):
             problems.append(f"arrow {g} times its inverse is not the unit")
     defined = []
     for g in range(G.n_arrows):
-        for h in range(G.n_arrows):
-            if G.src[g] == G.rng[h]:
-                k = G.product(g, h)
-                if k is None:
-                    if G.product_complete:
-                        problems.append(f"missing product ({g},{h})")
-                    continue
-                if G.src[k] != G.src[h] or G.rng[k] != G.rng[g]:
-                    problems.append(f"product ({g},{h}) has wrong endpoints")
-                defined.append((g, h, k))
+        for h in G.range_fiber(G.src[g]):
+            k = G.product(g, h)
+            if k is None:
+                if G.product_complete:
+                    problems.append(f"missing product ({g},{h})")
+                continue
+            if G.src[k] != G.src[h] or G.rng[k] != G.rng[g]:
+                problems.append(f"product ({g},{h}) has wrong endpoints")
+            defined.append((g, h, k))
     table = {(g, h): k for g, h, k in defined}
     for g, h, k in defined:
-        for f in range(G.n_arrows):
-            if G.src[h] == G.rng[f]:
-                hf = table.get((h, f))
-                if hf is None:
-                    continue
-                left = table.get((k, f))
-                right = table.get((g, hf))
-                if left is not None and right is not None and left != right:
-                    problems.append(f"associativity fails at ({g},{h},{f})")
+        for f in G.range_fiber(G.src[h]):
+            hf = table.get((h, f))
+            if hf is None:
+                continue
+            left = table.get((k, f))
+            right = table.get((g, hf))
+            if left is not None and right is not None and left != right:
+                problems.append(f"associativity fails at ({g},{h},{f})")
     if G.rn_values is not None:
         for g, h, k in defined:
             if G.rn_values[g] * G.rn_values[h] != G.rn_values[k]:

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, field
 
 from ..errors import NotInFullGroup, NotQuasiNormal
-from .core import Subgroupoid, index_of_pair
+from .core import Subgroupoid, arrows_by, index_of_pair
 
 
 class QNClass(enum.Enum):
@@ -166,13 +166,10 @@ def qn_membership(G, S, phi):
 def coset_classes(G, S, x):
     """Left S-classes of the source fiber at x; each class sorted by id."""
     if isinstance(S, Subgroupoid):
-        s_ids = S.ids
+        sub_by_src = S.by_src
     else:
-        s_ids = frozenset(S)
-    sub_by_src = {}
-    for s in s_ids:
-        sub_by_src.setdefault(G.src[s], []).append(s)
-    fiber = sorted(G.source_fiber(x))
+        sub_by_src = arrows_by(G.src, S)
+    fiber = G.source_fiber(x)
     unseen = set(fiber)
     classes = []
     for g in fiber:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from ..errors import IndexNotConstant, NotACocycle, NotNormal, VerificationFailure
 from ..tree import base_vertex, canonical_vertex, neighbors
 from ..words import GroupWord, same_element
-from .core import ErgodicDecomposition, FiniteMeasuredGroupoid, Subgroupoid
+from .core import ErgodicDecomposition, FiniteMeasuredGroupoid, Subgroupoid, arrows_by
 
 
 def _class_partition(G, s_ids):
@@ -39,9 +39,8 @@ def _class_partition(G, s_ids):
                 ra, rb = rb, ra
             parent[rb] = ra
 
-    by_src = {}
-    for s in s_ids:
-        by_src.setdefault(G.src[s], []).append(s)
+    by_src = arrows_by(G.src, s_ids)
+    by_rng = arrows_by(G.rng, s_ids)
     for g in range(G.n_arrows):
         for s in by_src.get(G.rng[g], ()):
             k = G.product(s, g)
@@ -49,12 +48,11 @@ def _class_partition(G, s_ids):
                 raise ValueError("quotient needs a complete product")
             union(g, k)
     for g in range(G.n_arrows):
-        for s in s_ids:
-            if G.src[g] == G.rng[s]:
-                k = G.product(g, s)
-                if k is None:
-                    raise ValueError("quotient needs a complete product")
-                union(g, k)
+        for s in by_rng.get(G.src[g], ()):
+            k = G.product(g, s)
+            if k is None:
+                raise ValueError("quotient needs a complete product")
+            union(g, k)
     roots = {}
     labels = []
     for g in range(G.n_arrows):
@@ -235,16 +233,16 @@ def check_word_cocycle(G, arrow_ids, rho, params):
         if gi in rho and not same_element(
                 rho[g] * rho[gi], GroupWord.identity(), params):
             raise NotACocycle(f"rho breaks at the inverse of arrow {g}")
+    by_rng = arrows_by(G.rng, ids)
     for g in ids:
-        for h in ids:
-            if G.src[g] == G.rng[h]:
-                k = G.product(g, h)
-                if k is None:
-                    raise ValueError("cocycle check needs a complete product")
-                if k not in rho:
-                    raise NotACocycle(f"rho undefined on composite arrow {k}")
-                if not same_element(rho[g] * rho[h], rho[k], params):
-                    raise NotACocycle(f"rho breaks at the pair ({g},{h})")
+        for h in by_rng.get(G.src[g], ()):
+            k = G.product(g, h)
+            if k is None:
+                raise ValueError("cocycle check needs a complete product")
+            if k not in rho:
+                raise NotACocycle(f"rho undefined on composite arrow {k}")
+            if not same_element(rho[g] * rho[h], rho[k], params):
+                raise NotACocycle(f"rho breaks at the pair ({g},{h})")
 
 
 def _translate(word, vertex):
@@ -278,9 +276,7 @@ def find_invariant_vertex_map(G, S, rho, params, *, radius=3):
     s_ids = sorted(S.ids if isinstance(S, Subgroupoid) else set(S))
     check_word_cocycle(G, s_ids, rho, params)
     dec = ErgodicDecomposition(G, s_ids)
-    by_src = {}
-    for g in s_ids:
-        by_src.setdefault(G.src[g], []).append(g)
+    by_src = arrows_by(G.src, s_ids)
     ball = _vertex_ball(params, radius)
     psi = {}
     for comp in dec.components:
@@ -292,7 +288,7 @@ def find_invariant_vertex_map(G, S, rho, params, *, radius=3):
         while frontier:
             nxt = []
             for u in frontier:
-                for g in sorted(by_src.get(u, ())):
+                for g in by_src.get(u, ()):
                     w = G.rng[g]
                     if w not in seen:
                         seen.add(w)

@@ -170,3 +170,65 @@ def mass_transport_sum(G, values):
         total += values[g] * G.masses[G.src[g]]
         total -= values[G.inv[g]] * G.masses[G.src[g]]
     return total
+
+
+def sqrt5_sign(u, w):
+    """Sign of u + w*sqrt(5) for rationals u, w: compare the squares u^2 and
+    5 w^2 when the two terms have opposite signs."""
+    if w == 0 or u * w >= 0:
+        total = u if u != 0 else w
+        return (total > 0) - (total < 0)
+    dominant = u if u * u > 5 * w * w else w
+    return 1 if dominant > 0 else -1
+
+
+def arrows_from(G, x):
+    """s^-1(x) by a scan of every arrow."""
+    return [g for g in range(G.n_arrows) if G.src[g] == x]
+
+
+def arrows_into(G, x):
+    """r^-1(x) by a scan of every arrow."""
+    return [g for g in range(G.n_arrows) if G.rng[g] == x]
+
+
+def left_class_count(G, sub_ids, x):
+    """[G : sub]_x straight from the definition: g ~ h in s^-1(x) iff
+    g h^-1 lies in sub; one class per distinct set of partners."""
+    fiber = arrows_from(G, x)
+    sub = set(sub_ids)
+    return len({frozenset(h for h in fiber if G.product(g, G.inv[h]) in sub)
+                for g in fiber})
+
+
+def product_violations(G):
+    """The lines validate reports about the product and the attached RN
+    values, in its order, found by trying every pair and triple of arrows."""
+    n = G.n_arrows
+    prod = {(g, h): G.product(g, h) for g in range(n) for h in range(n)}
+    lines = []
+    for g in range(n):
+        for h in range(n):
+            if G.src[g] != G.rng[h]:
+                continue
+            k = prod[(g, h)]
+            if k is None:
+                if G.product_complete:
+                    lines.append(f"missing product ({g},{h})")
+            elif (G.src[k], G.rng[k]) != (G.src[h], G.rng[g]):
+                lines.append(f"product ({g},{h}) has wrong endpoints")
+    for g in range(n):
+        for h in range(n):
+            for f in range(n):
+                gh, hf = prod[(g, h)], prod[(h, f)]
+                if gh is None or hf is None:
+                    continue
+                left, right = prod[(gh, f)], prod[(g, hf)]
+                if left is not None and right is not None and left != right:
+                    lines.append(f"associativity fails at ({g},{h},{f})")
+    if G.rn_values is not None:
+        rn = G.rn_values
+        for (g, h), k in prod.items():
+            if k is not None and rn[g] * rn[h] != rn[k]:
+                lines.append(f"attached RN values not multiplicative at ({g},{h})")
+    return lines

@@ -1,10 +1,15 @@
 """End-to-end command line checks through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import bsmg
 from bsmg.cli import main
 from bsmg.groupoid.core import FiniteMeasuredGroupoid, validate
 from bsmg.groupoid.randomgen import partition_groupoid
@@ -145,6 +150,39 @@ class TestCocycle:
         assert doc == {"p": 2, "q": 3, "k": 1, "l": 0, "floors": [2, 3],
                        "product": "3/2", "arrows_checked": 25}
 
+    def test_failed_identity_survives_optimized_mode(self):
+        # a witness whose target is skewed for one unit breaks the constant
+        # pushforward scalar; under python -O the check must still raise,
+        # and the command must report it as a verification failure
+        script = textwrap.dedent("""
+            import sys
+            from bsmg.cli import main
+            from bsmg.cocycle.core import modular_pair
+            from bsmg.cocycle.levelmodel import BSLevelModel
+            from bsmg.groupoid.pseudogroup import PartialIso
+
+            class Skewed(PartialIso):
+                def target(self, x):
+                    return self.G.n_units - 1 if x == 1 else super().target(x)
+
+            def skewed_cocycles(model):
+                first = Skewed(model.groupoid, model.witnesses[0].arrows)
+                return modular_pair(model.groupoid, model.S,
+                                    witnesses=[first] + model.witnesses[1:])
+
+            BSLevelModel.modular_cocycles = skewed_cocycles
+            sys.exit(main(["cocycle", "level-model", "--p", "2", "--q", "3",
+                           "--k", "1", "--l", "0", "--verify-corollary"]))
+        """)
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(bsmg.__file__)))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith(
+            "verification failure: pushforward scalar not constant at unit 1")
+
     def test_flow_type(self, capsys):
         doc = run_json(capsys, "cocycle", "flow-type", "--loops", "3/2")
         assert doc == {"kind": "III_lambda", "lambda": "2/3"}
@@ -213,6 +251,12 @@ class TestDynamics:
         code, _, err = run(capsys, "dynamics", "beta", "--theta", "0",
                            "--x", "0", "--n", "1")
         assert code == 2
+
+    def test_beta_huge_n(self, capsys):
+        doc = run_json(capsys, "dynamics", "beta", "--theta", "golden",
+                       "--n", "-1000000000000000000000000000", "--x", "1/2")
+        # m = ceil((n - x)/phi) = -floor((10^27 + 1/2)/phi)
+        assert doc == {"value": -618033988749894848204586834}
 
     def test_rotation(self, capsys):
         doc = run_json(capsys, "dynamics", "rotation", "--theta", "3/2",

@@ -32,6 +32,8 @@ from bsmg.errors import (
 from bsmg.profinite import TruncatedProfiniteInt
 from bsmg.words import BSParams, GroupWord, commutator, is_identity, modular_hom
 
+from oracles import sqrt5_sign
+
 P23 = BSParams(2, 3)
 THETA32 = ThetaValue.from_rational(Fraction(3, 2))
 GOLDEN = ThetaValue.golden()
@@ -104,6 +106,17 @@ class TestBetaCocycle:
 
     def test_step_returns_the_landing_point(self):
         assert beta_step(1, 0, THETA32) == (1, Fraction(1, 2))
+
+    @pytest.mark.parametrize("n", [10 ** 20, -10 ** 20, 10 ** 27, -10 ** 27,
+                                   10 ** 400, -10 ** 400])
+    def test_golden_at_huge_n(self, n):
+        # far beyond float range and precision; the landing point
+        # x - n + phi*m = (u + m sqrt5)/2 is checked in Z[sqrt5]
+        x = Fraction(1, 2)
+        m = beta_cocycle(n, x, GOLDEN)
+        u = 2 * (x - n) + m
+        assert sqrt5_sign(u, m) >= 0
+        assert sqrt5_sign(u - 1, m - 1) < 0    # landed < phi
 
 
 class TestLineCoordinate:

@@ -1,8 +1,16 @@
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from bsmg.cocycle.levelmodel import (
+    level_label_normalizer,
+    level_sizes,
+    seed_maps,
+)
+from bsmg.cocycle.mackey import scaled_product_model
 from bsmg.errors import ClosureTooLarge, EmptySet
 from bsmg.groupoid.core import (
     ErgodicDecomposition,
@@ -16,7 +24,15 @@ from bsmg.groupoid.core import (
     validate,
     whole,
 )
-from oracles import mass_transport_sum
+from bsmg.groupoid.randomgen import random_groupoid, random_wide_subgroupoid
+from bsmg.words import BSParams
+from oracles import (
+    arrows_from,
+    arrows_into,
+    left_class_count,
+    mass_transport_sum,
+    product_violations,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -327,3 +343,106 @@ class TestSerialization:
         doc["arrows"][6]["inverse"] = 5
         H = FiniteMeasuredGroupoid.from_doc(doc)
         assert any("inverse" in line for line in validate(H))
+
+
+def sampled_groupoids(count):
+    """random_groupoid samples, each with its restriction to the even units
+    and, through a document round trip, an explicit-product copy."""
+    out = []
+    for i in range(count):
+        G = random_groupoid(random.Random(f"fiber-walk:{i}"))
+        R, _, _ = restrict(G, range(0, G.n_units, 2))
+        E = FiniteMeasuredGroupoid.from_doc(G.to_doc())
+        out += [G, R, E, restrict(E, range(0, G.n_units, 2))[0]]
+    return out
+
+
+class TestFiberWalk:
+    def test_fibers_match_a_full_scan(self):
+        for G in sampled_groupoids(8):
+            for x in range(G.n_units):
+                assert list(G.source_fiber(x)) == arrows_from(G, x)
+                assert list(G.range_fiber(x)) == arrows_into(G, x)
+
+    def test_index_matches_the_definition(self):
+        rng = random.Random("fiber-walk:index")
+        for G in sampled_groupoids(8):
+            if not G.product_complete:
+                continue
+            H = random_wide_subgroupoid(rng, G)
+            for x in range(G.n_units):
+                want = left_class_count(G, H.ids, x)
+                assert index(G, H, x) == want
+                assert index(G, H.sorted_ids(), x) == want
+                assert index_of_pair(G, range(G.n_arrows), H.ids, x) == want
+
+    def test_validate_finds_a_broken_associativity(self):
+        doc = s3_action().to_doc()
+        table = {(g, h): k for g, h, k in doc["products"]}
+        src = [a["source"] for a in doc["arrows"]]
+        rng = [a["range"] for a in doc["arrows"]]
+        # send one composite to the other arrow with the same endpoints
+        (g, h), k = next(((g, h), k) for (g, h), k in table.items()
+                         if g >= 3 and h >= 3 and doc["arrows"][g]["inverse"] != h)
+        twin = next(a for a in range(3, len(src))
+                    if a != k and (src[a], rng[a]) == (src[k], rng[k]))
+        table[(g, h)] = twin
+        doc["products"] = [[g, h, k] for (g, h), k in table.items()]
+        H = FiniteMeasuredGroupoid.from_doc(doc)
+        problems = validate(H)
+        assert any(line.startswith(f"associativity fails at ({g},{h},")
+                   for line in problems)
+        assert problems == product_violations(H)
+
+    def test_validate_finds_wrong_endpoints(self):
+        doc = s3_action().to_doc()
+        g, h, k = next(row for row in doc["products"] if row[0] >= 3
+                       and row[1] >= 3 and doc["arrows"][row[0]]["inverse"] != row[1])
+        wrong = next(a for a in range(len(doc["arrows"]))
+                     if doc["arrows"][a]["source"] != doc["arrows"][k]["source"])
+        doc["products"] = [[a, b, wrong if (a, b) == (g, h) else c]
+                           for a, b, c in doc["products"]]
+        H = FiniteMeasuredGroupoid.from_doc(doc)
+        problems = validate(H)
+        assert f"product ({g},{h}) has wrong endpoints" in problems
+        assert problems == product_violations(H)
+
+    def test_validate_finds_non_multiplicative_rn(self):
+        doc = scaled_product_model(Fraction(3, 2), 3).to_doc()
+        assert validate(FiniteMeasuredGroupoid.from_doc(doc)) == []
+        doc["rn"][4] = "5"
+        H = FiniteMeasuredGroupoid.from_doc(doc)
+        problems = validate(H)
+        assert f"attached RN values not multiplicative at (4,{H.inv[4]})" \
+            in problems
+        assert problems == product_violations(H)
+
+
+# sha256 of to_json(), product tables included, recorded from the
+# all-arrow-pairs scans that the fiber walk replaced: it must give the same
+# arrow ids and list the same products in the same order
+GROWN_LEVEL_DIGESTS = {
+    (2, 3, 1, 0): "84770147f90998e85287f722814d3fdd6a38a7f104acbbc009902c728c85ff86",
+    (2, 3, 1, 1): "5ac6d1a62b8e4d9a19d405aeca5b3f6e1bbe793f27479cc4f53f9cc4c8410b9c",
+    (2, -3, 1, 1): "928f72ecebf4eede1b93cd41601e64fecf6da4e5660834fc8802c64b7e917c7e",
+    (4, 6, 1, 0): "75f293c2501d936748d7eab44edb67da73d9ef802bef0d2a5ef9ce8b9ac7304d",
+}
+SAMPLED_DIGEST = "e3555a30bde89e49ab98c0b4fbcf69ffb3f35631e9dae01570e3e6da8de3c165"
+
+
+def doc_digest(G):
+    return hashlib.sha256(G.to_json().encode()).hexdigest()
+
+
+class TestDocDigests:
+    @pytest.mark.parametrize("p,q,k,l", sorted(GROWN_LEVEL_DIGESTS))
+    def test_grown_level_model(self, p, q, k, l):
+        params = BSParams(p, q)
+        G = FiniteMeasuredGroupoid.from_partial_isos(
+            sum(level_sizes(params, k, l)), seed_maps(params, k, l),
+            label_normalizer=level_label_normalizer(params, k, l))
+        assert doc_digest(G) == GROWN_LEVEL_DIGESTS[(p, q, k, l)]
+
+    def test_samples_and_restrictions(self):
+        digests = "".join(doc_digest(G) for G in sampled_groupoids(8))
+        assert hashlib.sha256(digests.encode()).hexdigest() == SAMPLED_DIGEST

@@ -79,8 +79,19 @@ class TestPowerExponents:
     def test_rejects_non_powers(self):
         with pytest.raises(NotPowerValued):
             power_exponents([Fraction(5)], 2)
+        with pytest.raises(NotPowerValued):
+            power_exponents([Fraction(6)], 2)
         with pytest.raises(ValueError):
             power_exponents([Fraction(2)], 1)
+
+    def test_large_exponents(self):
+        # no search bound: the exponent is read off the valuation
+        assert power_exponents([Fraction(2) ** 129], 2) == [129]
+        assert power_exponents([Fraction(2) ** -300], 2) == [-300]
+        assert power_exponents([Fraction(2, 3) ** 150], Fraction(2, 3)) == [150]
+        assert power_exponents([Fraction(2, 3) ** 150], Fraction(3, 2)) == [-150]
+        with pytest.raises(NotPowerValued):
+            power_exponents([Fraction(2) ** 129 * 3], 2)
 
 
 class TestMackeyRange:
