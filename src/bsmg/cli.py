@@ -554,12 +554,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         doc, code = args.handler(args)
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        # first, so a BsmgError that is also a ValueError (a bad arrow id)
+        # reads as the usage error it is
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except (BsmgError, AssertionError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     if doc is not None:
         _emit(doc, args.format)
     return code

@@ -11,6 +11,14 @@ theta itself comes in three flavors. Exact rationals and the golden ratio
 are fully decidable (golden sign tests reduce to comparing u^2 against 5 w^2,
 no intervals involved); a raw interval theta answers only what its width can
 support and raises PrecisionError on anything it cannot.
+
+An affine value is three integers (p, q, d) meaning (p + q*theta)/d, in
+lowest terms with d > 0. For rational theta = u/v its sign is the sign of
+p*v + q*u and its floor (p*v + q*u) // (d*v); for the golden ratio both come
+from 2p + q and q*sqrt(5) through math.isqrt. Sums, scalings and the
+products the Cesaro average needs stay on integers with one gcd per result;
+a Fraction is built only where a caller reads a or b. Interval theta reads
+the values back as Fractions and keeps its exact bound arithmetic.
 """
 
 from __future__ import annotations
@@ -102,45 +110,111 @@ def _fib(n):
     return a
 
 
-@dataclass(frozen=True)
 class ThetaAffine:
-    """The exact value a + b*theta for whichever theta is in play."""
+    """The exact value a + b*theta for whichever theta is in play.
 
-    a: Fraction
-    b: Fraction
+    Stored as three integers: the value is (p + q*theta)/d with d > 0 and
+    gcd(p, q, d) == 1, so equal values have equal fields and sign, floor
+    and the arithmetic below work on integers. a = p/d and b = q/d are
+    read-only Fraction views. Values are immutable by convention: every
+    operation returns a new one.
+    """
+
+    __slots__ = ("p", "q", "d")
+
+    def __init__(self, a, b):
+        a, b = Fraction(a), Fraction(b)
+        # over the lcm of the reduced denominators the three integers are
+        # already coprime: a prime dividing d divides one of the two
+        # denominators to the full power, and so not that numerator
+        d = math.lcm(a.denominator, b.denominator)
+        self.p = a.numerator * (d // a.denominator)
+        self.q = b.numerator * (d // b.denominator)
+        self.d = d
+
+    @property
+    def a(self):
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self):
+        return Fraction(self.q, self.d)
 
     def __add__(self, other):
         o = as_affine(other)
-        return ThetaAffine(self.a + o.a, self.b + o.b)
+        if self.d == o.d:
+            return _affine(self.p + o.p, self.q + o.q, self.d)
+        return _affine(self.p * o.d + o.p * self.d,
+                       self.q * o.d + o.q * self.d, self.d * o.d)
 
     def __sub__(self, other):
+        if type(other) is int:
+            # (p - k d, q, d) keeps gcd(p, q, d) == 1
+            return _raw(self.p - other * self.d, self.q, self.d)
         o = as_affine(other)
-        return ThetaAffine(self.a - o.a, self.b - o.b)
+        if self.d == o.d:
+            return _affine(self.p - o.p, self.q - o.q, self.d)
+        return _affine(self.p * o.d - o.p * self.d,
+                       self.q * o.d - o.q * self.d, self.d * o.d)
 
     def scale(self, c):
-        c = Fraction(c)
-        return ThetaAffine(self.a * c, self.b * c)
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return _affine(self.p * c.numerator, self.q * c.numerator,
+                       self.d * c.denominator)
+
+    def __eq__(self, other):
+        if type(other) is not ThetaAffine:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.d))
 
     def __repr__(self):
         return f"({self.a} + {self.b}*theta)"
 
 
+def _raw(p, q, d):
+    """(p + q*theta)/d from integers already in lowest terms, d > 0."""
+    value = object.__new__(ThetaAffine)
+    value.p = p
+    value.q = q
+    value.d = d
+    return value
+
+
+def _affine(p, q, d):
+    """(p + q*theta)/d reduced to lowest terms; d > 0."""
+    g = gcd(p, q, d)
+    if g != 1:
+        return _raw(p // g, q // g, d // g)
+    return _raw(p, q, d)
+
+
+_ZERO = _raw(0, 0, 1)
+
+
 def as_affine(x):
-    if isinstance(x, ThetaAffine):
+    if type(x) is ThetaAffine:
         return x
-    return ThetaAffine(Fraction(x), Fraction(0))
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return _raw(x.numerator, 0, x.denominator)
 
 
 def affine_sign(theta, value):
     """Exact sign of a + b*theta: -1, 0, or +1."""
     value = as_affine(value)
-    a, b = value.a, value.b
+    p, q = value.p, value.q
     if theta.kind == "rational":
-        v = a + b * theta.frac
+        # d > 0 and the denominator of theta = u/v is positive
+        frac = theta.frac
+        v = p * frac.denominator + q * frac.numerator
         return (v > 0) - (v < 0)
     if theta.kind == "golden":
-        # 2(a + b*phi) = (2a + b) + b*sqrt(5)
-        u, w = 2 * a + b, b
+        # 2d(a + b*phi) = (2p + q) + q*sqrt(5)
+        u, w = 2 * p + q, q
         if w == 0:
             return (u > 0) - (u < 0)
         if u == 0:
@@ -153,6 +227,7 @@ def affine_sign(theta, value):
         if u > 0:
             return 1 if big else -1
         return -1 if big else 1
+    a, b = value.a, value.b
     vlo = a + b * (theta.lo if b >= 0 else theta.hi)
     vhi = a + b * (theta.hi if b >= 0 else theta.lo)
     if vlo > 0:
@@ -167,19 +242,19 @@ def affine_sign(theta, value):
 def affine_floor(theta, value):
     """Largest integer n with n <= a + b*theta, decided exactly."""
     value = as_affine(value)
-    a, b = value.a, value.b
+    p, q, d = value.p, value.q, value.d
     if theta.kind == "rational":
-        return math.floor(a + b * theta.frac)
+        frac = theta.frac
+        return (p * frac.denominator + q * frac.numerator) // (
+            d * frac.denominator)
     if theta.kind == "golden":
-        # a + b*phi = (U + W sqrt5) / (2d) over the common denominator d.
-        # floor(W sqrt5) is isqrt(5 W^2), or -isqrt(5 W^2) - 1 for W < 0
-        # (5 W^2 is a square only at W = 0), and the integer floor commutes
+        # (p + q*phi)/d = (U + q sqrt5) / (2d) with U = 2p + q.
+        # floor(q sqrt5) is isqrt(5 q^2), or -isqrt(5 q^2) - 1 for q < 0
+        # (5 q^2 is a square only at q = 0), and the integer floor commutes
         # with flooring by the positive 2d.
-        d = math.lcm(a.denominator, b.denominator)
-        w = b.numerator * (d // b.denominator)
-        u = 2 * a.numerator * (d // a.denominator) + w
-        root = math.isqrt(5 * w * w)
-        return (u + (root if w >= 0 else -root - 1)) // (2 * d)
+        root = math.isqrt(5 * q * q)
+        return (2 * p + q + (root if q >= 0 else -root - 1)) // (2 * d)
+    a, b = value.a, value.b
     n = math.floor(a + b * (theta.lo + theta.hi) / 2)
     # the midpoint gave a candidate; exact signs settle the fencepost
     while affine_sign(theta, value - n) < 0:
@@ -201,10 +276,15 @@ def div_by_theta(theta, value):
     """(a + b*theta) / theta as an exact affine value (rational or golden)."""
     value = as_affine(value)
     if theta.kind == "rational":
-        return ThetaAffine(value.a / theta.frac + value.b, Fraction(0))
+        # (p/d)(v/u) + q/d = (p v + q u)/(d u) for theta = u/v
+        u, v = theta.frac.numerator, theta.frac.denominator
+        if u < 0:
+            u, v = -u, -v
+        return _affine(value.p * v + value.q * u, 0, value.d * u)
     if theta.kind == "golden":
-        # 1/phi = phi - 1, so (a + b phi)/phi = (b - a) + a phi
-        return ThetaAffine(value.b - value.a, value.a)
+        # 1/phi = phi - 1, so (p + q phi)/phi = (q - p) + p phi, and
+        # gcd(q - p, p, d) = gcd(p, q, d) = 1
+        return _raw(value.q - value.p, value.p, value.d)
     raise PrecisionError("exact division by an interval theta")
 
 
@@ -212,20 +292,19 @@ def div_by_theta(theta, value):
 
 def _check_fundamental(theta, x, width):
     """0 <= x < width, decided exactly; width is affine."""
-    if affine_sign(theta, as_affine(x)) < 0:
+    xa = as_affine(x)
+    if affine_sign(theta, xa) < 0:
         raise ValueError(f"{x} is negative")
-    if affine_sign(theta, as_affine(width) - as_affine(x)) <= 0:
+    if affine_sign(theta, width - xa) <= 0:
         raise ValueError(f"{x} is not below {width}")
 
 
 def _abs_theta(theta):
     if theta.kind == "rational":
-        return ThetaAffine(abs(theta.frac), Fraction(0))
-    if theta.kind == "golden":
-        return ThetaAffine(Fraction(0), Fraction(1))
-    if theta.lo > 0:
-        return ThetaAffine(Fraction(0), Fraction(1))
-    return ThetaAffine(Fraction(0), Fraction(-1))
+        return _raw(abs(theta.frac.numerator), 0, theta.frac.denominator)
+    if theta.kind == "golden" or theta.lo > 0:
+        return _raw(0, 1, 1)
+    return _raw(0, -1, 1)
 
 
 def beta_cocycle(n, x, theta):
@@ -238,7 +317,8 @@ def beta_cocycle(n, x, theta):
     n = int(n)
     width = _abs_theta(theta)
     _check_fundamental(theta, x, width)
-    shifted = ThetaAffine(Fraction(n), Fraction(0)) - as_affine(x)
+    x = as_affine(x)
+    shifted = as_affine(n) - x
     if theta.kind == "interval":
         lo, hi = theta.lo, theta.hi
         v = shifted.a
@@ -256,8 +336,7 @@ def beta_cocycle(n, x, theta):
             m = -affine_floor(theta, quotient.scale(-1))
         else:
             m = affine_floor(theta, quotient)
-    landed = as_affine(x) - ThetaAffine(Fraction(n), Fraction(0)) + \
-        _theta_times(theta, m)
+    landed = x - n + _theta_times(theta, m)
     if theta.kind != "interval":
         if affine_sign(theta, landed) < 0 or \
                 affine_sign(theta, width - landed) <= 0:
@@ -268,16 +347,15 @@ def beta_cocycle(n, x, theta):
 
 def _theta_times(theta, m):
     if theta.kind == "rational":
-        return ThetaAffine(theta.frac * m, Fraction(0))
-    return ThetaAffine(Fraction(0), Fraction(m))
+        return _affine(theta.frac.numerator * m, 0, theta.frac.denominator)
+    return _raw(0, m, 1)
 
 
 def beta_step(n, x, theta):
     """(m, landing point): the return time together with x - n + theta*m.
     The landing point is a Fraction for rational theta, affine otherwise."""
     m = beta_cocycle(n, x, theta)
-    landed = as_affine(x) - ThetaAffine(Fraction(n), Fraction(0)) + \
-        _theta_times(theta, m)
+    landed = as_affine(x) - as_affine(n) + _theta_times(theta, m)
     if theta.kind == "rational":
         return m, landed.a + landed.b * theta.frac
     return m, landed
@@ -382,7 +460,7 @@ def coupling_point(params, x, kappa_residue, level):
 
 def _wrap_x(theta, x):
     j = affine_floor(theta, x)
-    return x - ThetaAffine(Fraction(j), Fraction(0)), j
+    return x - j, j
 
 
 def coupling_action(word, pt, theta, params=None, *, budget=None):
@@ -404,10 +482,11 @@ def coupling_action(word, pt, theta, params=None, *, budget=None):
             raise LevelBudgetExceeded(f"{spent} scaling letters, budget {budget}")
     x = as_affine(pt.x)
     if affine_sign(theta, x) < 0 or \
-            affine_sign(theta, ThetaAffine(Fraction(1), Fraction(0)) - x) <= 0:
+            affine_sign(theta, as_affine(1) - x) <= 0:
         raise ValueError("point is outside the fundamental domain")
     kappa = pt.kappa
     ap, aq = abs(params.p), abs(params.q)
+    up, down = Fraction(params.q, params.p), Fraction(params.p, params.q)
     for letter, exp in reversed(word.runs):
         if letter == "a":
             x = x + _theta_times(theta, exp)
@@ -423,8 +502,7 @@ def coupling_action(word, pt, theta, params=None, *, budget=None):
                         f"scaling letter needs a p0-level, at {kappa.to_text()}")
                 r = kappa.residue % ap
                 quo = (kappa.residue - r) // params.p
-                x = (x - ThetaAffine(Fraction(r), Fraction(0))).scale(
-                    Fraction(params.q, params.p))
+                x = (x - r).scale(up)
                 x, j = _wrap_x(theta, x)
                 kappa = TruncatedProfiniteInt(
                     params, params.q * quo - j, (K - 1, L + 1))
@@ -434,8 +512,7 @@ def coupling_action(word, pt, theta, params=None, *, budget=None):
                         f"inverse scaling needs a q0-level, at {kappa.to_text()}")
                 r = kappa.residue % aq
                 quo = (kappa.residue - r) // params.q
-                x = (x - ThetaAffine(Fraction(r), Fraction(0))).scale(
-                    Fraction(params.p, params.q))
+                x = (x - r).scale(down)
                 x, j = _wrap_x(theta, x)
                 kappa = TruncatedProfiniteInt(
                     params, params.p * quo - j, (K + 1, L - 1))
@@ -546,12 +623,12 @@ def _intervals_mod(theta, lo, hi):
     q = div_by_theta(theta, lo)
     if not theta_is_positive(theta):
         q = q.scale(-1)
-    j = affine_floor(theta, q)
-    lo = lo - width.scale(j)
-    hi = hi - width.scale(j)
+    shift = width.scale(affine_floor(theta, q))
+    lo = lo - shift
+    hi = hi - shift
     if affine_sign(theta, width - hi) >= 0:
         return [(lo, hi)]
-    return [(lo, width), (ThetaAffine(Fraction(0), Fraction(0)), hi - width)]
+    return [(lo, width), (_ZERO, hi - width)]
 
 
 def _meet(theta, one, two):
@@ -567,7 +644,7 @@ def _meet(theta, one, two):
 
 
 def _total_length(theta, pieces):
-    total = ThetaAffine(Fraction(0), Fraction(0))
+    total = _ZERO
     for lo, hi in pieces:
         total = total + (hi - lo)
     return total
@@ -588,9 +665,9 @@ class CesaroReport:
 def _affine_product(t1, t2):
     # (a1 + b1 phi)(a2 + b2 phi) with phi^2 = phi + 1; exact for rational
     # theta too, where the b parts are zero
-    a_part = t1.a * t2.a + t1.b * t2.b
-    b_part = t1.a * t2.b + t1.b * t2.a + t1.b * t2.b
-    return ThetaAffine(a_part, b_part)
+    p1, q1, p2, q2 = t1.p, t1.q, t2.p, t2.q
+    return _affine(p1 * p2 + q1 * q2, p1 * q2 + q1 * p2 + q1 * q2,
+                   t1.d * t2.d)
 
 
 def cesaro_mixing_test(base, theta, A1, B1, A2, B2, horizon, *,
@@ -615,8 +692,9 @@ def cesaro_mixing_test(base, theta, A1, B1, A2, B2, horizon, *,
     muB1, muB2 = base.measure(B1), base.measure(B2)
     t1 = div_by_theta(theta, _total_length(theta, A1))
     t2 = div_by_theta(theta, _total_length(theta, A2))
-    target_affine = _affine_product(t1, t2).scale(muB1 * muB2)
-    total = ThetaAffine(Fraction(0), Fraction(0))
+    product = muB1 * muB2
+    target_affine = _affine_product(t1, t2).scale(product)
+    total = _ZERO
     samples = []
     independent_from = None
     sample_every = sample_every or max(1, horizon // 50)
@@ -628,22 +706,19 @@ def cesaro_mixing_test(base, theta, A1, B1, A2, B2, horizon, *,
     indep_dist = max(0, max(span1) - min(span2) + 1) if span1 and span2 else 0
     for k in range(1, horizon + 1):
         # m(x') = floor((x' + k)/theta) on the circle; one breakpoint
-        m0 = affine_floor(theta, div_by_theta(
-            theta, ThetaAffine(Fraction(k), Fraction(0))))
-        cut = width.scale(m0 + 1) - ThetaAffine(Fraction(k), Fraction(0))
-        zero = ThetaAffine(Fraction(0), Fraction(0))
-        if affine_sign(theta, cut) > 0 and affine_sign(theta, width - cut) > 0:
-            pieces = [((zero, cut), m0), ((cut, width), m0 + 1)]
-        elif affine_sign(theta, cut) <= 0:
-            pieces = [((zero, width), m0 + 1)]
+        m0 = affine_floor(theta, div_by_theta(theta, k))
+        cut = width.scale(m0 + 1) - k
+        cut_sign = affine_sign(theta, cut)
+        if cut_sign > 0 and affine_sign(theta, width - cut) > 0:
+            pieces = [((_ZERO, cut), m0), ((cut, width), m0 + 1)]
+        elif cut_sign <= 0:
+            pieces = [((_ZERO, width), m0 + 1)]
         else:
-            pieces = [((zero, width), m0)]
+            pieces = [((_ZERO, width), m0)]
         shiftA1 = []
         for lo, hi in A1:
-            shiftA1.extend(_intervals_mod(
-                theta, lo - ThetaAffine(Fraction(k), Fraction(0)),
-                hi - ThetaAffine(Fraction(k), Fraction(0))))
-        term = ThetaAffine(Fraction(0), Fraction(0))
+            shiftA1.extend(_intervals_mod(theta, lo - k, hi - k))
+        term = _ZERO
         all_factors_product = True
         for (plo, phi_), m in pieces:
             cell = _meet(theta, [(plo, phi_)], shiftA1)
@@ -651,7 +726,7 @@ def cesaro_mixing_test(base, theta, A1, B1, A2, B2, horizon, *,
             if not cell:
                 continue
             factor = base.meet_measure(B1.shifted(-m), B2)
-            if factor != muB1 * muB2:
+            if factor != product:
                 all_factors_product = False
             term = term + _total_length(theta, cell).scale(factor)
         if independent_from is None and all_factors_product \
@@ -668,7 +743,7 @@ def cesaro_mixing_test(base, theta, A1, B1, A2, B2, horizon, *,
     burn = independent_from or horizon
     # each term and the target both lie in [0, 1], so the steps before
     # independence contribute at most this much to the final average
-    burn_in_bound = (burn / horizon) * (1.0 + float(muB1 * muB2))
+    burn_in_bound = (burn / horizon) * (1.0 + float(product))
     return CesaroReport(horizon, _to_float(theta, avg),
                         _to_float(theta, target_affine), gap_float,
                         repr(gap), independent_from, samples, burn_in_bound)

@@ -21,6 +21,10 @@ class ClosureTooLarge(BsmgError):
     """Partial isomorphism closure exceeded the configured arrow bound."""
 
 
+class UnknownArrow(BsmgError, ValueError):
+    """An arrow id outside [0, n_arrows) of the groupoid it was given for."""
+
+
 class EmptySet(BsmgError):
     """A restriction target was empty."""
 

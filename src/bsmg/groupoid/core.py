@@ -18,7 +18,8 @@ import json
 from fractions import Fraction
 
 from .._kernels import component_labels, perm_closure
-from ..errors import ClosureTooLarge, EmptySet, GroupTooLarge, VerificationFailure
+from ..errors import (ClosureTooLarge, EmptySet, GroupTooLarge, UnknownArrow,
+                      VerificationFailure)
 
 
 def arrows_by(ends, arrow_ids):
@@ -179,8 +180,10 @@ class FiniteMeasuredGroupoid:
         lab = self.labels[g]
         if isinstance(lab, str):
             return lab
-        if lab and lab[0] == "g":
-            return f"g{lab[1]}"
+        if lab and isinstance(lab[0], str):
+            # a tagged label such as ("g", 3) or the level-model germs
+            # ("a", m), ("t", j, i), ("T", j, i): the tag, then its indices
+            return lab[0] + ",".join(str(v) for v in lab[1:])
         return ".".join(f"s{abs(s) - 1}" + ("'" if s < 0 else "") for s in lab)
 
     # -- constructors ------------------------------------------------------
@@ -510,6 +513,10 @@ class Subgroupoid:
                 work.append(k)
 
         for g in arrow_ids:
+            if not 0 <= g < parent.n_arrows:
+                raise UnknownArrow(
+                    f"arrow {g} is not one of the {parent.n_arrows} arrows "
+                    f"of the groupoid")
             add(g)
             add(parent.inv[g])
         cursor = 0

@@ -167,7 +167,9 @@ def check_unit_fixes_level(r, k, l):
     direct = all((r.residue * x) % M == x for x in range(0, M, step))
     congruence = (step * (r.residue - 1)) % M == 0
     if direct != congruence:
-        raise AssertionError("submodule sweep disagrees with the congruence")
+        raise VerificationFailure(
+            f"submodule ({k},{l}) sweep disagrees with the congruence "
+            f"for {r.to_text()}")
     return direct
 
 
@@ -204,7 +206,9 @@ def torsion_vanishing_modulus(x, m):
         raise ValueError(f"{m} * {x.to_text()} is not 0")
     out = M // gcd(M, abs(m))
     if x.residue % out:
-        raise AssertionError("torsion shadow violated: exact form")
+        raise VerificationFailure(
+            f"torsion shadow violated: {m} * {x.to_text()} = 0 but "
+            f"{x.to_text()} is not 0 modulo {out}")
     return out
 
 

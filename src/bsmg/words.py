@@ -323,7 +323,9 @@ def conjugation_exponents(
         raise BoundExceeded(str(exc)) from exc
     image = normalize(h * GroupWord.a(index) * h.inverse(), params)
     if not image.is_a_power() or image.k0 == 0:
-        raise AssertionError("stabilizer index did not conjugate into <a>")
+        raise VerificationFailure(
+            f"stabilizer index {index} did not conjugate into <a> "
+            f"for g = {g.to_text()}, x = {x.to_text()}")
     k = image.k0
     shared = gcd(gcd(index, abs(s)), abs(k))
     n = index // shared

@@ -127,6 +127,19 @@ class TestGroupoid:
                            str(pair_file), "--unit", "9", "--arrows", "")
         assert code == 2 and "out of range" in err
 
+    @pytest.mark.parametrize("arrows,bad", [("5,7", 5), ("-1", -1)])
+    def test_index_rejects_unknown_arrow_ids(self, capsys, tmp_path, arrows,
+                                             bad):
+        code, out, _ = run(capsys, "groupoid", "random", "--seed", "4")
+        assert code == 0
+        path = tmp_path / "G.json"
+        path.write_text(out)
+        code, out, err = run(capsys, "groupoid", "index", "--in", str(path),
+                             "--unit", "1", f"--arrows={arrows}")
+        assert (code, out) == (2, "")
+        assert err == (f"usage error: arrow {bad} is not one of the 4 arrows "
+                       "of the groupoid\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "groupoid", "validate", "--in", "no.json")
         assert code == 2

@@ -1,8 +1,11 @@
 """Return-time cocycle, coupling action, rotation orbits, and the counters."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsmg.dynamics import (
     BernoulliBase,
@@ -11,12 +14,16 @@ from bsmg.dynamics import (
     ThetaAffine,
     ThetaValue,
     ZCycleModel,
+    _affine_product,
+    affine_floor,
+    affine_sign,
     beta_cocycle,
     beta_step,
     cesaro_mixing_test,
     component_counts,
     coupling_action,
     coupling_point,
+    div_by_theta,
     l_theta,
     n_element_words,
     periodic_model,
@@ -61,6 +68,103 @@ class TestTheta:
             ThetaValue.from_interval(2, 1)
         with pytest.raises(ValueError):
             ThetaValue.from_interval(-1, 1)
+
+
+# numerators up to 10^400; denominators that share factors (powers of 2, 3
+# and 5, and their products) and that do not (primes, 10^k + 1), plus any
+BIG = 10 ** 400
+DENOMINATORS = st.one_of(
+    st.sampled_from([1, 2, 3, 4, 6, 12, 25, 2 ** 100, 3 ** 60, 6 ** 50,
+                     7, 101, 10 ** 30 + 1, 2 ** 127 - 1]),
+    st.integers(1, BIG))
+FRACTIONS = st.builds(Fraction, st.integers(-BIG, BIG), DENOMINATORS)
+AFFINES = st.builds(ThetaAffine, FRACTIONS, FRACTIONS)
+RATIONAL_THETAS = FRACTIONS.filter(bool).map(ThetaValue.from_rational)
+THETAS = st.one_of(st.just(GOLDEN), RATIONAL_THETAS)
+
+
+def _golden_sign(a, b):
+    """Sign of a + b*phi: 2(a + b*phi) = (2a + b) + b*sqrt(5)."""
+    return sqrt5_sign(2 * a + b, b)
+
+
+class TestIntegerArithmetic:
+    """ThetaAffine and its exact operations against Fraction arithmetic
+    (rational theta) and sign tests in Z[sqrt5] (golden theta)."""
+
+    @staticmethod
+    def _stored(value):
+        assert value.d > 0
+        assert math.gcd(value.p, value.q, value.d) == 1
+        return value.a, value.b
+
+    @settings(max_examples=150, deadline=None)
+    @given(AFFINES, AFFINES, FRACTIONS)
+    def test_ring_operations(self, x, y, c):
+        (a1, b1), (a2, b2) = self._stored(x), self._stored(y)
+        assert self._stored(x + y) == (a1 + a2, b1 + b2)
+        assert self._stored(x - y) == (a1 - a2, b1 - b2)
+        assert self._stored(x.scale(c)) == (a1 * c, b1 * c)
+        assert self._stored(x.scale(3)) == (3 * a1, 3 * b1)
+        assert self._stored(x - 7) == (a1 - 7, b1)
+        assert self._stored(x + c) == (a1 + c, b1)
+        assert self._stored(_affine_product(x, y)) == (
+            a1 * a2 + b1 * b2, a1 * b2 + b1 * a2 + b1 * b2)
+        assert x - y + y == x and hash(x - y + y) == hash(x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(RATIONAL_THETAS, AFFINES)
+    def test_rational_theta(self, theta, x):
+        t = theta.frac
+        value = x.a + x.b * t
+        assert affine_sign(theta, x) == (value > 0) - (value < 0)
+        assert affine_floor(theta, x) == math.floor(value)
+        assert self._stored(div_by_theta(theta, x)) == (value / t, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(AFFINES)
+    def test_golden_theta(self, x):
+        a, b = x.a, x.b
+        assert affine_sign(GOLDEN, x) == _golden_sign(a, b)
+        n = affine_floor(GOLDEN, x)
+        assert _golden_sign(a - n, b) >= 0 and _golden_sign(a - n - 1, b) < 0
+        # (a + b phi)/phi = (b - a) + a phi, since phi^2 = phi + 1
+        assert self._stored(div_by_theta(GOLDEN, x)) == (b - a, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(THETAS, FRACTIONS)
+    def test_near_zero_and_integers(self, theta, c):
+        # values a whisker either side of an integer or of zero
+        k = c.numerator // c.denominator
+        for x in (ThetaAffine(k, 0), ThetaAffine(Fraction(k * BIG - 1, BIG), 0),
+                  ThetaAffine(Fraction(k * BIG + 1, BIG), 0)):
+            assert affine_floor(theta, x) == math.floor(x.a)
+            assert affine_sign(theta, x) == (x.a > 0) - (x.a < 0)
+        assert affine_sign(theta, ThetaAffine(0, 0)) == 0
+
+    def test_equal_values_are_equal(self):
+        one = ThetaAffine(Fraction(2, 4), 1)
+        two = ThetaAffine(Fraction(1, 2), Fraction(2, 2))
+        assert one == two and hash(one) == hash(two)
+        assert (one.p, one.q, one.d) == (1, 2, 2)
+        assert one != ThetaAffine(Fraction(1, 2), 0)
+        assert (one == Fraction(1, 2)) is False
+
+    def test_repr(self):
+        assert repr(ThetaAffine(Fraction(2, 4), 1)) == "(1/2 + 1*theta)"
+        assert repr(ThetaAffine(Fraction(-3, 7), 0)) == "(-3/7 + 0*theta)"
+        assert repr(ThetaAffine(0, Fraction(-6, 4))) == "(0 + -3/2*theta)"
+
+    @pytest.mark.parametrize("theta,want", [
+        (GOLDEN, "(-1309/4000 + 809/4000*theta)"),
+        (THETA32, "(1/36000 + 0*theta)"),
+    ])
+    def test_cesaro_gap_exact_at_1000(self, theta, want):
+        rep = cesaro_mixing_test(
+            BernoulliBase(), theta,
+            [(Fraction(0), Fraction(1, 2))], CylinderSet.of({0: 1}),
+            [(Fraction(1, 4), Fraction(5, 4))], CylinderSet.of({2: 0}), 1000)
+        assert rep.gap_exact == want
 
 
 class TestBetaCocycle:

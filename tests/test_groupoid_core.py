@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from bsmg.cocycle.levelmodel import (
+    BSLevelModel,
     level_label_normalizer,
     level_sizes,
     seed_maps,
 )
 from bsmg.cocycle.mackey import scaled_product_model
-from bsmg.errors import ClosureTooLarge, EmptySet
+from bsmg.errors import BsmgError, ClosureTooLarge, EmptySet, UnknownArrow
 from bsmg.groupoid.core import (
     ErgodicDecomposition,
     FiniteMeasuredGroupoid,
@@ -213,6 +214,14 @@ class TestSubgroupoid:
         assert swap * 3 + 0 in H
         assert swap * 3 + 1 in H
         assert swap * 3 + 2 not in H
+
+    @pytest.mark.parametrize("bad", [18, 100, -1])
+    def test_generated_by_rejects_unknown_arrows(self, bad):
+        G = s3_action()
+        assert G.n_arrows == 18
+        with pytest.raises(UnknownArrow, match=f"arrow {bad} ") as exc:
+            Subgroupoid.generated_by(G, [0, bad])
+        assert isinstance(exc.value, BsmgError)
 
     def test_check_rejects_open_sets(self):
         G = s3_action()
@@ -446,3 +455,12 @@ class TestDocDigests:
     def test_samples_and_restrictions(self):
         digests = "".join(doc_digest(G) for G in sampled_groupoids(8))
         assert hashlib.sha256(digests.encode()).hexdigest() == SAMPLED_DIGEST
+
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 1)])
+    def test_direct_level_model_round_trips(self, k, l):
+        # labels ("a", m), ("t", j, i), ("T", j, i) render as tag + indices
+        G = BSLevelModel(BSParams(2, 3), k, l).groupoid
+        text = G.to_json()
+        assert FiniteMeasuredGroupoid.from_doc(json.loads(text)).to_json() == text
+        rendered = {G.label_text(g) for g in range(G.n_arrows)}
+        assert {"e", "a1", "t0,0", "T0,0", "t1,1", "T1,1"} <= rendered

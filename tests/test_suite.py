@@ -1,5 +1,7 @@
 """The bundled verification checks run clean and reproducibly."""
 
+import json
+
 import pytest
 
 import bsmg.suite as suite_mod
@@ -37,3 +39,31 @@ def test_failures_become_rows(monkeypatch):
     assert len(rows) == 1
     assert rows[0].passed is False
     assert "forced failure" in rows[0].detail
+
+
+def test_any_exception_becomes_a_row_and_the_cli_exits_1(monkeypatch, capsys):
+    from bsmg.cli import main
+
+    def fine(rng, cases):
+        return cases, "fine"
+
+    def divide(rng, cases):
+        return cases, str(1 // 0)
+
+    monkeypatch.setitem(suite_mod.BUNDLES, "dynamics", (
+        ("before", fine, 2), ("divide", divide, 1), ("after", fine, 3)))
+    rows = run_suite("dynamics")
+    assert [(r.name, r.passed, r.cases) for r in rows] == [
+        ("before", True, 2), ("divide", False, 0), ("after", True, 3)]
+    assert rows[1].detail == "ZeroDivisionError: integer division or modulo by zero"
+
+    assert main(["suite", "dynamics"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[:3] == [
+        "PASS before (2 cases): fine",
+        "FAIL divide (0 cases): ZeroDivisionError: integer division or "
+        "modulo by zero",
+        "PASS after (3 cases): fine"]
+    assert json.loads(lines[3])["failed"] == 1
+    assert len(lines) == 4 and err == ""
