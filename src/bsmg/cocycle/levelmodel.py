@@ -133,14 +133,19 @@ class BSLevelModel:
             witnesses.append(phi)
             witnesses.append(phi.inverse())
         self.witnesses = witnesses
+        self._modular_pair = None
 
     @property
     def expected_ratio(self):
         return Fraction(abs(self.params.q), abs(self.params.p))
 
     def modular_cocycles(self):
-        """(D, K) computed through this model's explicit witness family."""
-        return modular_pair(self.groupoid, self.S, witnesses=self.witnesses)
+        """(D, K) computed through this model's explicit witness family,
+        once per model."""
+        if self._modular_pair is None:
+            self._modular_pair = modular_pair(self.groupoid, self.S,
+                                              witnesses=self.witnesses)
+        return self._modular_pair
 
     def check_modular_identity(self):
         """D(g).K(g) == |q/p| on every floor raise, the reciprocal on every

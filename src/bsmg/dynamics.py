@@ -30,6 +30,7 @@ from math import gcd
 
 from .errors import (
     LevelBudgetExceeded,
+    NotAnInteger,
     NotErgodic,
     ParamMismatch,
     PrecisionError,
@@ -310,10 +311,14 @@ def _abs_theta(theta):
 def beta_cocycle(n, x, theta):
     """The unique integer m with x - n + theta*m in [0, |theta|).
 
-    x must already lie in [0, |theta|). Exact for rational theta and the
-    golden ratio; an interval theta that cannot separate the two candidate
-    values raises PrecisionError.
+    n must be an int or an integral Fraction; anything else raises
+    NotAnInteger. x must already lie in [0, |theta|). Exact for rational
+    theta and the golden ratio; an interval theta that cannot separate the
+    two candidate values raises PrecisionError.
     """
+    if not isinstance(n, int) and not (isinstance(n, Fraction)
+                                       and n.denominator == 1):
+        raise NotAnInteger(f"beta_cocycle needs an integer n, got {n!r}")
     n = int(n)
     width = _abs_theta(theta)
     _check_fundamental(theta, x, width)

@@ -25,6 +25,11 @@ class UnknownArrow(BsmgError, ValueError):
     """An arrow id outside [0, n_arrows) of the groupoid it was given for."""
 
 
+class NotAnInteger(BsmgError, ValueError):
+    """A count that must be an integer (an int or an integral Fraction) was
+    given something else."""
+
+
 class EmptySet(BsmgError):
     """A restriction target was empty."""
 

@@ -15,11 +15,17 @@ deterministic. Arrows 0..n_units-1 are always the unit loops.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 
 from .._kernels import component_labels, perm_closure
 from ..errors import (ClosureTooLarge, EmptySet, GroupTooLarge, UnknownArrow,
                       VerificationFailure)
+
+
+# marks a cached certificate that has not been computed yet (None is a
+# computed "no")
+_UNCHECKED = object()
 
 
 def arrows_by(ends, arrow_ids):
@@ -101,6 +107,8 @@ class FiniteMeasuredGroupoid:
         # 3.11.
         self._src_fibers = None
         self._rng_fibers = None
+        # pair_components' certificate, computed on first use
+        self._pair_components = _UNCHECKED
         self.product_complete = product_complete
         self.rn_values = tuple(rn_values) if rn_values is not None else None
         for x in range(self.n_units):
@@ -113,6 +121,10 @@ class FiniteMeasuredGroupoid:
                 if key in self._by_src_label:
                     raise ValueError("duplicate (source, label) pair")
                 self._by_src_label[key] = gid
+
+    def __repr__(self):
+        return (f"FiniteMeasuredGroupoid(units={self.n_units}, "
+                f"arrows={self.n_arrows})")
 
     # -- basic structure --------------------------------------------------
 
@@ -165,6 +177,13 @@ class FiniteMeasuredGroupoid:
 
     @property
     def measure_preserving(self):
+        comp_of = pair_components(self)
+        if comp_of is not None:
+            # every unit pair of a component carries an arrow, so the masses
+            # are preserved iff they are constant on each component
+            first = {}
+            return all(first.setdefault(c, m) == m
+                       for c, m in zip(comp_of, self.masses))
         return all(self.masses[self.src[g]] == self.masses[self.rng[g]]
                    for g in range(self.n_arrows))
 
@@ -473,6 +492,9 @@ class Subgroupoid:
         ids.update(range(parent.n_units))
         self.ids = frozenset(ids)
         self._by_src = None
+        # [parent : self] at every unit when the parent is a certified pair
+        # groupoid and this arrow set is closed under inverse; see index
+        self._pair_indices = _UNCHECKED
         if check:
             self._check()
 
@@ -628,6 +650,128 @@ def spanning_forest(G):
     return dec, steps
 
 
+def pair_components(G):
+    """G's component labels (ErgodicDecomposition(G).component_of) when G is
+    exactly the pair groupoid of its components, else None. Cached on G.
+
+    Certified in one arrow pass for a groupoid with a principal map: every
+    arrow g has principal_map(s(g), r(g)) == g, so arrows are determined by
+    their endpoints; inv[g] has the swapped endpoints, so it is
+    principal_map(r(g), s(g)); and the units grouped by the lowest unit an
+    arrow from them reaches form blocks B that no arrow leaves, with sum
+    |B|^2 == n_arrows, so the blocks are the components and every unit
+    pair of a component carries an arrow. The product of a composable pair
+    is then the arrow between its outer endpoints, which makes the groupoid
+    axioms hold and every product on G forced.
+    """
+    comp_of = G._pair_components
+    if comp_of is _UNCHECKED:
+        comp_of = G._pair_components = _certify_pair(G)
+    return comp_of
+
+
+def _certify_pair(G):
+    pmap = G._principal
+    n, m = G.n_units, G.n_arrows
+    src, rng, inv = G.src, G.rng, G.inv
+    if pmap is None or n == 0 or min(min(src), min(rng)) < 0 \
+            or max(max(src), max(rng)) >= n or min(inv) < 0 or max(inv) >= m:
+        return None
+    # root[x]: the lowest unit an arrow from x reaches, the lowest unit of
+    # x's component once the pass below succeeds
+    root = list(range(n))
+    try:
+        for g, (s, r) in enumerate(zip(src, rng)):
+            if pmap(s, r) != g:
+                return None
+            if r < root[s]:
+                root[s] = r
+    except LookupError:
+        # a map that fails on an arrow's own endpoints certifies nothing;
+        # the fiber scans explain it
+        return None
+    if any(src[i] != r or rng[i] != s for i, s, r in zip(inv, src, rng)) \
+            or any(root[s] != root[r] for s, r in zip(src, rng)):
+        return None
+    # the arrows are distinct unit pairs inside the blocks of equal root, so
+    # sum |block|^2 == n_arrows makes every block one component with every
+    # pair present (a split block would hold fewer arrows)
+    compact = {}
+    labels = tuple(compact.setdefault(v, len(compact)) for v in root)
+    sizes = [0] * len(compact)
+    for c in labels:
+        sizes[c] += 1
+    if sum(k * k for k in sizes) != m:
+        return None
+    return labels
+
+
+def pair_potential_holds(G, values, op, inverse):
+    """True when G is a certified pair groupoid (pair_components) and every
+    values[g] is op(psi(r(g)), inverse(psi(s(g)))) for the potential psi(x) =
+    values[arrow from the lowest unit of x's component to x], that is along
+    the spanning star of each component.
+
+    For values in an abelian group (exact ints or Fractions) that is
+    exactly the cocycle condition on every composable pair: the product of
+    (g, h) is the arrow from s(h) to r(g). A potential with no inverse, a
+    value that is not exact, or a value count other than n_arrows counts as
+    a failure.
+    """
+    comp_of = pair_components(G)
+    if comp_of is None or len(values) != G.n_arrows or not _exact(values):
+        return False
+    pmap = G._principal
+    roots = {}
+    psi = [values[pmap(roots.setdefault(c, x), x)]
+           for x, c in enumerate(comp_of)]
+    try:
+        psi_inv = [inverse(v) for v in psi]
+    except ZeroDivisionError:
+        return False
+    if not _exact(psi_inv):
+        return False
+    return all(v == op(psi[r], psi_inv[s])
+               for v, s, r in zip(values, G.src, G.rng))
+
+
+def _reciprocal(v):
+    return 1 / Fraction(v)
+
+
+def _exact(values):
+    return all(type(v) is int or type(v) is Fraction for v in values)
+
+
+def _pair_indices(H):
+    """[H.parent : H]_x for every unit x, or None unless the parent is a
+    certified pair groupoid and H is closed under inverse. Cached on H.
+
+    On a pair groupoid the left H-class of the arrow x -> y is reached from
+    it by H arrows leaving y, so with H closed under inverse the classes of
+    s^-1(x) are the H-components inside the component of x.
+    """
+    counts = H._pair_indices
+    if counts is _UNCHECKED:
+        counts = H._pair_indices = _count_pair_indices(H)
+    return counts
+
+
+def _count_pair_indices(H):
+    G = H.parent
+    comp_of = pair_components(G)
+    ids = H.ids
+    if comp_of is None or min(ids) < 0 or max(ids) >= G.n_arrows \
+            or any(G.inv[g] not in ids for g in ids):
+        return None
+    h_labels = component_labels(G.n_units, [G.src[g] for g in ids],
+                                [G.rng[g] for g in ids])
+    inner = {}
+    for c, h in zip(comp_of, h_labels):
+        inner.setdefault(c, set()).add(h)
+    return tuple(len(inner[c]) for c in comp_of)
+
+
 def restrict(G, units):
     """(G)_A: the restriction to a nonempty unit subset.
 
@@ -705,8 +849,9 @@ def index_of_pair(G, ambient_ids, sub_ids, x):
     relation: g h^-1 = s in sub iff g = s h. ambient_ids is tested for
     membership once per arrow of s^-1(x), so pass a range or a set. sub_ids
     may be a Subgroupoid of G, whose cached arrows-by-source map is then
-    used instead of one built for this call. Cost: one product per pair
-    (h, s) with h in the fiber and s in sub leaving r(h).
+    used instead of one built for this call. This is the general fiber
+    scan, one product per pair (h, s) with h in the fiber and s in sub
+    leaving r(h); index() answers a certified pair groupoid without it.
     """
     fiber = [g for g in G.source_fiber(x) if g in ambient_ids]
     if isinstance(sub_ids, Subgroupoid):
@@ -736,11 +881,18 @@ def index_of_pair(G, ambient_ids, sub_ids, x):
 def index(G, H, x):
     """[G : H]_x = the number of left H-classes of s^-1(x), a positive int.
 
-    Walks s^-1(x) and, from each of its arrows h, the arrows of H leaving
-    r(h): sum over y of |H-arrows leaving y| products. A Subgroupoid H
-    builds its arrows-by-source map once, so a sweep over every unit x
-    does not rebuild it."""
+    When H is a Subgroupoid closed under inverse and its parent a certified
+    pair groupoid (pair_components), the index is the number of
+    H-components inside the component of x: one O(arrows) pass computes it
+    for every unit and caches it on H, and each call is then O(1).
+    Otherwise the fiber scan of index_of_pair walks s^-1(x) and, from each
+    of its arrows h, the arrows of H leaving r(h): sum over y of |H-arrows
+    leaving y| products. A Subgroupoid H builds its arrows-by-source map
+    once, so a sweep over every unit x does not rebuild it."""
     if isinstance(H, Subgroupoid):
+        counts = _pair_indices(H)
+        if counts is not None and type(x) is int and 0 <= x < len(counts):
+            return counts[x]
         parent = H.parent
     else:
         parent = G
@@ -785,10 +937,17 @@ def index_within(G, ambient_ids, sub_ids, units, x):
 def validate(G):
     """Axiom check; returns a list of human-readable violations.
 
-    Exhaustive over the composable pairs (g, h), sum over units x of
-    |r^-1(x)|.|s^-1(x)| of them, and over the triples (g, h, f) with (g, h)
-    defined and f in r^-1(s(h)). Both are walked by fiber: a principal
-    groupoid on n units costs n^3 pairs and n^4 triples."""
+    O(arrows) on a certified pair groupoid (pair_components) whose attached
+    RN values, if any, are psi(r)/psi(s) for a potential psi
+    (pair_potential_holds): the answer is then []. Otherwise, and so to
+    explain any defect, the fiber scan is exhaustive over the composable
+    pairs (g, h), sum over units x of |r^-1(x)|.|s^-1(x)| of them, and over
+    the triples (g, h, f) with (g, h) defined and f in r^-1(s(h)): a
+    principal groupoid on n units costs n^3 pairs and n^4 triples."""
+    if all(m > 0 for m in G.masses) and pair_components(G) is not None and (
+            G.rn_values is None or pair_potential_holds(
+                G, G.rn_values, operator.mul, _reciprocal)):
+        return []
     problems = []
     for x in range(G.n_units):
         if G.masses[x] <= 0:

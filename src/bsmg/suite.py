@@ -23,6 +23,7 @@ from .dynamics import (BernoulliBase, CylinderSet, ThetaValue, ZCycleModel,
                        coupling_action, coupling_point, n_element_words,
                        periodic_model, periodicity_check,
                        rotation_model_orbit)
+from .errors import VerificationFailure
 from .groupoid.core import (ErgodicDecomposition, FiniteMeasuredGroupoid,
                             Subgroupoid, index, index_of_pair,
                             local_index_of_pair, restrict, validate)
@@ -34,6 +35,19 @@ from .groupoid.randomgen import (cycle_on, identity_index, is_normal_subgroup,
                                  random_subgroup, random_wide_subgroupoid,
                                  subgroup_arrow_ids, subgroup_closure)
 from .words import BSParams
+
+
+QN_CLASSES = (QNClass.NORMALIZING, QNClass.QUASI_NORMALIZING)
+
+
+def _require(ok, message, **instance):
+    """Raise VerificationFailure unless ok, naming the failing instance; a
+    bare assert would vanish under python -O."""
+    if not ok:
+        if instance:
+            message += " at " + ", ".join(f"{key} {value}"
+                                          for key, value in instance.items())
+        raise VerificationFailure(message)
 
 
 def _sample(rng, pool, k):
@@ -63,29 +77,37 @@ def check_index_laws(rng, cases):
         G = random_groupoid(rng)
         H = random_wide_subgroupoid(rng, G)
         idx = [index(G, H, x) for x in range(G.n_units)]
-        for g in range(G.n_arrows):
-            assert idx[G.src[g]] == idx[G.rng[g]], "index varies along an arrow"
+        varies = next((g for g in range(G.n_arrows)
+                       if idx[G.src[g]] != idx[G.rng[g]]), None)
+        _require(varies is None, "index varies along an arrow", groupoid=G,
+                 arrow=varies)
 
         dec_g = ErgodicDecomposition(G)
         dec_h = ErgodicDecomposition(G, H.sorted_ids())
         for comp in dec_g.components:
             inner = {dec_h.component_of[x] for x in comp}
-            assert len(inner) <= idx[comp[0]], "component count beats the index"
+            _require(len(inner) <= idx[comp[0]],
+                     "component count beats the index", groupoid=G,
+                     unit=comp[0])
 
         A = sorted(rng.sample(range(G.n_units), rng.randint(1, G.n_units)))
         GA, umap, amap = restrict(G, A)
         HA = Subgroupoid(GA, _restrict_ids(amap, H.ids), check=False)
         for x in _sample(rng, A, 3):
             ia = index(GA, HA, umap[x])
-            assert ia <= idx[x], "restriction raised the index"
+            _require(ia <= idx[x], "restriction raised the index",
+                     groupoid=G, unit=x, subset=A)
             if dec_h.is_ergodic():
-                assert ia == idx[x], "ergodic sub lost index under restriction"
+                _require(ia == idx[x],
+                         "ergodic sub lost index under restriction",
+                         groupoid=G, unit=x, subset=A)
 
         K = random_wide_subgroupoid(rng, G)
         meet = _with_units(G, H.ids & K.ids)
         for x in _sample(rng, range(G.n_units), 2):
             lhs = index_of_pair(G, range(G.n_arrows), meet, x)
-            assert lhs <= idx[x] * index(G, K, x), "intersection bound broke"
+            _require(lhs <= idx[x] * index(G, K, x),
+                     "intersection bound broke", groupoid=G, unit=x)
 
         K2 = random_wide_subgroupoid(rng, G)
         H2 = Subgroupoid.generated_by(
@@ -97,12 +119,13 @@ def check_index_laws(rng, cases):
         for x in _sample(rng, range(G.n_units), 2):
             lhs = index_of_pair(G, kl, hl, x)
             rhs = index_of_pair(G, K2.ids, H2.ids, x)
-            assert lhs <= rhs, "sandwich bound broke"
+            _require(lhs <= rhs, "sandwich bound broke", groupoid=G, unit=x)
             if len({dec_k2.component_of[u] for u in dec_g.component(x)}) == 1:
                 whole = index_of_pair(G, range(G.n_arrows), H2.ids, x)
                 step1 = index_of_pair(G, range(G.n_arrows), K2.ids, x)
                 step2 = index_of_pair(G, K2.ids, H2.ids, x)
-                assert whole == step1 * step2, "tower law broke"
+                _require(whole == step1 * step2, "tower law broke",
+                         groupoid=G, unit=x)
                 towers += 1
 
         if hasattr(G, "group_elements"):
@@ -111,11 +134,13 @@ def check_index_laws(rng, cases):
             want = len(G.group_elements) // len(lam)
             for x in _sample(rng, range(G.n_units), 2):
                 got = index_of_pair(G, range(G.n_arrows), hl_ids, x)
-                assert got == want, "group index value broke"
+                _require(got == want, "group index value broke",
+                         groupoid=G, unit=x)
             cut = _with_units(GA, _restrict_ids(amap, hl_ids))
             for x in _sample(rng, A, 2):
                 got = index_of_pair(GA, range(GA.n_arrows), cut, umap[x])
-                assert got <= want, "labeled quotient bound broke"
+                _require(got <= want, "labeled quotient bound broke",
+                         groupoid=G, unit=x, subset=A)
     return cases, f"{cases} instances, {towers} ergodic towers"
 
 
@@ -136,14 +161,16 @@ def check_local_index_laws(rng, cases):
             li_gh = local_index_of_pair(G, everything, h_ids, x)
             li_gk = local_index_of_pair(G, everything, k_ids, x)
             li_kh = local_index_of_pair(G, k_ids, h_ids, x)
-            assert li_gh == li_gk * li_kh, "local index tower broke"
+            _require(li_gh == li_gk * li_kh, "local index tower broke",
+                     groupoid=G, unit=x)
 
             A = set(rng.sample(range(G.n_units), rng.randint(1, G.n_units)))
             A.add(x)
             GA, umap, amap = restrict(G, sorted(A))
             ha = _with_units(GA, _restrict_ids(amap, h_ids))
             got = local_index_of_pair(GA, range(GA.n_arrows), ha, umap[x])
-            assert got == li_gh, "local index moved under restriction"
+            _require(got == li_gh, "local index moved under restriction",
+                     groupoid=G, unit=x, subset=sorted(A))
     return cases, f"{cases} towers"
 
 
@@ -160,7 +187,8 @@ def check_local_index_group(rng, cases):
             want = ratio * Fraction(len(dec_h.component(x)),
                                     len(dec_g.component(x)))
             got = local_index_of_pair(G, range(G.n_arrows), h_ids, x)
-            assert got == want, "group-action local index broke"
+            _require(got == want, "group-action local index broke",
+                     groupoid=G, unit=x)
     return cases, f"{cases} group instances"
 
 
@@ -181,27 +209,33 @@ def check_quotient_contract(rng, cases):
         Q, theta, pi = quotient(G, S)
 
         kernel = {g for g in range(G.n_arrows) if theta[g] < Q.n_units}
-        assert kernel == S.ids, "projection kernel is not the subgroupoid"
+        _require(kernel == S.ids, "projection kernel is not the subgroupoid",
+                 groupoid=G)
 
         fibers = {}
         for g in range(G.n_arrows):
             fibers.setdefault(theta[g], set()).add(G.src[g])
         for alpha, sources in fibers.items():
             needed = set(Q.base_components[Q.src[alpha]])
-            assert sources == needed, "class does not lift from every point"
+            _require(sources == needed,
+                     "class does not lift from every point", groupoid=G,
+                     quotient_arrow=alpha)
 
         for _ in range(40):
             g = rng.randrange(G.n_arrows)
             h = rng.choice([h for h in range(G.n_arrows)
                             if G.rng[h] == G.src[g]])
             k = G.product(g, h)
-            assert theta[k] == Q.product(theta[g], theta[h]), \
-                "projection is not multiplicative"
+            _require(theta[k] == Q.product(theta[g], theta[h]),
+                     "projection is not multiplicative", groupoid=G,
+                     pair=(g, h))
 
-        assert validate(Q) == [], "quotient fails the axiom check"
+        _require(validate(Q) == [], "quotient fails the axiom check",
+                 groupoid=G)
         check_group_action_quotient(G, S, Q, theta)
-        assert pi == [Q.src[theta[G.unit_arrow(x)]]
-                      for x in range(G.n_units)], "unit projection mismatch"
+        _require(pi == [Q.src[theta[G.unit_arrow(x)]]
+                        for x in range(G.n_units)],
+                 "unit projection mismatch", groupoid=G)
         done += 1
     return cases, f"{cases} normal pairs"
 
@@ -242,11 +276,15 @@ def check_modular_transfers(rng, cases):
             for g, ga in amap.items():
                 c1[ga] = D_S(g)
                 want = psi[G.rng[g]] * D_S(g) / psi[G.src[g]]
-                assert D_A(ga) == want, "restriction transfer broke"
+                _require(D_A(ga) == want, "restriction transfer broke",
+                         groupoid=G, arrow=g, subset=A)
             found = cohomologous(GA, c1, D_A)
-            assert found is not None, "restriction transfer not cohomologous"
-            assert transfer_matches(GA, found, [psi[x] for x in A]), \
-                "recovered potential differs from the conditional mass"
+            _require(found is not None,
+                     "restriction transfer not cohomologous", groupoid=G,
+                     subset=A)
+            _require(transfer_matches(GA, found, [psi[x] for x in A]),
+                     "recovered potential differs from the conditional mass",
+                     groupoid=G, subset=A)
         else:
             mid = subgroup_closure(
                 G, sorted(lam) + [rng.randrange(len(G.group_elements))])
@@ -266,11 +304,14 @@ def check_modular_transfers(rng, cases):
                 one, two = K_S, K_T
             for g in range(G.n_arrows):
                 want = psi[G.rng[g]] * one(g) / psi[G.src[g]]
-                assert two(g) == want, "tower transfer broke"
+                _require(two(g) == want, "tower transfer broke",
+                         groupoid=G, arrow=g)
             found = cohomologous(G, one, two)
-            assert found is not None, "tower transfer not cohomologous"
-            assert transfer_matches(G, found, psi), \
-                "recovered potential differs from the predicted one"
+            _require(found is not None, "tower transfer not cohomologous",
+                     groupoid=G)
+            _require(transfer_matches(G, found, psi),
+                     "recovered potential differs from the predicted one",
+                     groupoid=G)
     return cases, f"{cases} transfer cases"
 
 
@@ -320,8 +361,9 @@ def check_mackey_laws(rng, cases):
         beta2 = [rng.randrange(m) for _ in range(G.n_units)]
         tau2 = [(tau[g] + beta2[G.rng[g]] - beta2[G.src[g]]) % m
                 for g in range(G.n_arrows)]
-        assert ranges_isomorphic(base, mackey_range(G, tau2, m)), \
-            "coboundary shift changed the Mackey range"
+        _require(ranges_isomorphic(base, mackey_range(G, tau2, m)),
+                 "coboundary shift changed the Mackey range", groupoid=G,
+                 modulus=m)
 
         di = rng.randrange(order)
         tau3 = [None] * G.n_arrows
@@ -329,8 +371,9 @@ def check_mackey_laws(rng, cases):
             a1 = G._by_src_label[(G.rng[g], ("g", di))]
             a0 = G._by_src_label[(G.src[g], ("g", di))]
             tau3[g] = tau[G.product(a1, G.product(g, G.inv[a0]))]
-        assert ranges_isomorphic(base, mackey_range(G, tau3, m)), \
-            "inner automorphism changed the Mackey range"
+        _require(ranges_isomorphic(base, mackey_range(G, tau3, m)),
+                 "inner automorphism changed the Mackey range", groupoid=G,
+                 modulus=m, element=di)
 
         dec = ErgodicDecomposition(G)
         A = set(rng.sample(range(G.n_units), rng.randint(1, G.n_units)))
@@ -341,8 +384,9 @@ def check_mackey_laws(rng, cases):
         tau_a = [None] * GA.n_arrows
         for g, ga in amap.items():
             tau_a[ga] = tau[g]
-        assert ranges_isomorphic(base, mackey_range(GA, tau_a, m)), \
-            "saturating restriction changed the Mackey range"
+        _require(ranges_isomorphic(base, mackey_range(GA, tau_a, m)),
+                 "saturating restriction changed the Mackey range",
+                 groupoid=G, modulus=m, subset=sorted(A))
     return cases, f"{cases} cocycles"
 
 
@@ -350,14 +394,18 @@ def check_flow_types(rng, cases):
     """Type classification of the standard small models."""
     for n in (1, 2, 3, 5):
         label = classify_type(scaled_product_model(Fraction(2, 3), n))
-        assert label == TypeLabel("III_lambda", Fraction(2, 3) ** n), \
-            f"scaled product of length {n} misclassified as {label}"
+        _require(label == TypeLabel("III_lambda", Fraction(2, 3) ** n),
+                 "scaled product misclassified", length=n, type=label)
     got = classify_type(one_loop_model([Fraction(3, 2)]))
-    assert got == TypeLabel("III_lambda", Fraction(2, 3)), str(got)
+    _require(got == TypeLabel("III_lambda", Fraction(2, 3)),
+             "one loop of ratio 3/2 misclassified", type=got)
     got = classify_type(one_loop_model([Fraction(2), Fraction(3)]))
-    assert got.kind == "III_1", str(got)
+    _require(got.kind == "III_1", "loops of ratios 2 and 3 misclassified",
+             type=got)
     uniform = partition_groupoid([Fraction(1, 6)] * 6, [[0, 1, 2], [3, 4, 5]])
-    assert classify_type(uniform).kind == "II"
+    got = classify_type(uniform)
+    _require(got.kind == "II", "uniform partition groupoid misclassified",
+             type=got)
     return 7, "4 scaled products, 2 loop models, 1 uniform model"
 
 
@@ -367,29 +415,28 @@ def check_qn_stability(rng, cases):
         G = random_groupoid(rng, max_units=8, max_arrows=240)
         S = random_wide_subgroupoid(rng, G)
         reports = witness_family(G, S)
-        assert all(r.qn_class in (QNClass.NORMALIZING,
-                                  QNClass.QUASI_NORMALIZING)
-                   for r in reports), "witness family left the class"
+        _require(all(r.qn_class in QN_CLASSES for r in reports),
+                 "witness family left the class", groupoid=G)
         covered = {G.rng[r.phi.arrow(x)]
                    for r in reports for x in r.phi.domain}
-        assert covered, "witness family is empty"
+        _require(covered, "witness family is empty", groupoid=G)
 
         phis = [r.phi for r in reports]
         one, two = rng.choice(phis), rng.choice(phis)
         composed = one.compose(two)
         if len(composed) > 0:
             rep = qn_membership(G, S, composed)
-            assert rep.qn_class in (QNClass.NORMALIZING,
-                                    QNClass.QUASI_NORMALIZING), \
-                "composition left the class"
+            _require(rep.qn_class in QN_CLASSES,
+                     "composition left the class", groupoid=G,
+                     witness=composed)
 
         A = sorted(rng.sample(range(G.n_units), rng.randint(1, G.n_units)))
         GA, umap, amap = restrict(G, A)
         SA = Subgroupoid(GA, _restrict_ids(amap, S.ids), check=False)
         for rep in witness_family(GA, SA):
-            assert rep.qn_class in (QNClass.NORMALIZING,
-                                    QNClass.QUASI_NORMALIZING), \
-                "restriction broke the witness family"
+            _require(rep.qn_class in QN_CLASSES,
+                     "restriction broke the witness family", groupoid=G,
+                     subset=A)
     return cases, f"{cases} witness families"
 
 
@@ -421,13 +468,15 @@ def check_beta_laws(rng, cases):
         for n in range(-span, span + 1):
             m = beta_cocycle(n, x, theta)
             if prev is not None:
-                assert sign * (m - prev) >= 0, "return time not monotone"
+                _require(sign * (m - prev) >= 0, "return time not monotone",
+                         theta=theta, n=n, x=x)
             if first is None:
                 first = m
             prev = m
             last = m
         spread = abs(last - first)
-        assert spread >= int(2 * span / wfloat) - 3, "return time bounded"
+        _require(spread >= int(2 * span / wfloat) - 3,
+                 "return time bounded", theta=theta, x=x, spread=spread)
     return cases, f"{cases} translation lengths, n in [-{span}, {span}]"
 
 
@@ -438,7 +487,8 @@ def check_trivial_words(rng, cases):
     moved = 0
     for params in pool:
         words = n_element_words(params, 10)
-        assert len(words) == 10
+        _require(len(words) == 10, "not ten kernel words", params=params,
+                 words=len(words))
         for theta in (ThetaValue.from_rational(Fraction(3, 2)),
                       ThetaValue.golden()):
             for w in words:
@@ -446,8 +496,9 @@ def check_trivial_words(rng, cases):
                     pt = coupling_point(params, Fraction(xj, 7),
                                         rng.randrange(10 ** 6), (6, 6))
                     out = coupling_action(w, pt, theta, params)
-                    assert out == pt, \
-                        f"{w.to_text()} moved a point for {params}"
+                    _require(out == pt, "kernel word moved a point",
+                             word=w.to_text(), params=params, theta=theta,
+                             point=pt)
                     moved += 1
     return len(pool), f"{moved} point checks"
 
@@ -455,12 +506,16 @@ def check_trivial_words(rng, cases):
 def check_rotation_orbits(rng, cases):
     """Rotation orbit periods and the golden-ratio discrepancy bound."""
     rep = rotation_model_orbit(ThetaValue.golden(), 1, steps=100_000)
-    assert rep.discrepancy is not None
-    assert rep.discrepancy < Fraction(1, 1000), "discrepancy too large"
+    _require(rep.discrepancy is not None and
+             rep.discrepancy < Fraction(1, 1000),
+             "golden discrepancy missing or too large",
+             discrepancy=rep.discrepancy)
     r2 = rotation_model_orbit(ThetaValue.from_rational(Fraction(2)), 1)
-    assert r2.period == 1 and r2.degenerate, "integer translation orbit"
+    _require(r2.period == 1 and r2.degenerate, "integer translation orbit",
+             theta=2, period=r2.period)
     r3 = rotation_model_orbit(ThetaValue.from_rational(Fraction(3, 2)), 6)
-    assert r3.period == 12 and not r3.degenerate, "3/2 on circumference 6"
+    _require(r3.period == 12 and not r3.degenerate,
+             "3/2 on circumference 6", period=r3.period)
     for _ in range(max(0, cases - 3)):
         u = rng.randint(1, 30)
         v = rng.randint(1, 30)
@@ -470,7 +525,9 @@ def check_rotation_orbits(rng, cases):
         s = u - v
         grid = N * v
         want = 1 if s == 0 else grid // gcd(abs(s), grid)
-        assert r.period == want, "rational period formula broke"
+        _require(r.period == want, "rational period formula broke",
+                 theta=Fraction(u, v), circumference=N, period=r.period,
+                 want=want)
     return cases, f"golden discrepancy {float(rep.discrepancy):.2e}"
 
 
@@ -483,7 +540,8 @@ def check_cesaro_mixing(rng, cases):
     B1 = CylinderSet.of({0: 1})
     B2 = CylinderSet.of({2: 0})
     rep = cesaro_mixing_test(base, theta, A1, B1, A2, B2, 10_000)
-    assert rep.gap < 0.05, f"gap {rep.gap} at horizon {rep.horizon}"
+    _require(rep.gap < 0.05, "Cesaro gap too large", gap=rep.gap,
+             horizon=rep.horizon)
     return 1, f"gap {rep.gap:.4f} at horizon 10000"
 
 
@@ -492,7 +550,8 @@ def check_component_counts(rng, cases):
     table = component_counts(1, 12, 2, 3, 3, 1)
     want = {(0, 0): 1, (1, 0): 2, (2, 0): 4, (3, 0): 4, (0, 1): 3, (1, 1): 6}
     for key, value in want.items():
-        assert table[key] == value, f"table {key} = {table[key]} != {value}"
+        _require(table[key] == value, "frozen component count table broke",
+                 key=key, got=table[key], want=value)
     done = 0
     while done < cases:
         n = rng.randint(2, 80)
@@ -510,12 +569,14 @@ def check_periodicity(rng, cases):
     """Odometer truncations are exactly as periodic as their size allows."""
     params = BSParams(2, 3)
     model = periodic_model(params, 2, 1)
-    assert periodicity_check(model, params.d0, abs(params.p0),
-                             abs(params.q0), 2, 1), "certified model failed"
+    _require(periodicity_check(model, params.d0, abs(params.p0),
+                               abs(params.q0), 2, 1),
+             "certified model failed", params=params, level=(2, 1))
     seven = periodic_model(BSParams(7, 7), 1, 0)
-    assert seven.size == 7
-    assert not periodicity_check(seven, 2, 2, 3, 1, 0), \
-        "Z/7 cannot be (2;2,3)-periodic"
+    _require(seven.size == 7, "BS(7,7) model at (1,0) is not Z/7",
+             size=seven.size)
+    _require(not periodicity_check(seven, 2, 2, 3, 1, 0),
+             "Z/7 cannot be (2;2,3)-periodic")
     for _ in range(cases):
         d = rng.randint(1, 4)
         m = rng.randint(2, 5)
@@ -526,13 +587,15 @@ def check_periodicity(rng, cases):
         mult = rng.randint(1, 3)
         ok = periodicity_check(ZCycleModel(size * mult, 1), d, m, n,
                                kmax, lmax)
-        assert ok, "multiple of the certified size must stay periodic"
+        _require(ok, "multiple of the certified size must stay periodic",
+                 size=size * mult, shape=(d, m, n, kmax, lmax))
         if size > 1:
             bad = periodicity_check(ZCycleModel(size * mult, 1), d, m, n,
                                     kmax + 1, lmax + 1)
             expected = (size * mult) % (d * m ** (kmax + 1)
                                         * n ** (lmax + 1)) == 0
-            assert bad == expected, "periodicity verdict out of line"
+            _require(bad == expected, "periodicity verdict out of line",
+                     size=size * mult, shape=(d, m, n, kmax + 1, lmax + 1))
     return cases, f"{cases} cycle models"
 
 

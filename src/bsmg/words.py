@@ -16,7 +16,7 @@ identity (Britton's lemma).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -35,6 +35,11 @@ class BSParams:
 
     p: int
     q: int
+    # d0 = gcd(|p|, |q|), p0 = p / d0 and q0 = q / d0, set once here; they
+    # take no part in equality, hashing or repr
+    d0: int = field(init=False, repr=False, compare=False)
+    p0: int = field(init=False, repr=False, compare=False)
+    q0: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if abs(self.p) < 2 or abs(self.q) < 2:
@@ -47,18 +52,10 @@ class BSParams:
                 f"need |p| <= |q|; BS({self.p},{self.q}) is isomorphic to "
                 f"BS({self.q},{self.p}) via t -> t^-1"
             )
-
-    @property
-    def d0(self) -> int:
-        return gcd(abs(self.p), abs(self.q))
-
-    @property
-    def p0(self) -> int:
-        return self.p // self.d0
-
-    @property
-    def q0(self) -> int:
-        return self.q // self.d0
+        d0 = gcd(abs(self.p), abs(self.q))
+        object.__setattr__(self, "d0", d0)
+        object.__setattr__(self, "p0", self.p // d0)
+        object.__setattr__(self, "q0", self.q // d0)
 
     def __str__(self):
         return f"BS({self.p},{self.q})"

@@ -1,5 +1,6 @@
 """Cocycle layer: value groups, modular pairs, transfer, and level models."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,8 @@ from bsmg.groupoid.core import (
 from bsmg.groupoid.pseudogroup import PartialIso
 from bsmg.groupoid.randomgen import partition_groupoid
 from bsmg.words import BSParams
-from test_groupoid_core import element_arrows, s3_action, swap_window, z3_action
+from test_groupoid_core import (element_arrows, s3_action, scanned,
+                                swap_window, z3_action)
 
 HALF = Fraction(1, 2)
 
@@ -251,3 +253,73 @@ class TestLevelModel:
         assert validate(G2) == []
         assert (sorted(zip(G2.src, G2.rng))
                 == sorted(zip(m.groupoid.src, m.groupoid.rng)))
+
+
+def scan_error(G, target, values):
+    """The NotACocycle message of the fiber scan on these values, or None."""
+    try:
+        GroupoidCocycle(scanned(G), target, values).check()
+    except NotACocycle as exc:
+        return str(exc)
+    return None
+
+
+class TestPairFastPathCheck:
+    """GroupoidCocycle.check on certified pair groupoids against the scan."""
+
+    # (target, a random value, a value that is not the identity)
+    TARGETS = [
+        (QPos, lambda rng: Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+         Fraction(2)),
+        (ZAdd, lambda rng: rng.randint(-9, 9), 1),
+        (ZModAdd(6), lambda rng: rng.randrange(6), 1),
+    ]
+
+    @staticmethod
+    def groupoids():
+        G = BSLevelModel(BSParams(2, 3), 1, 1).groupoid
+        return [G, BSLevelModel(BSParams(2, -3), 2, 1).groupoid,
+                partition_groupoid([Fraction(1, 7)] * 7, [[0, 3, 5], [1, 2, 4, 6]])]
+
+    @pytest.mark.parametrize("target,draw,bump", TARGETS)
+    def test_coboundaries_pass_and_corruptions_fail_alike(self, target, draw,
+                                                          bump):
+        rng = random.Random(f"pair-check:{target.name}")
+        for G in self.groupoids():
+            psi = [draw(rng) for _ in range(G.n_units)]
+            c = coboundary(G, target, psi)
+            assert c.check() is c
+            assert scan_error(G, target, c.values) is None
+            g = G._principal(1, 2)
+            h = G.inv[g]
+            # one value off with its inverse matching it (a product fails),
+            # then one value off alone (its inverse fails)
+            for bad in ({g: target.op(c(g), bump),
+                         h: target.op(c(h), target.inverse(bump))},
+                        {g: target.op(c(g), bump)}):
+                values = list(c.values)
+                for arrow, v in bad.items():
+                    values[arrow] = v
+                want = scan_error(G, target, values)
+                assert ("multiplicative" if len(bad) == 2 else "inverse") \
+                    in want
+                with pytest.raises(NotACocycle) as err:
+                    GroupoidCocycle(G, target, tuple(values)).check()
+                assert str(err.value) == want
+
+    def test_level_model_pair_checks_by_the_fast_path(self):
+        model = BSLevelModel(BSParams(2, 3), 2, 1)
+        D, K = model.modular_cocycles()
+        assert model.modular_cocycles() is model.modular_cocycles()
+        assert D.check() is D and K.check() is K
+        assert scan_error(model.groupoid, QPos, D.values) is None
+        assert scan_error(model.groupoid, QPos, K.values) is None
+
+    def test_a_short_value_tuple_takes_the_scan(self):
+        # the star from unit 0 uses arrows below 16 of the 25, so only the
+        # count of values tells the fast path that five are missing
+        G = BSLevelModel(BSParams(2, 3), 1, 0).groupoid
+        short = (Fraction(1),) * 20
+        for H in (G, scanned(G)):
+            with pytest.raises(IndexError):
+                GroupoidCocycle(H, QPos, short).check()

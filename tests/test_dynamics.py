@@ -32,6 +32,7 @@ from bsmg.dynamics import (
 )
 from bsmg.errors import (
     LevelBudgetExceeded,
+    NotAnInteger,
     NotErgodic,
     ParamMismatch,
     PrecisionError,
@@ -210,6 +211,18 @@ class TestBetaCocycle:
 
     def test_step_returns_the_landing_point(self):
         assert beta_step(1, 0, THETA32) == (1, Fraction(1, 2))
+
+    def test_integral_fraction_n_is_accepted(self):
+        assert beta_cocycle(Fraction(6, 2), 0, THETA32) == beta_cocycle(3, 0, THETA32)
+        assert beta_step(Fraction(-4), 0, GOLDEN) == beta_step(-4, 0, GOLDEN)
+
+    @pytest.mark.parametrize("n", [Fraction(7, 2), 3.9, Fraction(1, 2), "3"])
+    def test_non_integer_n_is_rejected(self, n):
+        # int(n) would answer for a truncated n and land beta_step outside
+        # its window
+        for call in (beta_cocycle, beta_step):
+            with pytest.raises(NotAnInteger, match="integer n"):
+                call(n, 0, THETA32)
 
     @pytest.mark.parametrize("n", [10 ** 20, -10 ** 20, 10 ** 27, -10 ** 27,
                                    10 ** 400, -10 ** 400])

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from bsmg.cocycle.levelmodel import (
     seed_maps,
 )
 from bsmg.cocycle.mackey import scaled_product_model
+from bsmg.cocycle.values import GroupoidCocycle, QPos
 from bsmg.errors import BsmgError, ClosureTooLarge, EmptySet, UnknownArrow
 from bsmg.groupoid.core import (
     ErgodicDecomposition,
@@ -21,6 +24,7 @@ from bsmg.groupoid.core import (
     index_of_pair,
     local_index,
     local_index_of_pair,
+    pair_components,
     restrict,
     validate,
     whole,
@@ -464,3 +468,196 @@ class TestDocDigests:
         assert FiniteMeasuredGroupoid.from_doc(json.loads(text)).to_json() == text
         rendered = {G.label_text(g) for g in range(G.n_arrows)}
         assert {"e", "a1", "t0,0", "T0,0", "t1,1", "T1,1"} <= rendered
+
+
+# -- the certified pair-groupoid fast path ------------------------------------
+
+PAIR_LEVELS = [((2, 3), (1, 1)), ((2, 3), (2, 1)), ((2, -3), (2, 1))]
+
+
+def scanned(G):
+    """A copy of G whose pair certificate reads "not certified", so
+    validate, index and GroupoidCocycle.check on it take the fiber scan."""
+    twin = copy.copy(G)
+    twin._pair_components = None
+    return twin
+
+
+def rebuilt(G, *, masses=None, inv=None, principal_map=None, rn_values=None):
+    """G with some of its data replaced and nothing cached."""
+    return FiniteMeasuredGroupoid(
+        G.unit_names, masses or G.masses, G.src, G.rng, inv or G.inv,
+        G.labels, None, principal_map=principal_map or G._principal,
+        rn_values=rn_values)
+
+
+def pair_window(n, pairs):
+    """The principal groupoid on n uniform units with the unit loops and
+    one arrow per listed (source, range) pair, looked up by endpoints."""
+    ends = [(x, x) for x in range(n)] + list(pairs)
+    ids = {e: g for g, e in enumerate(ends)}
+    return FiniteMeasuredGroupoid(
+        range(n), [Fraction(1, n)] * n, [s for s, _ in ends],
+        [r for _, r in ends], [ids[(r, s)] for s, r in ends],
+        [f"{s}>{r}" for s, r in ends], None,
+        principal_map=lambda s, r: ids.get((s, r)))
+
+
+def pair_samples():
+    """Level models, their restrictions and random partition groupoids:
+    all principal."""
+    out = []
+    for (p, q), (k, l) in PAIR_LEVELS:
+        G = BSLevelModel(BSParams(p, q), k, l).groupoid
+        out += [G, restrict(G, range(0, G.n_units, 3))[0]]
+    return out + [G for G in sampled_groupoids(8) if G._principal is not None]
+
+
+class TestPairFastPath:
+    def test_every_principal_sample_is_certified(self):
+        samples = pair_samples()
+        assert len(samples) > 10
+        for G in samples:
+            comp_of = pair_components(G)
+            assert comp_of == ErgodicDecomposition(G).component_of
+            assert pair_components(G) is comp_of
+            assert G.measure_preserving == scanned(G).measure_preserving
+        assert pair_components(s3_action()) is None
+        assert pair_components(swap_window()) is None
+
+    def test_validate_and_index_agree_with_the_scan(self):
+        rng = random.Random("pair-fast-path:index")
+        for G in pair_samples():
+            assert validate(G) == validate(scanned(G)) == []
+            for H in (random_wide_subgroupoid(rng, G), whole(G),
+                      Subgroupoid(G, (), check=False)):
+                assert [index(G, H, x) for x in range(G.n_units)] == [
+                    index_of_pair(G, range(G.n_arrows), H, x)
+                    for x in range(G.n_units)]
+
+    @pytest.mark.parametrize("pq,kl", PAIR_LEVELS)
+    def test_level_model_index_is_two(self, pq, kl):
+        model = BSLevelModel(BSParams(*pq), *kl)
+        G = model.groupoid
+        assert [index(G, model.S, x) for x in range(G.n_units)] == [
+            index_of_pair(G, range(G.n_arrows), model.S, x)
+            for x in range(G.n_units)] == [2] * G.n_units
+
+    def test_a_sub_that_is_not_inverse_closed_takes_the_scan(self):
+        G = BSLevelModel(BSParams(2, 3), 1, 1).groupoid
+        one_way = Subgroupoid(G, [G._principal(3, 4)], check=False)
+        counts = [index(G, one_way, x) for x in range(G.n_units)]
+        assert counts == [index_of_pair(G, range(G.n_arrows), one_way, x)
+                          for x in range(G.n_units)]
+        # units 3 and 4 share a component of the sub's arrows, so a count of
+        # components would give n_units - 1; the scan's left orbits do not
+        assert counts != [G.n_units - 1] * G.n_units
+
+    def test_swapped_inverse_fails_the_certificate(self):
+        G = BSLevelModel(BSParams(2, 3), 1, 1).groupoid
+        inv = list(G.inv)
+        a, b = G.n_units, G.n_units + 1
+        inv[a], inv[b] = inv[b], inv[a]
+        H = rebuilt(G, inv=inv)
+        assert pair_components(H) is None
+        problems = validate(H)
+        assert f"inverse of arrow {a} is not an involution" in problems
+        assert problems == validate(scanned(H))
+
+    def test_wrong_principal_arrow_fails_the_certificate(self):
+        G = BSLevelModel(BSParams(2, 3), 1, 1).groupoid
+        pmap = G._principal
+        wrong = pmap(2, 5)
+
+        def skewed(s, r):
+            return wrong if (s, r) == (1, 6) else pmap(s, r)
+
+        H = rebuilt(G, principal_map=skewed)
+        assert pair_components(H) is None
+        problems = validate(H)
+        assert any(line.endswith("has wrong endpoints") for line in problems)
+        assert problems == validate(scanned(H))
+
+    # without 0 <-> 2 the lowest unit reachable from 2 is 1, not 0; without
+    # 1 <-> 2 it is 0 for every unit of the block, and only the count of
+    # pairs shows the gap
+    @pytest.mark.parametrize("gone", [(0, 2), (1, 2)])
+    def test_a_missing_pair_fails_the_certificate(self, gone):
+        blocks = [[0, 1, 2], [3, 4]]
+        pairs = [(s, r) for b in blocks for s in b for r in b if s != r]
+        full = pair_window(5, pairs)
+        assert pair_components(full) is not None
+        short = pair_window(5, [e for e in pairs
+                                if e not in (gone, gone[::-1])])
+        assert pair_components(short) is None
+        problems = validate(short)
+        assert any(line.startswith("missing product") for line in problems)
+        assert problems == validate(scanned(short)) == product_violations(short)
+
+    def test_a_path_with_the_right_pair_count_fails_the_certificate(self):
+        # the path 3 - 0 - 1 - 2 has 10 arrows, as many as the blocks {0, 1,
+        # 3} and {2} of lowest reachable units hold pairs; the arrow 1 -> 2
+        # crosses the blocks
+        path = pair_window(4, [(0, 1), (1, 0), (0, 3), (3, 0), (1, 2), (2, 1)])
+        assert pair_components(path) is None
+        problems = validate(path)
+        assert any(line.startswith("missing product") for line in problems)
+        assert problems == validate(scanned(path)) == product_violations(path)
+
+    def test_rn_values_certify_through_a_potential(self):
+        G = BSLevelModel(BSParams(2, 3), 1, 1).groupoid
+        psi = [Fraction(x + 1, 2 * x + 3) for x in range(G.n_units)]
+        rn = [psi[G.rng[g]] / psi[G.src[g]] for g in range(G.n_arrows)]
+        assert validate(rebuilt(G, rn_values=rn)) == []
+        assert validate(scanned(rebuilt(G, rn_values=rn))) == []
+        g = G._principal(2, 7)
+        rn[g] *= 3
+        H = rebuilt(G, rn_values=rn)
+        assert pair_components(H) is not None
+        problems = validate(H)
+        assert f"attached RN values not multiplicative at ({g},{G.inv[g]})" \
+            in problems
+        assert problems == validate(scanned(H))
+
+    def test_measure_preserving_compares_within_components(self):
+        G = BSLevelModel(BSParams(2, 3), 1, 1).groupoid
+        assert G.measure_preserving
+        # constant on each component but not across: still preserved
+        split = pair_window(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+        split = rebuilt(split, masses=[Fraction(1, 6)] * 2 + [Fraction(1, 3)] * 2)
+        assert split.measure_preserving and scanned(split).measure_preserving
+        skew = rebuilt(G, masses=[Fraction(2, 3 * G.n_units)]
+                       + [Fraction(1, G.n_units)] * (G.n_units - 1))
+        assert pair_components(skew) is not None
+        assert not skew.measure_preserving
+        assert not scanned(skew).measure_preserving
+
+    def test_the_fast_path_is_taken_on_a_level_model(self):
+        """validate, the D and K checks and the index sweep on BS(2,3) at
+        level (2,1) make O(arrows) principal_map calls and no pair scan."""
+        D, K = BSLevelModel(BSParams(2, 3), 2, 1).modular_cocycles()
+        model = BSLevelModel(BSParams(2, 3), 2, 1)
+        G = model.groupoid
+        calls = Counter()
+        pmap = G._principal
+
+        def counted(s, r):
+            calls["principal_map"] += 1
+            return pmap(s, r)
+
+        G._principal = counted
+        for name in ("product", "source_fiber", "range_fiber"):
+            method = getattr(G, name)
+
+            def scan(*args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(*args)
+
+            setattr(G, name, scan)
+        assert validate(G) == []
+        GroupoidCocycle(G, QPos, D.values).check()
+        GroupoidCocycle(G, QPos, K.values).check()
+        assert [index(G, model.S, x) for x in range(G.n_units)] == [2] * 30
+        assert calls["principal_map"] <= 3 * G.n_arrows
+        assert (calls["product"], calls["source_fiber"],
+                calls["range_fiber"]) == (0, 0, 0)

@@ -6,8 +6,6 @@ from pathlib import Path
 import bsmg
 
 PACKAGE = Path(bsmg.__file__).parent
-# suite.py still carries bare asserts; converting them is a separate item
-EXEMPT = {"suite.py"}
 
 
 def _untyped_checks(path):
@@ -30,7 +28,7 @@ def test_scan_finds_both_forms(tmp_path):
 
 
 def test_library_has_no_assert_or_assertion_error():
-    paths = sorted(p for p in PACKAGE.rglob("*.py") if p.name not in EXEMPT)
+    paths = sorted(PACKAGE.rglob("*.py"))
     assert len(paths) > 10
     found = [hit for path in paths for hit in _untyped_checks(path)]
     assert found == []

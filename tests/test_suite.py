@@ -1,9 +1,14 @@
 """The bundled verification checks run clean and reproducibly."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import bsmg
 import bsmg.suite as suite_mod
 from bsmg.suite import BUNDLES, CheckResult, run_suite
 
@@ -67,3 +72,23 @@ def test_any_exception_becomes_a_row_and_the_cli_exits_1(monkeypatch, capsys):
         "PASS after (3 cases): fine"]
     assert json.loads(lines[3])["failed"] == 1
     assert len(lines) == 4 and err == ""
+
+
+def test_a_failed_check_survives_optimized_mode():
+    # the checks raise VerificationFailure, not assert, so a broken law
+    # still fails its row under python -O, naming the failing instance
+    script = textwrap.dedent("""
+        import bsmg.suite as suite
+        from bsmg.cocycle.mackey import TypeLabel
+
+        suite.classify_type = lambda G: TypeLabel("II")
+        suite.BUNDLES["flow"] = (("flow", suite.check_flow_types, 7),)
+        print(suite.run_suite("flow")[0].detail)
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(bsmg.__file__)))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ("VerificationFailure: scaled product misclassified "
+                           "at length 1, type II\n")

@@ -53,6 +53,16 @@ class TestParams:
         assert params.d0 == 2
         assert (params.p0, params.q0) == (2, 3)
 
+    def test_reduced_parts_stay_out_of_equality_hash_and_repr(self):
+        # d0, p0 and q0 are set once at construction
+        params = BSParams(-4, 6)
+        assert (params.d0, params.p0, params.q0) == (2, -2, 3)
+        assert params == BSParams(-4, 6) and params != BSParams(4, 6)
+        assert hash(params) == hash((-4, 6))
+        assert repr(params) == "BSParams(p=-4, q=6)"
+        with pytest.raises(AttributeError):
+            BSParams(2, 3).d0 = 5
+
     @pytest.mark.parametrize("p,q", [(0, 3), (2, 0), (1, 5), (-1, 2), (3, 2), (5, -4)])
     def test_rejects(self, p, q):
         with pytest.raises(ValueError):
