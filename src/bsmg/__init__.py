@@ -16,7 +16,6 @@ Everything computes with exact rationals; statistical routines document
 their tolerances and take explicit seeds.
 """
 
-from ._kernels import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from .words import (
     BSParams,
     BrittonNormalForm,
@@ -37,7 +36,6 @@ __all__ = [
     "BSParams",
     "BrittonNormalForm",
     "GroupWord",
-    "KERNEL_IMPLEMENTATION",
     "classify_isomorphism",
     "commutator",
     "is_amenable",

@@ -1,4 +1,10 @@
-"""Pure-Python kernels; always available, semantics match _speedups exactly."""
+"""The two graph kernels under the groupoid code, in pure Python.
+
+This is their only implementation. Every union-find in the package is
+component_labels (ergodic decompositions, pair-groupoid indices, the
+two-sided classes of a quotient), and every permutation group closure is
+perm_closure.
+"""
 
 
 def component_labels(n, sources, ranges):
@@ -39,16 +45,16 @@ def perm_closure(gens, bound):
     """
     if not gens:
         return [()]
-    n = len(gens[0])
-    identity = tuple(range(n))
+    identity = tuple(range(len(gens[0])))
     elements = [identity]
     seen = {identity}
     frontier = [identity]
     while frontier:
         new_frontier = []
         for elem in frontier:
+            at = elem.__getitem__
             for gen in gens:
-                composed = tuple(elem[gen[i]] for i in range(n))
+                composed = tuple(map(at, gen))
                 if composed not in seen:
                     seen.add(composed)
                     elements.append(composed)

@@ -25,6 +25,10 @@ class UnknownArrow(BsmgError, ValueError):
     """An arrow id outside [0, n_arrows) of the groupoid it was given for."""
 
 
+class UnknownUnit(BsmgError, ValueError):
+    """A unit index outside [0, n_units) of the groupoid it was given for."""
+
+
 class NotAnInteger(BsmgError, ValueError):
     """A count that must be an integer (an int or an integral Fraction) was
     given something else."""
@@ -75,7 +79,8 @@ class InvalidLevel(BsmgError):
 
 
 class ParamMismatch(BsmgError):
-    """Operands belong to different parameter families."""
+    """Operands belong to different parameter families, or a subgroupoid to
+    a groupoid other than the one it is used with."""
 
 
 class LevelBudgetExceeded(BsmgError):

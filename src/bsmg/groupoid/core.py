@@ -19,8 +19,8 @@ import operator
 from fractions import Fraction
 
 from .._kernels import component_labels, perm_closure
-from ..errors import (ClosureTooLarge, EmptySet, GroupTooLarge, UnknownArrow,
-                      VerificationFailure)
+from ..errors import (ClosureTooLarge, EmptySet, GroupTooLarge, ParamMismatch,
+                      UnknownArrow, UnknownUnit, VerificationFailure)
 
 
 # marks a cached certificate that has not been computed yet (None is a
@@ -842,67 +842,98 @@ def saturation(G, units):
     return frozenset(x for x in range(G.n_units) if dec.component_of[x] in comps)
 
 
-def index_of_pair(G, ambient_ids, sub_ids, x):
-    """Classes of {g in ambient : s(g) = x} under g ~ h iff g h^-1 in sub.
+def require_unit(G, x):
+    """Raise UnknownUnit unless x is a unit index of G."""
+    if not (isinstance(x, int) and 0 <= x < G.n_units):
+        raise UnknownUnit(
+            f"unit {x!r} is not one of the {G.n_units} units of the groupoid")
 
-    Computed as orbits of left multiplication by sub, which is the same
-    relation: g h^-1 = s in sub iff g = s h. ambient_ids is tested for
-    membership once per arrow of s^-1(x), so pass a range or a set. sub_ids
-    may be a Subgroupoid of G, whose cached arrows-by-source map is then
-    used instead of one built for this call. This is the general fiber
-    scan, one product per pair (h, s) with h in the fiber and s in sub
-    leaving r(h); index() answers a certified pair groupoid without it.
+
+def _require_parent(G, H):
+    if H.parent is not G:
+        raise ParamMismatch(
+            "the subgroupoid belongs to another groupoid than the one the "
+            "index is taken in")
+
+
+def left_classes(G, fiber, sub_ids, incomplete):
+    """The left sub-classes of fiber, a list of arrows leaving one unit:
+    g ~ h iff g h^-1 in sub, walked as orbits of left multiplication by sub
+    (g h^-1 = s in sub iff g = s h). Yields each class as a list of its
+    arrows, the first one the lowest id not in an earlier class. This is
+    the one walk behind index_of_pair, which counts the classes, and
+    coset_classes, which sorts them.
+
+    sub_ids may be a Subgroupoid of G, whose cached arrows-by-source map is
+    then used instead of one built for this call. A missing product raises
+    ValueError(incomplete).
     """
-    fiber = [g for g in G.source_fiber(x) if g in ambient_ids]
     if isinstance(sub_ids, Subgroupoid):
         sub_by_src = sub_ids.by_src
     else:
         sub_by_src = arrows_by(G.src, sub_ids)
     unseen = set(fiber)
-    classes = 0
     for g in fiber:
         if g not in unseen:
             continue
-        classes += 1
-        stack = [g]
         unseen.discard(g)
-        while stack:
-            h = stack.pop()
+        members = [g]
+        # members grows while it is walked: each arrow is expanded once
+        for h in members:
             for s in sub_by_src.get(G.rng[h], ()):
                 k = G.product(s, h)
                 if k is None:
-                    raise ValueError("index needs a complete product")
+                    raise ValueError(incomplete)
                 if k in unseen:
                     unseen.discard(k)
-                    stack.append(k)
-    return classes
+                    members.append(k)
+        yield members
+
+
+def index_of_pair(G, ambient_ids, sub_ids, x):
+    """Classes of {g in ambient : s(g) = x} under g ~ h iff g h^-1 in sub,
+    counted by the left-class walk (left_classes). ambient_ids is tested for
+    membership once per arrow of s^-1(x), so pass a range or a set. sub_ids
+    may be a Subgroupoid of G. This is the general fiber scan, one product
+    per pair (h, s) with h in the fiber and s in sub leaving r(h); index()
+    answers a certified pair groupoid without it. Raises UnknownUnit when x
+    is not a unit of G.
+    """
+    require_unit(G, x)
+    fiber = [g for g in G.source_fiber(x) if g in ambient_ids]
+    return sum(1 for _ in left_classes(G, fiber, sub_ids,
+                                       "index needs a complete product"))
 
 
 def index(G, H, x):
     """[G : H]_x = the number of left H-classes of s^-1(x), a positive int.
 
-    When H is a Subgroupoid closed under inverse and its parent a certified
-    pair groupoid (pair_components), the index is the number of
-    H-components inside the component of x: one O(arrows) pass computes it
-    for every unit and caches it on H, and each call is then O(1).
-    Otherwise the fiber scan of index_of_pair walks s^-1(x) and, from each
-    of its arrows h, the arrows of H leaving r(h): sum over y of |H-arrows
-    leaving y| products. A Subgroupoid H builds its arrows-by-source map
-    once, so a sweep over every unit x does not rebuild it."""
+    H is a Subgroupoid of G (ParamMismatch when its parent is another
+    groupoid) or a collection of arrow ids of G; x must be a unit of G
+    (UnknownUnit otherwise). When H is a Subgroupoid closed under inverse
+    and G a certified pair groupoid (pair_components), the index is the
+    number of H-components inside the component of x: one O(arrows) pass
+    computes it for every unit and caches it on H, and each call is then
+    O(1). Otherwise the fiber scan of index_of_pair walks s^-1(x) and, from
+    each of its arrows h, the arrows of H leaving r(h): sum over y of
+    |H-arrows leaving y| products. A Subgroupoid H builds its
+    arrows-by-source map once, so a sweep over every unit x does not
+    rebuild it."""
     if isinstance(H, Subgroupoid):
+        _require_parent(G, H)
         counts = _pair_indices(H)
-        if counts is not None and type(x) is int and 0 <= x < len(counts):
+        if counts is not None:
+            require_unit(G, x)
             return counts[x]
-        parent = H.parent
-    else:
-        parent = G
-    return index_of_pair(parent, range(parent.n_arrows), H, x)
+    return index_of_pair(G, range(G.n_arrows), H, x)
 
 
 def local_index(G, H, x):
     """[[G : H]]_x: the index taken after restricting both groupoids to the
-    H-component of x. Returned as an exact Fraction."""
+    H-component of x. Returned as an exact Fraction. H and x are checked as
+    in index."""
     if isinstance(H, Subgroupoid):
+        _require_parent(G, H)
         sub_ids = H.ids
     else:
         sub_ids = frozenset(H)
@@ -913,7 +944,9 @@ def local_index_of_pair(G, ambient_ids, sub_ids, x):
     """[[ambient : sub]]_x for two nested wide arrow subsets of G.
 
     Both restricted to the sub-component of x before counting, so the value
-    only changes when the restriction severs genuine structure."""
+    only changes when the restriction severs genuine structure. Raises
+    UnknownUnit when x is not a unit of G."""
+    require_unit(G, x)
     sub_ids = set(sub_ids) | set(range(G.n_units))
     dec = ErgodicDecomposition(G, sorted(sub_ids))
     return Fraction(index_within(G, set(ambient_ids), sub_ids,

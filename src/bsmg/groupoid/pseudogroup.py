@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, field
 
 from ..errors import NotInFullGroup, NotQuasiNormal
-from .core import Subgroupoid, arrows_by, index_of_pair
+from .core import Subgroupoid, index_of_pair, left_classes, require_unit
 
 
 class QNClass(enum.Enum):
@@ -164,32 +164,12 @@ def qn_membership(G, S, phi):
 
 
 def coset_classes(G, S, x):
-    """Left S-classes of the source fiber at x; each class sorted by id."""
-    if isinstance(S, Subgroupoid):
-        sub_by_src = S.by_src
-    else:
-        sub_by_src = arrows_by(G.src, S)
-    fiber = G.source_fiber(x)
-    unseen = set(fiber)
-    classes = []
-    for g in fiber:
-        if g not in unseen:
-            continue
-        members = {g}
-        unseen.discard(g)
-        stack = [g]
-        while stack:
-            h = stack.pop()
-            for s in sub_by_src.get(G.rng[h], ()):
-                k = G.product(s, h)
-                if k is None:
-                    raise ValueError("coset classes need a complete product")
-                if k in unseen:
-                    unseen.discard(k)
-                    members.add(k)
-                    stack.append(k)
-        classes.append(tuple(sorted(members)))
-    return classes
+    """Left S-classes of the source fiber at x, each sorted by id: the
+    left-class walk of index_of_pair (left_classes), kept whole. Raises
+    UnknownUnit when x is not a unit of G."""
+    require_unit(G, x)
+    return [tuple(sorted(members)) for members in left_classes(
+        G, G.source_fiber(x), S, "coset classes need a complete product")]
 
 
 def witness_family(G, S, *, max_rounds=None):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .._kernels import component_labels
 from ..errors import IndexNotConstant, NotACocycle, NotNormal, VerificationFailure
 from ..tree import base_vertex, canonical_vertex, neighbors
 from ..words import GroupWord, same_element
@@ -23,44 +24,25 @@ from .core import ErgodicDecomposition, FiniteMeasuredGroupoid, Subgroupoid, arr
 
 
 def _class_partition(G, s_ids):
-    """Union-find partition of the arrows into two-sided classes S.g.S."""
-    parent = list(range(G.n_arrows))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
+    """Partition of the arrows into two-sided classes S.g.S: the components
+    of the graph joining g to s.g and to g.s for s in S, labeled by the
+    union-find of component_labels (the one the ergodic decomposition uses).
+    Returns (class label per arrow, classes as ascending id tuples)."""
+    ends, joined = [], []
     by_src = arrows_by(G.src, s_ids)
-    by_rng = arrows_by(G.rng, s_ids)
     for g in range(G.n_arrows):
         for s in by_src.get(G.rng[g], ()):
-            k = G.product(s, g)
-            if k is None:
-                raise ValueError("quotient needs a complete product")
-            union(g, k)
+            ends.append(g)
+            joined.append(G.product(s, g))
+    by_rng = arrows_by(G.rng, s_ids)
     for g in range(G.n_arrows):
         for s in by_rng.get(G.src[g], ()):
-            k = G.product(g, s)
-            if k is None:
-                raise ValueError("quotient needs a complete product")
-            union(g, k)
-    roots = {}
-    labels = []
-    for g in range(G.n_arrows):
-        r = find(g)
-        if r not in roots:
-            roots[r] = len(roots)
-        labels.append(roots[r])
-    classes = [[] for _ in range(len(roots))]
+            ends.append(g)
+            joined.append(G.product(g, s))
+    if None in joined:
+        raise ValueError("quotient needs a complete product")
+    labels = component_labels(G.n_arrows, ends, joined)
+    classes = [[] for _ in range(max(labels, default=-1) + 1)]
     for g, c in enumerate(labels):
         classes[c].append(g)
     return labels, [tuple(c) for c in classes]

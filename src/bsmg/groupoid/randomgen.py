@@ -14,6 +14,7 @@ same seed produce the same instances.
 
 from fractions import Fraction
 
+from .._kernels import component_labels
 from ..errors import GroupTooLarge
 from .core import FiniteMeasuredGroupoid, Subgroupoid
 
@@ -109,7 +110,6 @@ def cycle_on(support, n):
 def invariant_masses(rng, gens, n):
     """Random masses constant on the orbits of the generators, so every
     arrow of the action groupoid preserves the point mass."""
-    from .._kernels import component_labels
     srcs, rngs = [], []
     for gen in gens:
         srcs.extend(range(n))

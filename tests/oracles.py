@@ -201,6 +201,32 @@ def left_class_count(G, sub_ids, x):
                 for g in fiber})
 
 
+def two_sided_classes(G, s_ids):
+    """The classes S.g.S of the arrows, by a fixpoint: every arrow starts
+    with its own id as label, and each pass gives g, s.g and g.s (s in S,
+    composable) the least label among them until nothing changes. Returns
+    (label per arrow, numbered by first occurrence; classes as ascending id
+    tuples), the shape quotient's class partition has."""
+    sub = sorted(set(s_ids))
+    label = list(range(G.n_arrows))
+    changed = True
+    while changed:
+        changed = False
+        for g in range(G.n_arrows):
+            for s in sub:
+                for k in (G.product(s, g), G.product(g, s)):
+                    if k is not None and label[k] != label[g]:
+                        label[g] = label[k] = min(label[g], label[k])
+                        changed = True
+    number = {}
+    for g in range(G.n_arrows):
+        number.setdefault(label[g], len(number))
+    labels = [number[label[g]] for g in range(G.n_arrows)]
+    classes = [tuple(g for g in range(G.n_arrows) if labels[g] == c)
+               for c in range(len(number))]
+    return labels, classes
+
+
 def product_violations(G):
     """The lines validate reports about the product and the attached RN
     values, in its order, found by trying every pair and triple of arrows."""

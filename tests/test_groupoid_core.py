@@ -15,7 +15,8 @@ from bsmg.cocycle.levelmodel import (
 )
 from bsmg.cocycle.mackey import scaled_product_model
 from bsmg.cocycle.values import GroupoidCocycle, QPos
-from bsmg.errors import BsmgError, ClosureTooLarge, EmptySet, UnknownArrow
+from bsmg.errors import (BsmgError, ClosureTooLarge, EmptySet, ParamMismatch,
+                         UnknownArrow, UnknownUnit)
 from bsmg.groupoid.core import (
     ErgodicDecomposition,
     FiniteMeasuredGroupoid,
@@ -29,6 +30,8 @@ from bsmg.groupoid.core import (
     validate,
     whole,
 )
+from bsmg.groupoid.pseudogroup import coset_classes
+from bsmg.groupoid.quotient import quotient
 from bsmg.groupoid.randomgen import random_groupoid, random_wide_subgroupoid
 from bsmg.words import BSParams
 from oracles import (
@@ -111,9 +114,16 @@ class TestWindow:
         assert not G.product_complete
         assert validate(G) == []
         # g . f is outside the window, so counting classes against {g, g'}
-        # runs into an undefined product
-        with pytest.raises(ValueError):
+        # runs into an undefined product; each caller names itself
+        with pytest.raises(ValueError,
+                           match="^index needs a complete product$"):
             index(G, [5, 6], 0)
+        with pytest.raises(ValueError,
+                           match="^coset classes need a complete product$"):
+            coset_classes(G, [5, 6], 0)
+        with pytest.raises(ValueError,
+                           match="^quotient needs a complete product$"):
+            quotient(G, [5, 6])
 
     def test_claimed_completeness_is_checked(self):
         G = FiniteMeasuredGroupoid.window(
@@ -293,6 +303,34 @@ class TestIndex:
         # the unit groupoid has singleton components
         assert local_index_of_pair(G, lam, range(G.n_units), 0) == Fraction(1)
 
+    @pytest.mark.parametrize("call", [
+        lambda m: index(m.groupoid, m.S, -1),
+        lambda m: index(m.groupoid, m.S.sorted_ids(), 99),
+        lambda m: local_index(m.groupoid, m.S, -1),
+        lambda m: local_index(m.groupoid, m.S, 99),
+        lambda m: index_of_pair(m.groupoid, range(m.groupoid.n_arrows),
+                                m.S.ids, 5),
+        lambda m: local_index_of_pair(m.groupoid, range(m.groupoid.n_arrows),
+                                      m.S.ids, "0"),
+        lambda m: coset_classes(m.groupoid, m.S, 5),
+    ])
+    def test_unknown_units_are_refused(self, call):
+        m = BSLevelModel(BSParams(2, 3), 1, 0)
+        assert m.groupoid.n_units == 5
+        with pytest.raises(UnknownUnit, match="is not one of the 5 units"):
+            call(m)
+
+    def test_indices_refuse_a_subgroupoid_of_another_groupoid(self):
+        m = BSLevelModel(BSParams(2, 3), 1, 0)
+        GA, _, _ = restrict(m.groupoid, [0, 1])
+        with pytest.raises(ParamMismatch):
+            index(GA, m.S, 4)
+        with pytest.raises(ParamMismatch):
+            local_index(GA, m.S, 0)
+        with pytest.raises(UnknownUnit, match="unit 4 is not one of the 2"):
+            index(GA, whole(GA), 4)
+        assert [index(GA, whole(GA), x) for x in range(2)] == [1, 1]
+
 
 class TestRestrict:
     def test_basic(self):
@@ -388,6 +426,21 @@ class TestFiberWalk:
                 assert index(G, H, x) == want
                 assert index(G, H.sorted_ids(), x) == want
                 assert index_of_pair(G, range(G.n_arrows), H.ids, x) == want
+
+    def test_coset_classes_are_the_classes_index_counts(self):
+        rng = random.Random("fiber-walk:cosets")
+        for G in sampled_groupoids(8):
+            if not G.product_complete:
+                continue
+            H = random_wide_subgroupoid(rng, G)
+            for x in range(G.n_units):
+                classes = coset_classes(G, H, x)
+                assert len(classes) == \
+                    index_of_pair(G, range(G.n_arrows), H, x) == \
+                    left_class_count(G, H.ids, x)
+                assert sorted(g for c in classes for g in c) == \
+                    arrows_from(G, x)
+                assert all(list(c) == sorted(c) for c in classes)
 
     def test_validate_finds_a_broken_associativity(self):
         doc = s3_action().to_doc()

@@ -1,12 +1,8 @@
-"""Kernel semantics, plus exact parity when the compiled module is present."""
+"""Kernel semantics against brute force and frozen examples."""
 
-import importlib
 import random
 
-import pytest
-
-import bsmg._kernels as kernels
-from bsmg._kernels import reference
+from bsmg import _kernels as kernels
 
 
 def brute_labels(n, sources, ranges):
@@ -32,11 +28,11 @@ def brute_labels(n, sources, ranges):
 
 class TestComponentLabels:
     def test_frozen_example(self):
-        got = reference.component_labels(5, [0, 3], [1, 4])
+        got = kernels.component_labels(5, [0, 3], [1, 4])
         assert got == [0, 0, 1, 2, 2]
 
     def test_first_occurrence_order(self):
-        got = reference.component_labels(4, [3, 1], [2, 0])
+        got = kernels.component_labels(4, [3, 1], [2, 0])
         # node 0 always carries label 0 even though its edge comes second
         assert got == [0, 0, 1, 1]
         assert max(got) == len(set(got)) - 1
@@ -48,70 +44,52 @@ class TestComponentLabels:
             m = rng.randint(0, 20)
             src = [rng.randrange(n) for _ in range(m)]
             dst = [rng.randrange(n) for _ in range(m)]
-            assert reference.component_labels(n, src, dst) == \
+            assert kernels.component_labels(n, src, dst) == \
                 brute_labels(n, src, dst)
+
+
+def brute_closure(gens, n):
+    """Every product of generators, grown until no new element appears."""
+    group = {tuple(range(n))}
+    while True:
+        grown = group | {tuple(e[g[i]] for i in range(n))
+                         for e in group for g in gens}
+        if grown == group:
+            return group
+        group = grown
 
 
 class TestPermClosure:
     def test_identity_first(self):
-        got = reference.perm_closure([(1, 0, 2)], 10)
+        got = kernels.perm_closure([(1, 0, 2)], 10)
         assert got == [(0, 1, 2), (1, 0, 2)]
 
     def test_s3(self):
-        got = reference.perm_closure([(1, 0, 2), (1, 2, 0)], 10)
+        got = kernels.perm_closure([(1, 0, 2), (1, 2, 0)], 10)
         assert len(got) == 6
         assert got[0] == (0, 1, 2)
         assert len(set(got)) == 6
 
     def test_bound(self):
         five = tuple((i + 1) % 5 for i in range(5))
-        assert reference.perm_closure([five], 3) is None
-        assert len(reference.perm_closure([five], 5)) == 5
+        assert kernels.perm_closure([five], 3) is None
+        assert len(kernels.perm_closure([five], 5)) == 5
 
-    def test_empty(self):
-        assert reference.perm_closure([], 10) == [()]
-
-
-class TestSelection:
-    def test_flag_is_consistent(self):
-        assert kernels.IMPLEMENTATION in ("pure", "compiled")
-        if kernels.IMPLEMENTATION == "pure":
-            assert kernels.component_labels is reference.component_labels
-
-    def test_env_forces_pure(self, monkeypatch):
-        monkeypatch.setenv("BSMG_PURE_PYTHON", "1")
-        mod = importlib.reload(kernels)
-        assert mod.IMPLEMENTATION == "pure"
-        monkeypatch.delenv("BSMG_PURE_PYTHON")
-        importlib.reload(kernels)
-
-
-@pytest.fixture(scope="module")
-def speedups():
-    return pytest.importorskip("bsmg._kernels._speedups",
-                               reason="compiled kernels not built")
-
-
-class TestParity:
-    def test_component_labels_match(self, speedups):
-        rng = random.Random(11)
-        for _ in range(300):
-            n = rng.randint(1, 15)
-            m = rng.randint(0, 25)
-            src = [rng.randrange(n) for _ in range(m)]
-            dst = [rng.randrange(n) for _ in range(m)]
-            assert speedups.component_labels(n, src, dst) == \
-                reference.component_labels(n, src, dst)
-
-    def test_perm_closure_matches(self, speedups):
+    def test_against_brute_force(self):
         rng = random.Random(13)
-        for _ in range(60):
+        for _ in range(100):
             n = rng.randint(1, 6)
             gens = []
             for _ in range(rng.randint(1, 3)):
                 perm = list(range(n))
                 rng.shuffle(perm)
                 gens.append(tuple(perm))
-            bound = rng.choice((2, 10, 1000))
-            assert speedups.perm_closure(gens, bound) == \
-                reference.perm_closure(gens, bound)
+            group = brute_closure(gens, n)
+            got = kernels.perm_closure(gens, len(group))
+            assert got[0] == tuple(range(n))
+            assert len(got) == len(group) and set(got) == group
+            if len(group) > 1:
+                assert kernels.perm_closure(gens, len(group) - 1) is None
+
+    def test_empty(self):
+        assert kernels.perm_closure([], 10) == [()]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,23 @@ from bsmg.groupoid.quotient import (
     check_word_cocycle,
     find_invariant_vertex_map,
     induce_finite_invariant_set,
+    _class_partition,
     quotient,
     quotient_modulus,
 )
-from bsmg.groupoid.randomgen import partition_groupoid, relation_arrow_ids
+from bsmg.groupoid.randomgen import (
+    is_normal_subgroup,
+    partition_groupoid,
+    random_action_instance,
+    random_groupoid,
+    random_subgroup,
+    random_wide_subgroupoid,
+    relation_arrow_ids,
+    subgroup_arrow_ids,
+)
 from bsmg import tree
 from bsmg.words import BSParams, GroupWord
+from oracles import two_sided_classes
 from test_groupoid_core import element_arrows, s3_action, z3_action
 
 
@@ -69,6 +81,33 @@ class TestQuotient:
         S = Subgroupoid(G, element_arrows(G, [0, swap]))
         with pytest.raises(NotNormal):
             quotient(G, S)
+
+
+class TestClassPartition:
+    def test_matches_the_fixpoint_oracle(self):
+        rng = random.Random("class-partition")
+        for i in range(60):
+            G = (random_groupoid if i % 3 else random_action_instance)(rng)
+            for s_ids in (random_wide_subgroupoid(rng, G).ids,
+                          range(G.n_units), range(G.n_arrows)):
+                assert _class_partition(G, s_ids) == \
+                    two_sided_classes(G, s_ids)
+
+    def test_quotient_arrows_are_the_oracle_classes(self):
+        rng = random.Random("quotient-classes")
+        done = 0
+        while done < 12:
+            G = random_action_instance(rng, max_units=8, max_arrows=240)
+            lam = random_subgroup(rng, G)
+            if not is_normal_subgroup(G, lam):
+                continue
+            s_ids = subgroup_arrow_ids(G, lam)
+            _, theta, _ = quotient(G, Subgroupoid(G, s_ids, check=False))
+            _, classes = two_sided_classes(G, s_ids)
+            assert sorted(classes) == sorted(
+                tuple(g for g in range(G.n_arrows) if theta[g] == c)
+                for c in set(theta))
+            done += 1
 
 
 def chain_rho(G, words):
