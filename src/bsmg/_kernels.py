@@ -41,8 +41,11 @@ def perm_closure(gens, bound):
     """Closure of permutation tuples under composition, BFS from the identity.
 
     Returns the element list in deterministic discovery order (identity
-    first), or None if the closure exceeds bound.
+    first), or None if the closure exceeds bound. Every closure holds the
+    identity, so a bound below 1 always gives None.
     """
+    if bound < 1:
+        return None
     if not gens:
         return [()]
     identity = tuple(range(len(gens[0])))

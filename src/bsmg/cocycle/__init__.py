@@ -2,8 +2,6 @@
 
 from .core import (
     cohomologous,
-    group_index_ratio,
-    modular_D,
     modular_pair,
     radon_nikodym,
     transfer_matches,
@@ -39,13 +37,11 @@ __all__ = [
     "classify_type",
     "coboundary",
     "cohomologous",
-    "group_index_ratio",
     "flow_type",
     "level_label_normalizer",
     "level_sizes",
     "mackey_range",
     "mackey_range_int",
-    "modular_D",
     "modular_pair",
     "one_loop_model",
     "power_exponents",

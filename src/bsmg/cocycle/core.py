@@ -17,8 +17,8 @@ from ..errors import NotMeasurePreserving, VerificationFailure
 from ..groupoid.core import (
     ErgodicDecomposition,
     Subgroupoid,
+    forest_potential,
     index_within,
-    spanning_forest,
 )
 from ..groupoid.pseudogroup import arrows_within, witness_family
 from .values import GroupoidCocycle, QPos
@@ -158,10 +158,6 @@ def modular_pair(G, S, *, witnesses=None):
     return D, K
 
 
-def modular_D(G, S, *, witnesses=None):
-    return modular_pair(G, S, witnesses=witnesses)[0]
-
-
 def _as_values(c, G):
     if isinstance(c, GroupoidCocycle):
         return c.values
@@ -174,36 +170,17 @@ def cohomologous(G, c1, c2):
     """Transfer potential between two QPos cocycles, or None.
 
     Searches for psi with c2(g) = psi(r(g)) c1(g) psi(s(g))^-1 for every
-    arrow. psi is normalized to 1 at the lowest unit of each arrow-connected
-    component; any other solution differs by a constant per component.
+    arrow: the forest potential (forest_potential) of the ratio c2/c1, which
+    solves it exactly when every defect is 1. psi is 1 at the lowest unit
+    of each arrow-connected component; any other solution differs by a
+    constant per component. Returned as {unit: psi(unit)}.
     """
-    v1 = _as_values(c1, G)
-    v2 = _as_values(c2, G)
-    psi = {}
-    for x, g, backwards in spanning_forest(G)[1]:
-        if g is None:
-            psi[x] = Fraction(1)
-        elif backwards:
-            psi[x] = psi[G.rng[g]] / (v2[g] / v1[g])
-        else:
-            psi[x] = psi[G.src[g]] * (v2[g] / v1[g])
-    for g in range(G.n_arrows):
-        if v2[g] != psi[G.rng[g]] * v1[g] / psi[G.src[g]]:
-            return None
-    return psi
-
-
-def group_index_ratio(index_plus, index_minus):
-    """Ratio of the two one-sided conjugation indices [N:N+] / [N:N-].
-
-    Callers supply the indices; this just forms the exact ratio that the
-    arrow-level product D*K should reproduce on conjugation arrows.
-    """
-    plus = Fraction(index_plus)
-    minus = Fraction(index_minus)
-    if plus <= 0 or minus <= 0:
-        raise ValueError("conjugation indices must be positive")
-    return plus / minus
+    ratio = [b / a for a, b in zip(_as_values(c1, G), _as_values(c2, G))]
+    _, psi, defects = forest_potential(G, ratio, QPos.op, QPos.inverse,
+                                       QPos.identity)
+    if any(d != 1 for d in defects):
+        return None
+    return dict(enumerate(psi))
 
 
 def transfer_matches(G, psi, predicted):

@@ -4,9 +4,7 @@ The type of a nonsingular finite groupoid is read off the subgroup of
 positive rationals generated by the Radon-Nikodym defects against a spanning
 forest: trivial subgroup means a measure preserving model (type II after a
 potential change), a cyclic subgroup generated by lambda < 1 means type
-III_lambda, a rank-two subgroup is dense and means type III_1. Type III_0
-cannot occur at one finite scale (it needs an infinite tower), so the label
-exists only for interface completeness.
+III_lambda, a rank-two subgroup is dense and means type III_1.
 
 The Mackey range of an integer-group valued cocycle is the translation
 action on the components of the skew product. For Z/m the skew product is
@@ -22,14 +20,14 @@ from math import gcd
 
 from .._kernels import component_labels
 from ..errors import InfiniteComponents, NotPowerValued, VerificationFailure
-from ..groupoid.core import spanning_forest
+from ..groupoid.core import forest_potential
 from .core import radon_nikodym
-from .values import GroupoidCocycle, ZModAdd
+from .values import GroupoidCocycle, QPos, ZAdd, ZModAdd
 
 
 @dataclass(frozen=True)
 class TypeLabel:
-    kind: str  # "II", "III_lambda", "III_1", "III_0"
+    kind: str  # "II", "III_lambda" or "III_1"
     lam: Fraction | None = None
 
     def __str__(self):
@@ -59,21 +57,11 @@ def _exponent_vector(value, primes):
 
 def _defects(G, rn_values):
     """Multiset of nontrivial spanning-forest defect values of a positive
-    cocycle, pooled across all arrow-connected components."""
-    psi = {}
-    for x, g, backwards in spanning_forest(G)[1]:
-        if g is None:
-            psi[x] = Fraction(1)
-        elif backwards:
-            psi[x] = psi[G.rng[g]] / rn_values[g]
-        else:
-            psi[x] = psi[G.src[g]] * rn_values[g]
-    defects = []
-    for g in range(G.n_arrows):
-        d = rn_values[g] * psi[G.src[g]] / psi[G.rng[g]]
-        if d != 1:
-            defects.append(d)
-    return defects
+    cocycle (forest_potential), pooled across all arrow-connected
+    components."""
+    defects = forest_potential(G, rn_values, QPos.op, QPos.inverse,
+                               QPos.identity)[2]
+    return [d for d in defects if d != 1]
 
 
 def classify_type(G):
@@ -167,22 +155,15 @@ def ranges_isomorphic(r1, r2):
 
 
 def _int_defect_period(G, tau_values):
-    """gcd of the spanning-forest defects of an integer cocycle, per
-    arrow-connected component of G; 0 means the defect subgroup is trivial."""
-    dec, steps = spanning_forest(G)
-    height = {}
-    for x, g, backwards in steps:
-        if g is None:
-            height[x] = 0
-        elif backwards:
-            height[x] = height[G.rng[g]] - tau_values[g]
-        else:
-            height[x] = height[G.src[g]] + tau_values[g]
+    """gcd of the spanning-forest defects (forest_potential) of an integer
+    cocycle, per arrow-connected component of G; 0 means the defect
+    subgroup is trivial."""
+    dec, _, defects = forest_potential(G, tau_values, ZAdd.op, ZAdd.inverse,
+                                       ZAdd.identity)
     periods = [0] * dec.n_components
-    for g in range(G.n_arrows):
-        c = dec.component_of[G.src[g]]
-        periods[c] = gcd(periods[c],
-                         tau_values[g] + height[G.src[g]] - height[G.rng[g]])
+    for s, d in zip(G.src, defects):
+        c = dec.component_of[s]
+        periods[c] = gcd(periods[c], d)
     return periods, dec
 
 
@@ -305,7 +286,8 @@ def flow_type(G, base):
 
 def one_loop_model(loop_values, *, mass=Fraction(1)):
     """A single-unit window carrying one loop per given Radon-Nikodym value
-    (with its inverse); the minimal nonsingular test pattern."""
+    (with its inverse); the minimal nonsingular test pattern. The values
+    must be positive (ValueError otherwise)."""
     from ..groupoid.core import FiniteMeasuredGroupoid
 
     arrows = []
@@ -313,6 +295,8 @@ def one_loop_model(loop_values, *, mass=Fraction(1)):
     rn = []
     for i, v in enumerate(loop_values):
         v = Fraction(v)
+        if v <= 0:
+            raise ValueError("Radon-Nikodym values must be positive")
         arrows.append((0, 0, f"u{i}"))
         arrows.append((0, 0, f"u{i}'"))
         pairs.append((2 * i, 2 * i + 1))
@@ -324,10 +308,15 @@ def one_loop_model(loop_values, *, mass=Fraction(1)):
 def scaled_product_model(ratio, n, *, masses=None):
     """An n-cycle window whose single defect is ratio**n: arrows i -> i+1
     each carrying Radon-Nikodym value ratio. Its type is III_{ratio**n}
-    (mapped below 1) and the exponent flow has translation period n."""
+    (mapped below 1) and the exponent flow has translation period n.
+    ratio must be positive and n at least 1 (ValueError otherwise)."""
     from ..groupoid.core import FiniteMeasuredGroupoid
 
     ratio = Fraction(ratio)
+    if n < 1:
+        raise ValueError(f"the cycle needs n >= 1 units, got {n}")
+    if ratio <= 0:
+        raise ValueError("Radon-Nikodym values must be positive")
     if masses is None:
         masses = [Fraction(1, n)] * n
     arrows = []

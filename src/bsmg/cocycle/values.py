@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import NotACocycle, TargetMismatch
-from ..groupoid.core import pair_potential_holds
+from ..groupoid.core import composable_pairs, pair_potential_holds
 
 
 class QPos:
@@ -114,7 +114,7 @@ class GroupoidCocycle:
         psi(r(g)) psi(s(g))^-1 for a potential psi (pair_potential_holds);
         all three targets are abelian, so that is exactly the cocycle
         condition. Otherwise, and so to name the first failure, the fiber
-        scan walks sum over units x of |r^-1(x)|.|s^-1(x)| pairs."""
+        scan walks every composable pair (composable_pairs)."""
         G, t = self.G, self.target
         if (t is QPos or t is ZAdd or type(t) is ZModAdd) and \
                 pair_potential_holds(G, self.values, t.op, t.inverse):
@@ -125,13 +125,10 @@ class GroupoidCocycle:
         for g in range(G.n_arrows):
             if self.values[G.inv[g]] != t.inverse(self.values[g]):
                 raise NotACocycle(f"value at the inverse of {g} does not invert")
-        for g in range(G.n_arrows):
-            for h in G.range_fiber(G.src[g]):
-                k = G.product(g, h)
-                if k is None:
-                    continue
-                if self.values[k] != t.op(self.values[g], self.values[h]):
-                    raise NotACocycle(f"not multiplicative at ({g},{h})")
+        values = self.values
+        for g, h, k in composable_pairs(G):
+            if k is not None and values[k] != t.op(values[g], values[h]):
+                raise NotACocycle(f"not multiplicative at ({g},{h})")
         return self
 
     def is_identity(self):

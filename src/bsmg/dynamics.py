@@ -686,7 +686,10 @@ def cesaro_mixing_test(base, theta, A1, B1, A2, B2, horizon, *,
     reading plus the exact final gap. independent_from records the first
     step from which the base factor equals the product exactly, and the
     burn-in contribution of the steps before it is bounded in the report.
+    The horizon must be a positive integer (ValueError otherwise).
     """
+    if horizon < 1:
+        raise ValueError(f"the horizon must be at least 1, got {horizon}")
     if theta.kind == "interval":
         raise PrecisionError("Cesaro averages need a rational or golden theta")
     if not theta_is_positive(theta):

@@ -37,6 +37,28 @@ def arrows_by(ends, arrow_ids):
     return out
 
 
+def composable_pairs(G, ids=None):
+    """Yield (g, h, G.product(g, h)) for every pair with s(g) = r(h) and both
+    arrows in ids (every arrow when ids is None): g ascending, then h
+    ascending. The product is None where a window leaves it undefined.
+
+    This is the one walk over composable pairs behind validate, the cocycle
+    checks, the subgroupoid check and the products tables of to_doc and
+    restrict: sum over units x of |r^-1(x)|.|s^-1(x)| pairs when ids is None.
+    """
+    product, src, range_fiber = G.product, G.src, G.range_fiber
+    if ids is None:
+        for g in range(G.n_arrows):
+            for h in range_fiber(src[g]):
+                yield g, h, product(g, h)
+        return
+    members = ids if isinstance(ids, (set, frozenset)) else set(ids)
+    for g in sorted(members):
+        for h in range_fiber(src[g]):
+            if h in members:
+                yield g, h, product(g, h)
+
+
 def _free_reduce(word):
     out = []
     for sym in word:
@@ -132,9 +154,6 @@ class FiniteMeasuredGroupoid:
     def n_arrows(self):
         return len(self.src)
 
-    def all_arrows(self):
-        return range(self.n_arrows)
-
     def unit_arrow(self, x):
         return x
 
@@ -190,9 +209,6 @@ class FiniteMeasuredGroupoid:
     def mass_of(self, units):
         return sum((self.masses[x] for x in units), Fraction(0))
 
-    def total_mass(self):
-        return sum(self.masses, Fraction(0))
-
     def label_text(self, g):
         if self.is_unit_arrow(g):
             return "e"
@@ -208,16 +224,12 @@ class FiniteMeasuredGroupoid:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_group_action(cls, action_gens, masses=None, *,
-                          group_gens=None, bound=5000):
+    def from_group_action(cls, action_gens, masses=None, *, bound=5000):
         """Action groupoid of a finite group acting on the unit set.
 
-        action_gens are permutations of the units. By default the group is the
-        transformation group they generate; pass group_gens (permutations of
-        any finite set, e.g. a regular representation) to act through a
-        possibly non-faithful quotient, in which case arrows are counted per
-        abstract group element. The action map is verified to be a
-        homomorphism on the fly.
+        action_gens are permutations of the units; the group is the
+        transformation group they generate, with at most bound elements
+        (GroupTooLarge otherwise).
         """
         if not action_gens:
             raise ValueError("need at least one generator")
@@ -226,40 +238,9 @@ class FiniteMeasuredGroupoid:
         for g in action_gens:
             if sorted(g) != list(range(n)):
                 raise ValueError("generators must be permutations of the unit set")
-        if group_gens is None:
-            elements = perm_closure(action_gens, bound)
-            if elements is None:
-                raise GroupTooLarge(f"group closure exceeds {bound} elements")
-            action_of = {e: e for e in elements}
-            group_elements = list(elements)
-        else:
-            group_gens = [tuple(g) for g in group_gens]
-            if len(group_gens) != len(action_gens):
-                raise ValueError("group_gens and action_gens must correspond")
-            m = len(group_gens[0])
-            identity = tuple(range(m))
-            group_elements = [identity]
-            action_of = {identity: tuple(range(n))}
-            frontier = [identity]
-            while frontier:
-                new_frontier = []
-                for elem in frontier:
-                    for ggen, agen in zip(group_gens, action_gens):
-                        comp = tuple(elem[ggen[i]] for i in range(m))
-                        act = action_of[elem]
-                        comp_act = tuple(act[agen[i]] for i in range(n))
-                        known = action_of.get(comp)
-                        if known is None:
-                            action_of[comp] = comp_act
-                            group_elements.append(comp)
-                            new_frontier.append(comp)
-                            if len(group_elements) > bound:
-                                raise GroupTooLarge(
-                                    f"group closure exceeds {bound} elements")
-                        elif known != comp_act:
-                            raise ValueError(
-                                "action generators do not define a homomorphism")
-                frontier = new_frontier
+        group_elements = perm_closure(action_gens, bound)
+        if group_elements is None:
+            raise GroupTooLarge(f"group closure exceeds {bound} elements")
         index_of = {e: i for i, e in enumerate(group_elements)}
         if masses is None:
             masses = [Fraction(1, n)] * n
@@ -271,16 +252,16 @@ class FiniteMeasuredGroupoid:
             inv_elem.append(index_of[tuple(inverse)])
         src, rng, inv, labs = [], [], [], []
         for ei, e in enumerate(group_elements):
-            act = action_of[e]
             for x in range(n):
                 src.append(x)
-                rng.append(act[x])
+                rng.append(e[x])
                 labs.append(("g", ei))
-                inv.append(inv_elem[ei] * n + act[x])
+                inv.append(inv_elem[ei] * n + e[x])
         composer = _GroupComposer(group_elements, index_of)
         G = cls(range(n), masses, src, rng, inv, labs, composer)
-        G.group_elements = tuple(group_elements)
-        G.action_perms = tuple(action_of[e] for e in group_elements)
+        # the group is its own transformation group: each element is the
+        # permutation it acts by
+        G.group_elements = G.action_perms = tuple(group_elements)
         return G
 
     @classmethod
@@ -436,6 +417,9 @@ class FiniteMeasuredGroupoid:
     # -- serialization -----------------------------------------------------
 
     def to_doc(self, *, include_products=True):
+        """The JSON-ready document from_doc reads back. The products table
+        lists [g, h, g.h] for every defined composable pair, in the order of
+        composable_pairs."""
         doc = {
             "units": [
                 {"name": str(self.unit_names[x]),
@@ -450,13 +434,8 @@ class FiniteMeasuredGroupoid:
             "product_complete": self.product_complete,
         }
         if include_products:
-            table = []
-            for g in range(self.n_arrows):
-                for h in self.range_fiber(self.src[g]):
-                    k = self.product(g, h)
-                    if k is not None:
-                        table.append([g, h, k])
-            doc["products"] = table
+            doc["products"] = [[g, h, k] for g, h, k in composable_pairs(self)
+                                if k is not None]
         if self.rn_values is not None:
             doc["rn"] = [str(v) for v in self.rn_values]
         return doc
@@ -499,21 +478,19 @@ class Subgroupoid:
             self._check()
 
     def _check(self):
+        """Closure under inverse, then under the product of every composable
+        pair of this arrow set (composable_pairs); ValueError at the first
+        failure."""
         G = self.parent
         for g in self.ids:
             if G.inv[g] not in self.ids:
                 raise ValueError(f"subgroupoid not closed under inverse at {g}")
-        for g in sorted(self.ids):
-            for h in G.range_fiber(G.src[g]):
-                if h not in self.ids:
-                    continue
-                k = G.product(g, h)
-                if k is None:
-                    raise ValueError(
-                        "subgroupoid needs a complete ambient product")
-                if k not in self.ids:
-                    raise ValueError(
-                        f"subgroupoid not closed under product ({g},{h})")
+        for g, h, k in composable_pairs(G, self.ids):
+            if k is None:
+                raise ValueError("subgroupoid needs a complete ambient product")
+            if k not in self.ids:
+                raise ValueError(
+                    f"subgroupoid not closed under product ({g},{h})")
 
     @property
     def by_src(self):
@@ -612,10 +589,6 @@ class ErgodicDecomposition:
         return self.n_components == 1
 
 
-def ergodic_decomposition(G):
-    return ErgodicDecomposition(G)
-
-
 def spanning_forest(G):
     """Breadth-first spanning forest of the arrow-connected components.
 
@@ -648,6 +621,33 @@ def spanning_forest(G):
                         nxt.append(other)
             frontier = nxt
     return dec, steps
+
+
+def forest_potential(G, values, op, inverse, identity):
+    """The potential of one value per arrow along spanning_forest, and the
+    defect of every arrow against it.
+
+    Returns (dec, psi, defects): dec is the ErgodicDecomposition of G;
+    psi[x] is identity at the root of each component and op(psi(s(g)),
+    values[g]) or op(psi(r(g)), inverse(values[g])) at a unit x reached
+    through g forwards or backwards; defects[g] is op(op(values[g],
+    psi(s(g))), inverse(psi(r(g)))). For an abelian target the defects are
+    all identity exactly when values is the coboundary of psi, and they
+    generate the same subgroup whichever forest is used.
+    """
+    dec, steps = spanning_forest(G)
+    psi = [None] * G.n_units
+    for x, g, backwards in steps:
+        if g is None:
+            psi[x] = identity
+        elif backwards:
+            psi[x] = op(psi[G.rng[g]], inverse(values[g]))
+        else:
+            psi[x] = op(psi[G.src[g]], values[g])
+    psi_inv = [inverse(p) for p in psi]
+    defects = [op(op(v, psi[s]), psi_inv[r])
+               for v, s, r in zip(values, G.src, G.rng)]
+    return dec, psi, defects
 
 
 def pair_components(G):
@@ -815,16 +815,9 @@ def restrict(G, units):
             [G.masses[x] for x in A],
             src, rng, inv, labels, G._composer, rn_values=rn)
     else:
-        prod = {}
-        for i, g in enumerate(kept):
-            # kept ascends in parent ids, so j ascends within each i
-            for h in G.range_fiber(G.src[g]):
-                j = arrow_map.get(h)
-                if j is None:
-                    continue
-                k = G.product(g, h)
-                if k is not None and k in arrow_map:
-                    prod[(i, j)] = arrow_map[k]
+        # kept ascends in parent ids, so composable_pairs walks it in order
+        prod = {(arrow_map[g], arrow_map[h]): arrow_map[k]
+                for g, h, k in composable_pairs(G, kept) if k in arrow_map}
         sub = FiniteMeasuredGroupoid(
             [G.unit_names[x] for x in A],
             [G.masses[x] for x in A],
@@ -833,13 +826,6 @@ def restrict(G, units):
             product_complete=G.product_complete,
             rn_values=rn)
     return sub, unit_map, arrow_map
-
-
-def saturation(G, units):
-    """Every unit reachable from the given set through arrows of G."""
-    dec = ErgodicDecomposition(G)
-    comps = {dec.component_of[x] for x in units}
-    return frozenset(x for x in range(G.n_units) if dec.component_of[x] in comps)
 
 
 def require_unit(G, x):
@@ -974,9 +960,9 @@ def validate(G):
     RN values, if any, are psi(r)/psi(s) for a potential psi
     (pair_potential_holds): the answer is then []. Otherwise, and so to
     explain any defect, the fiber scan is exhaustive over the composable
-    pairs (g, h), sum over units x of |r^-1(x)|.|s^-1(x)| of them, and over
-    the triples (g, h, f) with (g, h) defined and f in r^-1(s(h)): a
-    principal groupoid on n units costs n^3 pairs and n^4 triples."""
+    pairs (g, h) of composable_pairs and over the triples (g, h, f) with
+    (g, h) defined and f in r^-1(s(h)): a principal groupoid on n units
+    costs n^3 pairs and n^4 triples."""
     if all(m > 0 for m in G.masses) and pair_components(G) is not None and (
             G.rn_values is None or pair_potential_holds(
                 G, G.rn_values, operator.mul, _reciprocal)):
@@ -996,16 +982,14 @@ def validate(G):
         if k is not None and k != G.unit_arrow(G.rng[g]):
             problems.append(f"arrow {g} times its inverse is not the unit")
     defined = []
-    for g in range(G.n_arrows):
-        for h in G.range_fiber(G.src[g]):
-            k = G.product(g, h)
-            if k is None:
-                if G.product_complete:
-                    problems.append(f"missing product ({g},{h})")
-                continue
-            if G.src[k] != G.src[h] or G.rng[k] != G.rng[g]:
-                problems.append(f"product ({g},{h}) has wrong endpoints")
-            defined.append((g, h, k))
+    for g, h, k in composable_pairs(G):
+        if k is None:
+            if G.product_complete:
+                problems.append(f"missing product ({g},{h})")
+            continue
+        if G.src[k] != G.src[h] or G.rng[k] != G.rng[g]:
+            problems.append(f"product ({g},{h}) has wrong endpoints")
+        defined.append((g, h, k))
     table = {(g, h): k for g, h, k in defined}
     for g, h, k in defined:
         for f in G.range_fiber(G.src[h]):

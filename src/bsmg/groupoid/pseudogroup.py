@@ -21,7 +21,6 @@ from .core import Subgroupoid, index_of_pair, left_classes, require_unit
 class QNClass(enum.Enum):
     NORMALIZING = "normalizing"
     QUASI_NORMALIZING = "quasi-normalizing"
-    NEITHER = "neither"
 
 
 class PartialIso:
@@ -139,9 +138,9 @@ def qn_membership(G, S, phi):
 
     Normalizing: conjugation carries the S-arrows of the domain exactly onto
     the S-arrows of the range. QuasiNormalizing: it does so up to finite
-    index on both sides (at this scale the indices are always finite, so
-    Neither is reported only for a phi whose conjugates leave S entirely
-    incomparable, which cannot happen; the tag is kept for interface parity).
+    index on both sides, which at this finite scale every other phi does;
+    the report then carries the indices of the intersection at each unit of
+    the range.
     """
     if isinstance(S, Subgroupoid):
         s_ids = S.ids
@@ -150,16 +149,15 @@ def qn_membership(G, S, phi):
     s_dom = arrows_within(G, s_ids, phi.domain)
     s_rng = arrows_within(G, s_ids, phi.range)
     s_img = phi.conjugate_set(s_dom)
-    report = WitnessReport(phi=phi, qn_class=QNClass.NEITHER,
-                           s_range=s_rng, s_image=s_img)
     if s_img == s_rng:
-        report.qn_class = QNClass.NORMALIZING
-        return report
+        return WitnessReport(phi=phi, qn_class=QNClass.NORMALIZING,
+                             s_range=s_rng, s_image=s_img)
+    report = WitnessReport(phi=phi, qn_class=QNClass.QUASI_NORMALIZING,
+                           s_range=s_rng, s_image=s_img)
     inter = s_rng & s_img
     for x in phi.range:
         report.indices_in_range[x] = index_of_pair(G, s_rng, inter, x)
         report.indices_in_image[x] = index_of_pair(G, s_img, inter, x)
-    report.qn_class = QNClass.QUASI_NORMALIZING
     return report
 
 
@@ -219,13 +217,3 @@ def witness_family(G, S, *, max_rounds=None):
         pending = still
     return reports
 
-
-def is_quasinormal(G, S):
-    """True when a covering family of witnesses exists; at this scale the
-    family always exists, so the verdict is True together with the family.
-    Kept as a checked computation rather than a constant so the witnesses
-    can be inspected and reused."""
-    reports = witness_family(G, S)
-    ok = all(r.qn_class in (QNClass.NORMALIZING, QNClass.QUASI_NORMALIZING)
-             for r in reports)
-    return ok, reports

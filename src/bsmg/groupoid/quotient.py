@@ -20,7 +20,8 @@ from .._kernels import component_labels
 from ..errors import IndexNotConstant, NotACocycle, NotNormal, VerificationFailure
 from ..tree import base_vertex, canonical_vertex, neighbors
 from ..words import GroupWord, same_element
-from .core import ErgodicDecomposition, FiniteMeasuredGroupoid, Subgroupoid, arrows_by
+from .core import (ErgodicDecomposition, FiniteMeasuredGroupoid, Subgroupoid,
+                   arrows_by, composable_pairs)
 
 
 def _class_partition(G, s_ids):
@@ -208,23 +209,21 @@ def check_group_action_quotient(G, S, Q, theta):
 
 def check_word_cocycle(G, arrow_ids, rho, params):
     """rho maps arrow ids to group words; verify multiplicativity over every
-    composable pair inside arrow_ids and compatibility with inverses."""
-    ids = sorted(arrow_ids)
-    for g in ids:
+    composable pair inside arrow_ids (composable_pairs) and compatibility
+    with inverses."""
+    ids = set(arrow_ids)
+    for g in sorted(ids):
         gi = G.inv[g]
         if gi in rho and not same_element(
                 rho[g] * rho[gi], GroupWord.identity(), params):
             raise NotACocycle(f"rho breaks at the inverse of arrow {g}")
-    by_rng = arrows_by(G.rng, ids)
-    for g in ids:
-        for h in by_rng.get(G.src[g], ()):
-            k = G.product(g, h)
-            if k is None:
-                raise ValueError("cocycle check needs a complete product")
-            if k not in rho:
-                raise NotACocycle(f"rho undefined on composite arrow {k}")
-            if not same_element(rho[g] * rho[h], rho[k], params):
-                raise NotACocycle(f"rho breaks at the pair ({g},{h})")
+    for g, h, k in composable_pairs(G, ids):
+        if k is None:
+            raise ValueError("cocycle check needs a complete product")
+        if k not in rho:
+            raise NotACocycle(f"rho undefined on composite arrow {k}")
+        if not same_element(rho[g] * rho[h], rho[k], params):
+            raise NotACocycle(f"rho breaks at the pair ({g},{h})")
 
 
 def _translate(word, vertex):

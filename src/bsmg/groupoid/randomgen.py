@@ -126,8 +126,14 @@ def random_action_instance(rng, *, max_units=10, max_arrows=400,
 
     Normal subgroups of these groups are easy to pick, which the quotient
     and modular checks rely on. preserve_masses draws masses constant on
-    orbits, which the modular cocycles require.
+    orbits, which the modular cocycles require. The smallest instance is Z/2
+    on 2 units, 4 arrows, so max_units below 2 or max_arrows below 4 raise
+    ValueError (before any draw from rng).
     """
+    if max_units < 2 or max_arrows < 4:
+        raise ValueError(
+            f"an action instance needs at least 2 units and 4 arrows, got "
+            f"max_units={max_units} and max_arrows={max_arrows}")
     while True:
         n = rng.randint(2, max_units)
         style = rng.choice(("cyclic", "bicyclic", "dihedral"))
@@ -200,12 +206,9 @@ def subgroup_arrow_ids(G, elem_indices):
 def is_normal_subgroup(G, elem_indices):
     comp = G._composer
     order = len(G.group_elements)
-    inv_of = {}
-    for i in range(order):
-        for j in range(order):
-            if comp.mul(("g", i), ("g", j))[1] == identity_index(G):
-                inv_of[i] = j
-                break
+    # arrow i*n leaves unit 0 labeled ("g", i); its inverse arrow carries
+    # the inverse element's label
+    inv_of = [G.labels[G.inv[i * G.n_units]][1] for i in range(order)]
     members = set(elem_indices)
     for gi in range(order):
         for li in members:

@@ -298,6 +298,33 @@ class TestDynamics:
         assert doc["gap"] >= 0
 
 
+class TestBadInputs:
+    """Inputs that once crashed, hung or answered nonsense: each is now a
+    usage error with nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("cocycle", "scaled-product", "--ratio", "2/3", "--n", "0"),
+         "the cycle needs n >= 1 units, got 0"),
+        (("cocycle", "scaled-product", "--ratio", "2/3", "--n", "-2"),
+         "the cycle needs n >= 1 units, got -2"),
+        (("cocycle", "scaled-product", "--ratio", "0", "--n", "3"),
+         "Radon-Nikodym values must be positive"),
+        (("cocycle", "flow-type", "--loops", "0"),
+         "Radon-Nikodym values must be positive"),
+        (("dynamics", "cesaro", "--horizon", "0"),
+         "the horizon must be at least 1, got 0"),
+        (("dynamics", "cesaro", "--horizon", "-3"),
+         "the horizon must be at least 1, got -3"),
+        (("groupoid", "random", "--kind", "action", "--units", "3",
+          "--arrows", "3"),
+         "an action instance needs at least 2 units and 4 arrows, got "
+         "max_units=3 and max_arrows=3"),
+    ])
+    def test_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+
 class TestConfigAndSuite:
     def test_config_splice_and_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "m.cfg"

@@ -13,10 +13,8 @@ from bsmg.cocycle import (
     ZModAdd,
     coboundary,
     cohomologous,
-    group_index_ratio,
     level_label_normalizer,
     level_sizes,
-    modular_D,
     modular_pair,
     one_loop_model,
     radon_nikodym,
@@ -157,10 +155,6 @@ class TestModularPair:
         D, K = modular_pair(G, S)
         assert all(D(g) * K(g) == 1 for g in range(G.n_arrows))
 
-    def test_modular_d_shortcut(self):
-        G, S = lam_pair()
-        assert modular_D(G, S).values == modular_pair(G, S)[0].values
-
     def test_needs_preserved_masses(self):
         G = partition_groupoid(
             [HALF, Fraction(1, 4), Fraction(1, 4)], [(0, 1), (2,)])
@@ -199,19 +193,6 @@ class TestCohomologous:
         G = one_loop_model([Fraction(2)])
         trivial = [Fraction(1)] * G.n_arrows
         assert cohomologous(G, trivial, radon_nikodym(G)) is None
-
-
-class TestGroupIndexRatio:
-    def test_exact_ratio(self):
-        assert group_index_ratio(6, 4) == Fraction(3, 2)
-        assert group_index_ratio(3, 3) == 1
-        assert group_index_ratio(Fraction(9), 6) == Fraction(3, 2)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            group_index_ratio(0, 2)
-        with pytest.raises(ValueError):
-            group_index_ratio(2, -1)
 
 
 class TestLevelModel:

@@ -400,6 +400,14 @@ class TestCesaro:
         with pytest.raises(ValueError):
             cesaro_mixing_test(base, neg, [(0, 1)], c, [(0, 1)], c, 5)
 
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_must_be_positive(self, horizon):
+        theta = ThetaValue.from_rational(Fraction(3, 2))
+        c = CylinderSet.of({0: 1})
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            cesaro_mixing_test(BernoulliBase(), theta, [(0, 1)], c,
+                               [(0, 1)], c, horizon)
+
 
 class TestComponentCounts:
     def test_frozen_table(self):

@@ -15,12 +15,13 @@ from bsmg.cocycle.levelmodel import (
 )
 from bsmg.cocycle.mackey import scaled_product_model
 from bsmg.cocycle.values import GroupoidCocycle, QPos
-from bsmg.errors import (BsmgError, ClosureTooLarge, EmptySet, ParamMismatch,
-                         UnknownArrow, UnknownUnit)
+from bsmg.errors import (BsmgError, ClosureTooLarge, EmptySet, GroupTooLarge,
+                         ParamMismatch, UnknownArrow, UnknownUnit)
 from bsmg.groupoid.core import (
     ErgodicDecomposition,
     FiniteMeasuredGroupoid,
     Subgroupoid,
+    composable_pairs,
     index,
     index_of_pair,
     local_index,
@@ -32,7 +33,8 @@ from bsmg.groupoid.core import (
 )
 from bsmg.groupoid.pseudogroup import coset_classes
 from bsmg.groupoid.quotient import quotient
-from bsmg.groupoid.randomgen import random_groupoid, random_wide_subgroupoid
+from bsmg.groupoid.randomgen import (random_action_instance, random_groupoid,
+                                     random_wide_subgroupoid)
 from bsmg.words import BSParams
 from oracles import (
     arrows_from,
@@ -193,6 +195,31 @@ class TestGroupAction:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             FiniteMeasuredGroupoid.from_group_action([(0, 0, 1)])
+
+    @pytest.mark.parametrize("gens, bound", [
+        ([(0, 1, 2)], 0), ([(1, 2, 0)], 0), ([(1, 2, 0)], 2),
+        ([(1, 0, 2), (1, 2, 0)], 5)])
+    def test_a_group_above_the_bound_is_refused(self, gens, bound):
+        with pytest.raises(GroupTooLarge):
+            FiniteMeasuredGroupoid.from_group_action(gens, bound=bound)
+
+
+class TestRandomActionInstance:
+    @pytest.mark.parametrize("max_units, max_arrows", [(3, 3), (1, 240),
+                                                       (10, 0)])
+    def test_too_small_a_budget_is_refused_before_any_draw(self, max_units,
+                                                           max_arrows):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="at least 2 units and 4 arrows"):
+            random_action_instance(rng, max_units=max_units,
+                                   max_arrows=max_arrows)
+        assert rng.getstate() == state
+
+    def test_the_smallest_budget_gives_z2_on_two_units(self):
+        G = random_action_instance(random.Random(5), max_units=3,
+                                   max_arrows=4)
+        assert (G.n_units, G.n_arrows) == (2, 4)
 
 
 class TestPartialIsos:
@@ -406,6 +433,36 @@ def sampled_groupoids(count):
         E = FiniteMeasuredGroupoid.from_doc(G.to_doc())
         out += [G, R, E, restrict(E, range(0, G.n_units, 2))[0]]
     return out
+
+
+def naive_pairs(G, ids):
+    """Every composable pair of the ascending ids by the double loop."""
+    return [(g, h, G.product(g, h)) for g in ids for h in ids
+            if G.src[g] == G.rng[h]]
+
+
+class TestComposablePairs:
+    def test_matches_the_naive_double_loop(self):
+        rng = random.Random("composable-pairs")
+        level = BSLevelModel(BSParams(2, 3), 1, 0).groupoid
+        for G in sampled_groupoids(8) + [swap_window(), level]:
+            every = range(G.n_arrows)
+            assert list(composable_pairs(G)) == naive_pairs(G, every)
+            assert list(composable_pairs(G, every)) == naive_pairs(G, every)
+            ids = random_wide_subgroupoid(rng, G).sorted_ids()
+            want = naive_pairs(G, ids)
+            # ids are walked ascending whatever order they come in
+            for given in (ids, set(ids), frozenset(ids), ids[::-1]):
+                assert list(composable_pairs(G, given)) == want
+
+    def test_a_window_yields_its_undefined_products(self):
+        G = FiniteMeasuredGroupoid.window(
+            [THIRD] * 3, [(0, 1, "f"), (1, 0, "f'"), (1, 2, "g"), (2, 1, "g'")],
+            [(0, 1), (2, 3)])
+        pairs = list(composable_pairs(G))
+        assert pairs == naive_pairs(G, range(G.n_arrows))
+        # g.f is composable but lies outside the window
+        assert (5, 3, None) in pairs
 
 
 class TestFiberWalk:

@@ -88,8 +88,15 @@ class TestPermClosure:
             got = kernels.perm_closure(gens, len(group))
             assert got[0] == tuple(range(n))
             assert len(got) == len(group) and set(got) == group
-            if len(group) > 1:
-                assert kernels.perm_closure(gens, len(group) - 1) is None
+            assert kernels.perm_closure(gens, len(group) - 1) is None
 
     def test_empty(self):
         assert kernels.perm_closure([], 10) == [()]
+
+    def test_a_bound_below_one_refuses_every_closure(self):
+        # every closure holds the identity, so it has at least one element
+        for gens in ([], [(0, 1)], [(1, 0)], [(0, 1, 2), (1, 2, 0)]):
+            for bound in (0, -1):
+                assert kernels.perm_closure(gens, bound) is None
+        assert kernels.perm_closure([(0, 1)], 1) == [(0, 1)]
+        assert kernels.perm_closure([], 1) == [()]

@@ -1,11 +1,15 @@
 """Type labels, Mackey ranges, and the finite flow classifiers."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from bsmg.cocycle import (
+    QPos,
     TypeLabel,
+    ZAdd,
+    coboundary,
     classify_type,
     flow_type,
     mackey_range,
@@ -15,9 +19,11 @@ from bsmg.cocycle import (
     ranges_isomorphic,
     scaled_product_model,
 )
+from bsmg.cocycle.mackey import _int_defect_period
 from bsmg.errors import NotPowerValued
-from bsmg.groupoid.core import validate
+from bsmg.groupoid.core import forest_potential, validate
 from bsmg.groupoid.randomgen import partition_groupoid
+from test_groupoid_core import sampled_groupoids
 
 HALF = Fraction(1, 2)
 
@@ -36,6 +42,18 @@ class TestModels:
         assert G.n_arrows == 9
         assert validate(G) == []
         assert set(G.masses) == {Fraction(1, 3)}
+
+    @pytest.mark.parametrize("ratio, n, message", [
+        (Fraction(2, 3), 0, "n >= 1"), (Fraction(2, 3), -2, "n >= 1"),
+        (0, 3, "positive"), (-2, 3, "positive")])
+    def test_scaled_product_refuses_bad_input(self, ratio, n, message):
+        with pytest.raises(ValueError, match=message):
+            scaled_product_model(ratio, n)
+
+    @pytest.mark.parametrize("loops", [[0], [2, -1]])
+    def test_one_loop_refuses_non_positive_values(self, loops):
+        with pytest.raises(ValueError, match="must be positive"):
+            one_loop_model(loops)
 
 
 class TestClassifyType:
@@ -68,6 +86,48 @@ class TestClassifyType:
         assert str(TypeLabel("III_lambda", Fraction(2, 3))) == "III_2/3"
         assert str(TypeLabel("III_1")) == "III-1"
         assert str(TypeLabel("II")) == "II"
+
+
+def potential(G, values, target):
+    return forest_potential(G, values, target.op, target.inverse,
+                            target.identity)
+
+
+class TestForestPotential:
+    def test_coboundaries_have_identity_defects(self):
+        rng = random.Random("forest-potential")
+        draws = ((QPos, lambda: Fraction(rng.randint(1, 9), rng.randint(1, 9))),
+                 (ZAdd, lambda: rng.randint(-9, 9)))
+        for G in sampled_groupoids(4) + [scaled_product_model(3, 4)]:
+            for target, draw in draws:
+                psi = [draw() for _ in range(G.n_units)]
+                values = coboundary(G, target, psi).values
+                dec, pot, defects = potential(G, values, target)
+                assert defects == [target.identity] * G.n_arrows
+                # the potential is psi moved to identity at each root
+                for comp in dec.components:
+                    root = target.inverse(psi[min(comp)])
+                    assert all(pot[x] == target.op(psi[x], root)
+                               for x in comp)
+
+    @pytest.mark.parametrize("ratio, n", [
+        (Fraction(2, 3), 1), (Fraction(3, 2), 2), (Fraction(5), 4)])
+    def test_scaled_product_defect_is_the_full_loop(self, ratio, n):
+        G = scaled_product_model(ratio, n)
+        defects = potential(G, G.rn_values, QPos)[2]
+        # one arrow closes the loop; its inverse carries the inverse defect
+        assert sorted(d for d in defects if d != 1) == \
+            sorted([ratio ** n, ratio ** -n])
+        exps = power_exponents(G.rn_values, ratio)
+        assert sorted(d for d in potential(G, exps, ZAdd)[2] if d) == [-n, n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_exponent_period_of_scaled_product_is_n(self, n):
+        G = scaled_product_model(Fraction(3, 2), n)
+        exps = power_exponents(G.rn_values, Fraction(3, 2))
+        periods, dec = _int_defect_period(G, exps)
+        assert periods == [n]
+        assert dec.n_components == 1
 
 
 class TestPowerExponents:

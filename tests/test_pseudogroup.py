@@ -7,7 +7,6 @@ from bsmg.groupoid.pseudogroup import (
     QNClass,
     arrows_within,
     coset_classes,
-    is_quasinormal,
     qn_membership,
     witness_family,
 )
@@ -156,9 +155,3 @@ class TestWitnessFamily:
         assert reports
         for report in reports:
             assert report.qn_class in (QNClass.NORMALIZING, QNClass.QUASI_NORMALIZING)
-
-    def test_is_quasinormal(self):
-        G = s3_action()
-        ok, reports = is_quasinormal(G, lam_subgroupoid(G))
-        assert ok
-        assert len(reports) >= 1
