@@ -200,6 +200,10 @@ def cmd_groupoid_random(args):
         masses = random_masses(rng, args.units)
         blocks = random_partition(rng, range(args.units))
         G = partition_groupoid(masses, blocks)
+        if G.n_arrows > args.arrows:
+            raise ValueError(
+                f"the partition groupoid drawn has {G.n_arrows} arrows, more "
+                f"than --arrows {args.arrows}")
     elif args.kind == "action":
         G = random_action_instance(rng, max_units=args.units,
                                    max_arrows=args.arrows)

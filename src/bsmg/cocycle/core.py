@@ -17,10 +17,12 @@ from ..errors import NotMeasurePreserving, VerificationFailure
 from ..groupoid.core import (
     ErgodicDecomposition,
     Subgroupoid,
+    arrows_by,
     forest_potential,
     index_within,
+    pair_components,
 )
-from ..groupoid.pseudogroup import arrows_within, witness_family
+from ..groupoid.pseudogroup import witness_family
 from .values import GroupoidCocycle, QPos
 
 
@@ -40,9 +42,25 @@ def _sub_ids(S):
 
 
 def _per_unit_local_index(G, ambient_ids, sub_ids, units, sub_dec):
-    """[[ambient : sub]]_x for each x in units, exploiting constancy along
-    sub-components (right multiplication by a sub arrow bijects the left
-    classes of the two fibers)."""
+    """[[ambient : sub]]_x for each x in units, as a Fraction, for a sub
+    arrow set inside the ambient one.
+
+    1 at every unit, with no count, under a certificate: G is a certified
+    pair groupoid (pair_components), sub holds the unit arrow of every unit
+    in units, and sub has exactly sum |C|^2 arrows over the components C its
+    arrows span. Distinct arrows of such a G join distinct unit pairs, so
+    sub is then the whole pair relation on each C, and every ambient arrow
+    from x into C lies in the left class of the unit arrow at x. Otherwise
+    index_within counts the classes once per sub-component (constant along
+    it: right multiplication by a sub arrow bijects the left classes of the
+    two fibers).
+    """
+    if pair_components(G) is not None \
+            and all(G.unit_arrow(x) in sub_ids for x in units):
+        spanned = {sub_dec.component_of[G.src[g]] for g in sub_ids}
+        if len(sub_ids) == sum(len(sub_dec.components[c]) ** 2
+                               for c in spanned):
+            return dict.fromkeys(units, Fraction(1))
     out = {}
     per_comp = {}
     for x in units:
@@ -54,6 +72,14 @@ def _per_unit_local_index(G, ambient_ids, sub_ids, units, sub_dec):
     return out
 
 
+def _within(G, sub_by_src, units):
+    """The arrows of an arrows-by-source map (arrows_by) with both ends in
+    units."""
+    inside = set(units)
+    return {g for x in inside for g in sub_by_src.get(x, ())
+            if G.rng[g] in inside}
+
+
 def modular_pair(G, S, *, witnesses=None):
     """The modular cocycle D and the index cocycle K of the pair (G, S).
 
@@ -61,10 +87,37 @@ def modular_pair(G, S, *, witnesses=None):
     a caller with structural knowledge may pass its own family of
     PartialIso objects, which is then verified to cover every arrow.
     Returns (D, K) as QPos cocycles.
+
+    Each witness phi conjugates the S arrows inside its domain once (two
+    products each), found through S's arrows-by-source map, and writes its
+    values at x on the left S-class of g0 = phi(x), cross-checked against
+    every earlier value; a clash names the lowest arrow, D before K.
+
+    - The class walk. When every composable product is defined (a
+      certified pair groupoid, or a composer) the class is {s . g0 : s in
+      S leaving r(g0)}, since g g0^-1 = s exactly when g = s g0: one
+      product per S arrow leaving r(g0). Otherwise (an explicit product
+      table, or a principal map that is not certified) the class is read
+      off a scan of s^-1(x) computing g g0^-1 for every g, which refuses a
+      missing product.
+    - The local indices. On a certified pair groupoid a sub that is the
+      whole pair relation on its components has local index 1 at every
+      unit (_per_unit_local_index), found in one pass over the sub arrows
+      and no product; any other sub is counted by index_within.
+
+    So a level model with its own witnesses costs O(arrows) products, at
+    most three per arrow, and reads no fiber.
     """
     if not G.measure_preserving:
         raise NotMeasurePreserving("modular cocycle needs preserved masses")
     s_ids = _sub_ids(S)
+    if isinstance(S, Subgroupoid) and S.parent is G:
+        sub_by_src = S.by_src
+    else:
+        sub_by_src = arrows_by(G.src, sorted(s_ids))
+    # a certified pair groupoid composes by endpoints and a composer closes
+    # under products, so neither leaves a composable pair undefined
+    walk = pair_components(G) is not None or G._composer is not None
     dec = ErgodicDecomposition(G, sorted(s_ids))
 
     if witnesses is None:
@@ -79,13 +132,19 @@ def modular_pair(G, S, *, witnesses=None):
 
     for phi in family:
         dom = set(phi.domain)
-        s_dom = arrows_within(G, s_ids, dom)
-        s_rng = arrows_within(G, s_ids, phi.range)
-        s_minus = frozenset(g for g in s_dom
-                            if phi.conjugate_arrow(g) in s_ids)
-        s_plus = phi.conjugate_set(s_minus)
-        minus_dec = ErgodicDecomposition(G, sorted(s_minus))
-        plus_dec = ErgodicDecomposition(G, sorted(s_plus))
+        s_dom = _within(G, sub_by_src, dom)
+        s_rng = _within(G, sub_by_src, phi.range)
+        s_minus, s_plus = set(), set()
+        for g in s_dom:
+            k = phi.conjugate_arrow(g)
+            if k in s_ids:
+                s_minus.add(g)
+                s_plus.add(k)
+        # both lie in S, so one as large as S is S, whose components are known
+        minus_dec, plus_dec = (
+            dec if len(sub) == len(s_ids)
+            else ErgodicDecomposition(G, sorted(sub))
+            for sub in (s_minus, s_plus))
 
         # pushforward scalar per s_minus component, constant by the measure
         # preserving assumption; asserted because it is the defining identity
@@ -109,46 +168,60 @@ def modular_pair(G, S, *, witnesses=None):
 
         for x in sorted(dom):
             g0 = phi.arrow(x)
-            g0_inv = G.inv[g0]
             y = G.rng[g0]
             d_val = (dec.conditional_mass(x)) / (dec.conditional_mass(y))
             k_val = li_plus[y] / li_minus[x]
-            # every arrow in the left S-class of g0 carries the same values
-            for g in G.source_fiber(x):
-                w = G.product(g, g0_inv)
-                if w is None:
-                    raise ValueError("modular cocycle needs a complete product")
-                if w not in s_ids:
-                    continue
-                for store, val, name in ((d_values, d_val, "D"),
-                                         (k_values, k_val, "K")):
-                    if store[g] is None:
-                        store[g] = val
-                    elif store[g] != val:
-                        raise VerificationFailure(
-                            f"witnesses disagree on {name} at arrow {g}: "
-                            f"{val} != {store[g]}")
+            # every arrow in the left S-class of g0 carries the same values;
+            # a hole is the first arrow of s^-1(x) whose g g0^-1 is undefined
+            hole = None
+            if walk:
+                members = [G.product(s, g0) for s in sub_by_src.get(y, ())]
+            else:
+                members = []
+                g0_inv = G.inv[g0]
+                for g in G.source_fiber(x):
+                    w = G.product(g, g0_inv)
+                    if w is None:
+                        hole = g
+                        break
+                    if w in s_ids:
+                        members.append(g)
+            # ascending, so a clash names the lowest arrow, D before K
+            for g in sorted(members):
+                if d_values[g] is None:
+                    d_values[g] = d_val
+                    k_values[g] = k_val
+                elif d_values[g] != d_val or k_values[g] != k_val:
+                    name, val, old = (("D", d_val, d_values[g])
+                                      if d_values[g] != d_val
+                                      else ("K", k_val, k_values[g]))
+                    raise VerificationFailure(
+                        f"witnesses disagree on {name} at arrow {g}: "
+                        f"{val} != {old}")
+            if hole is not None:
+                raise ValueError("modular cocycle needs a complete product")
 
     # right translation by an S arrow fixes both values (each cocycle is
-    # the identity on S), so witnessed values spread across source classes
-    changed = True
-    while changed:
-        changed = False
-        for g in range(G.n_arrows):
-            if d_values[g] is not None:
-                continue
-            for s in G.range_fiber(G.src[g]):
-                if s not in s_ids:
+    # the identity on S), so witnessed values spread across source classes;
+    # the S arrows ending at each unit are walked in ascending order
+    missing = [g for g, v in enumerate(d_values) if v is None]
+    if missing:
+        sub_by_rng = arrows_by(G.rng, sorted(s_ids))
+        changed = True
+        while changed:
+            changed = False
+            for g in range(G.n_arrows):
+                if d_values[g] is not None:
                     continue
-                k = G.product(g, s)
-                if k is None or k == g or d_values[k] is None:
-                    continue
-                d_values[g] = d_values[k]
-                k_values[g] = k_values[k]
-                changed = True
-                break
-
-    missing = [g for g in range(G.n_arrows) if d_values[g] is None]
+                for s in sub_by_rng.get(G.src[g], ()):
+                    k = G.product(g, s)
+                    if k is None or k == g or d_values[k] is None:
+                        continue
+                    d_values[g] = d_values[k]
+                    k_values[g] = k_values[k]
+                    changed = True
+                    break
+        missing = [g for g, v in enumerate(d_values) if v is None]
     if missing:
         raise ValueError(
             f"witness family does not cover arrows {missing[:6]} "
@@ -173,9 +246,13 @@ def cohomologous(G, c1, c2):
     arrow: the forest potential (forest_potential) of the ratio c2/c1, which
     solves it exactly when every defect is 1. psi is 1 at the lowest unit
     of each arrow-connected component; any other solution differs by a
-    constant per component. Returned as {unit: psi(unit)}.
+    constant per component. Returned as {unit: psi(unit)}. Both value
+    lists go through QPos.coerce first, so ints give Fractions and a value
+    that is not a positive rational raises TargetMismatch.
     """
-    ratio = [b / a for a, b in zip(_as_values(c1, G), _as_values(c2, G))]
+    coerce = QPos.coerce
+    ratio = [coerce(b) / coerce(a)
+             for a, b in zip(_as_values(c1, G), _as_values(c2, G))]
     _, psi, defects = forest_potential(G, ratio, QPos.op, QPos.inverse,
                                        QPos.identity)
     if any(d != 1 for d in defects):

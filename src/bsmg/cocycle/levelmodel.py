@@ -149,25 +149,31 @@ class BSLevelModel:
 
     def check_modular_identity(self):
         """D(g).K(g) == |q/p| on every floor raise, the reciprocal on every
-        floor lower, and 1 on S. Returns the number of arrows checked."""
+        floor lower, and 1 on S, each decided by integer cross-multiplication
+        of numerators and denominators. Returns the number of arrows
+        checked."""
         D, K = self.modular_cocycles()
+        d_values, k_values = D.values, K.values
         want = self.expected_ratio
         checked = 0
-        for g in self.t_arrow_ids:
-            if D(g) * K(g) != want:
-                raise VerificationFailure(
-                    f"raise arrow {g}: D*K = {D(g) * K(g)} != {want}")
-            checked += 1
-        for g in self.lower_arrow_ids:
-            if D(g) * K(g) != 1 / want:
-                raise VerificationFailure(
-                    f"lower arrow {g}: D*K = {D(g) * K(g)} != {1 / want}")
-            checked += 1
-        for g in sorted(self.S.ids):
-            if D(g) != 1 or K(g) != 1:
+        for kind, arrows, ratio in (("raise", self.t_arrow_ids, want),
+                                    ("lower", self.lower_arrow_ids, 1 / want)):
+            num, den = ratio.numerator, ratio.denominator
+            for g in arrows:
+                d, k = d_values[g], k_values[g]
+                if d.numerator * k.numerator * den \
+                        != d.denominator * k.denominator * num:
+                    raise VerificationFailure(
+                        f"{kind} arrow {g}: D*K = {d * k} != {ratio}")
+            checked += len(arrows)
+        for g in self.S.sorted_ids():
+            d, k = d_values[g], k_values[g]
+            # a Fraction in lowest terms is 1 exactly when its numerator
+            # equals its denominator
+            if d.numerator != d.denominator or k.numerator != k.denominator:
                 raise VerificationFailure(
                     f"arrow {g} of S has nontrivial D or K: "
-                    f"D = {D(g)}, K = {K(g)}")
+                    f"D = {d}, K = {k}")
             checked += 1
         return checked
 

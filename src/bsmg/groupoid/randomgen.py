@@ -13,6 +13,7 @@ same seed produce the same instances.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from .._kernels import component_labels
 from ..errors import GroupTooLarge
@@ -227,9 +228,18 @@ def random_wide_subgroupoid(rng, G, *, max_seeds=4):
 
 
 def random_groupoid(rng, *, max_units=12, max_arrows=400):
-    """A random instance from either family, for the broad law checks."""
+    """A random instance from either family, for the broad law checks, with
+    at most max_arrows arrows: a partition tower is drawn on at most
+    isqrt(max_arrows) units, since n units carry at most n^2 arrows. The
+    smallest instance has 4 arrows, so max_arrows below 4 raises ValueError
+    (before any draw from rng)."""
+    if max_arrows < 4:
+        raise ValueError(
+            f"a random groupoid needs at least 4 arrows, got "
+            f"max_arrows={max_arrows}")
     if rng.random() < 0.5:
-        G, _, _ = random_partition_tower(rng, max_units=max_units)
+        G, _, _ = random_partition_tower(
+            rng, max_units=min(max_units, isqrt(max_arrows)))
         return G
     return random_action_instance(rng, max_units=min(max_units, 10),
                                   max_arrows=max_arrows)

@@ -145,6 +145,11 @@ class TestGroupoid:
         assert code == 2
         assert err.startswith("usage error:")
 
+    def test_random_keeps_to_the_arrow_budget(self, capsys):
+        doc = run_json(capsys, "groupoid", "random", "--kind", "any",
+                       "--units", "4", "--arrows", "4", "--seed", "3")
+        assert len(doc["arrows"]) <= 4
+
     def test_random_round_trips_and_is_deterministic(self, capsys):
         argv = ("groupoid", "random", "--kind", "partition", "--units", "4",
                 "--seed", "5")
@@ -319,6 +324,11 @@ class TestBadInputs:
           "--arrows", "3"),
          "an action instance needs at least 2 units and 4 arrows, got "
          "max_units=3 and max_arrows=3"),
+        (("groupoid", "random", "--kind", "any", "--arrows", "3"),
+         "a random groupoid needs at least 4 arrows, got max_arrows=3"),
+        (("groupoid", "random", "--kind", "partition", "--units", "4",
+          "--arrows", "4", "--seed", "3"),
+         "the partition groupoid drawn has 16 arrows, more than --arrows 4"),
     ])
     def test_usage_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -194,6 +194,21 @@ class TestCohomologous:
         trivial = [Fraction(1)] * G.n_arrows
         assert cohomologous(G, trivial, radon_nikodym(G)) is None
 
+    def test_int_values_give_fractions(self):
+        G = partition_groupoid([Fraction(1, 3)] * 3, [(0, 1, 2)])
+        psi = cohomologous(G, [1] * G.n_arrows, [1] * G.n_arrows)
+        assert psi == {0: 1, 1: 1, 2: 1}
+        assert all(type(v) is Fraction for v in psi.values())
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_a_non_positive_value_is_refused(self, bad):
+        G = partition_groupoid([Fraction(1, 3)] * 3, [(0, 1, 2)])
+        ones = [1] * G.n_arrows
+        for c1, c2 in (([bad] * G.n_arrows, ones), (ones, [bad] * G.n_arrows)):
+            with pytest.raises(TargetMismatch,
+                               match=f"{bad} is not a positive rational"):
+                cohomologous(G, c1, c2)
+
 
 class TestLevelModel:
     def test_floor_sizes(self):

@@ -222,6 +222,32 @@ class TestRandomActionInstance:
         assert (G.n_units, G.n_arrows) == (2, 4)
 
 
+class TestRandomGroupoid:
+    def test_default_bounds_draw_what_they_always_drew(self):
+        # recorded before partition towers were held to max_arrows; every
+        # default draw is on at most 12 <= isqrt(400) units
+        h = hashlib.sha256()
+        for seed in range(200):
+            h.update(random_groupoid(random.Random(seed)).to_json().encode())
+        assert h.hexdigest() == (
+            "5fcddf00cc1488c92f17c20a23875658cbde345e270852b3f591f2982cd0dfe6")
+
+    @pytest.mark.parametrize("max_arrows", [4, 5, 9, 30])
+    def test_every_draw_keeps_to_max_arrows(self, max_arrows):
+        for seed in range(40):
+            G = random_groupoid(random.Random(seed), max_units=8,
+                                max_arrows=max_arrows)
+            assert G.n_arrows <= max_arrows
+
+    @pytest.mark.parametrize("max_arrows", [3, 0, -1])
+    def test_too_small_a_budget_is_refused_before_any_draw(self, max_arrows):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="at least 4 arrows"):
+            random_groupoid(rng, max_arrows=max_arrows)
+        assert rng.getstate() == state
+
+
 class TestPartialIsos:
     def test_two_step_ladder(self):
         G = FiniteMeasuredGroupoid.from_partial_isos(3, [{0: 1}, {1: 2}])
