@@ -1,53 +1,48 @@
-"""Cocycles on finite measured groupoids and their modular invariants."""
+"""Cocycles on finite measured groupoids and their modular invariants.
 
-from .core import (
-    cohomologous,
-    modular_pair,
-    radon_nikodym,
-    transfer_matches,
-)
-from .levelmodel import (
-    BSLevelModel,
-    level_label_normalizer,
-    level_sizes,
-    seed_maps,
-)
-from .mackey import (
-    MackeyRange,
-    TypeLabel,
-    classify_type,
-    flow_type,
-    mackey_range,
-    mackey_range_int,
-    one_loop_model,
-    power_exponents,
-    ranges_isomorphic,
-    scaled_product_model,
-)
-from .values import GroupoidCocycle, QPos, ZAdd, ZModAdd, coboundary
+The names below are loaded from their submodule on first access (PEP 562),
+so importing one submodule does not compile the others.
+"""
 
-__all__ = [
-    "BSLevelModel",
-    "GroupoidCocycle",
-    "MackeyRange",
-    "QPos",
-    "TypeLabel",
-    "ZAdd",
-    "ZModAdd",
-    "classify_type",
-    "coboundary",
-    "cohomologous",
-    "flow_type",
-    "level_label_normalizer",
-    "level_sizes",
-    "mackey_range",
-    "mackey_range_int",
-    "modular_pair",
-    "one_loop_model",
-    "power_exponents",
-    "radon_nikodym",
-    "ranges_isomorphic",
-    "scaled_product_model",
-    "seed_maps",
-    "transfer_matches",
-]
+from importlib import import_module as _import_module
+
+# exported name -> the submodule that defines it
+_SOURCE = {
+    "cohomologous": "core",
+    "modular_pair": "core",
+    "radon_nikodym": "core",
+    "transfer_matches": "core",
+    "BSLevelModel": "levelmodel",
+    "level_label_normalizer": "levelmodel",
+    "level_sizes": "levelmodel",
+    "seed_maps": "levelmodel",
+    "MackeyRange": "mackey",
+    "TypeLabel": "mackey",
+    "classify_type": "mackey",
+    "flow_type": "mackey",
+    "mackey_range": "mackey",
+    "mackey_range_int": "mackey",
+    "one_loop_model": "mackey",
+    "power_exponents": "mackey",
+    "ranges_isomorphic": "mackey",
+    "scaled_product_model": "mackey",
+    "GroupoidCocycle": "values",
+    "QPos": "values",
+    "ZAdd": "values",
+    "ZModAdd": "values",
+    "coboundary": "values",
+}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

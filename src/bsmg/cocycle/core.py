@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import NotMeasurePreserving, VerificationFailure
+from ..errors import (MissingUnitArrow, NotMeasurePreserving,
+                      VerificationFailure)
 from ..groupoid.core import (
     ErgodicDecomposition,
     Subgroupoid,
@@ -83,10 +84,11 @@ def _within(G, sub_by_src, units):
 def modular_pair(G, S, *, witnesses=None):
     """The modular cocycle D and the index cocycle K of the pair (G, S).
 
-    G must be measure preserving. Witnesses default to a covering family;
-    a caller with structural knowledge may pass its own family of
-    PartialIso objects, which is then verified to cover every arrow.
-    Returns (D, K) as QPos cocycles.
+    G must be measure preserving (NotMeasurePreserving), and S must hold
+    the unit arrow of every unit (MissingUnitArrow). Witnesses default to
+    a covering family; a caller with structural knowledge may pass its own
+    family of PartialIso objects, which is then verified to cover every
+    arrow. Returns (D, K) as QPos cocycles.
 
     Each witness phi conjugates the S arrows inside its domain once (two
     products each), found through S's arrows-by-source map, and writes its
@@ -111,6 +113,13 @@ def modular_pair(G, S, *, witnesses=None):
     if not G.measure_preserving:
         raise NotMeasurePreserving("modular cocycle needs preserved masses")
     s_ids = _sub_ids(S)
+    # a unit outside S has no S-class, so its local indices would be 0 / 0
+    lacking = next((x for x in range(G.n_units)
+                    if G.unit_arrow(x) not in s_ids), None)
+    if lacking is not None:
+        raise MissingUnitArrow(
+            f"S lacks the unit arrow of unit {lacking}; a subgroupoid holds "
+            "the unit arrow of every unit")
     if isinstance(S, Subgroupoid) and S.parent is G:
         sub_by_src = S.by_src
     else:

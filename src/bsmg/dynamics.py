@@ -662,6 +662,7 @@ class CesaroReport:
     target: float
     gap: float
     gap_exact: str
+    gap_affine: ThetaAffine
     independent_from: int | None
     samples: list
     burn_in_bound: float
@@ -683,9 +684,11 @@ def cesaro_mixing_test(base, theta, A1, B1, A2, B2, horizon, *,
 
     A1, A2 are interval lists on [0, theta) (affine endpoints allowed);
     B1, B2 are cylinders. Every term is exact; the report carries floats for
-    reading plus the exact final gap. independent_from records the first
-    step from which the base factor equals the product exactly, and the
-    burn-in contribution of the steps before it is bounded in the report.
+    reading plus the exact final gap (average - target), as text in
+    gap_exact and as a value in gap_affine. independent_from records the
+    first step from which the base factor equals the product exactly, and
+    the burn-in contribution of the steps before it is bounded in the
+    report.
     The horizon must be a positive integer (ValueError otherwise).
     """
     if horizon < 1:
@@ -754,7 +757,8 @@ def cesaro_mixing_test(base, theta, A1, B1, A2, B2, horizon, *,
     burn_in_bound = (burn / horizon) * (1.0 + float(product))
     return CesaroReport(horizon, _to_float(theta, avg),
                         _to_float(theta, target_affine), gap_float,
-                        repr(gap), independent_from, samples, burn_in_bound)
+                        repr(gap), gap, independent_from, samples,
+                        burn_in_bound)
 
 
 def _to_float(theta, value):

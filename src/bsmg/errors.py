@@ -29,6 +29,11 @@ class UnknownUnit(BsmgError, ValueError):
     """A unit index outside [0, n_units) of the groupoid it was given for."""
 
 
+class MissingUnitArrow(BsmgError, ValueError):
+    """An arrow set used as a wide subgroupoid lacks the unit arrow of some
+    unit."""
+
+
 class NotAnInteger(BsmgError, ValueError):
     """A count that must be an integer (an int or an integral Fraction) was
     given something else."""
@@ -74,7 +79,7 @@ class NotPowerValued(BsmgError):
     """Cocycle values are not powers of the modular ratio."""
 
 
-class InvalidLevel(BsmgError):
+class InvalidLevel(BsmgError, ValueError):
     """Level parameters out of range."""
 
 

@@ -19,8 +19,9 @@ from .cocycle.mackey import (TypeLabel, classify_type, mackey_range,
                              one_loop_model, ranges_isomorphic,
                              scaled_product_model)
 from .dynamics import (BernoulliBase, CylinderSet, ThetaValue, ZCycleModel,
-                       beta_cocycle, cesaro_mixing_test, component_counts,
-                       coupling_action, coupling_point, n_element_words,
+                       affine_floor, affine_sign, beta_cocycle,
+                       cesaro_mixing_test, component_counts, coupling_action,
+                       coupling_point, div_by_theta, n_element_words,
                        periodic_model, periodicity_check,
                        rotation_model_orbit)
 from .errors import VerificationFailure
@@ -458,11 +459,11 @@ def check_beta_laws(rng, cases):
             width = abs(theta.frac)
             x = width * Fraction(rng.randrange(8), 8)
             sign = 1 if theta.frac > 0 else -1
-            wfloat = float(width)
         else:
             x = Fraction(1, 2)
             sign = 1
-            wfloat = 1.6180339887498949
+        # floor(2 span / |theta|), exact for golden theta too
+        least = affine_floor(theta, div_by_theta(theta, sign * 2 * span))
         prev = None
         first = last = None
         for n in range(-span, span + 1):
@@ -475,7 +476,7 @@ def check_beta_laws(rng, cases):
             prev = m
             last = m
         spread = abs(last - first)
-        _require(spread >= int(2 * span / wfloat) - 3,
+        _require(spread >= least - 3,
                  "return time bounded", theta=theta, x=x, spread=spread)
     return cases, f"{cases} translation lengths, n in [-{span}, {span}]"
 
@@ -540,8 +541,11 @@ def check_cesaro_mixing(rng, cases):
     B1 = CylinderSet.of({0: 1})
     B2 = CylinderSet.of({2: 0})
     rep = cesaro_mixing_test(base, theta, A1, B1, A2, B2, 10_000)
-    _require(rep.gap < 0.05, "Cesaro gap too large", gap=rep.gap,
-             horizon=rep.horizon)
+    # |gap| < 1/20, decided on the exact gap
+    bound = Fraction(1, 20)
+    _require(affine_sign(theta, rep.gap_affine - bound) < 0
+             and affine_sign(theta, rep.gap_affine + bound) > 0,
+             "Cesaro gap too large", gap=rep.gap, horizon=rep.horizon)
     return 1, f"gap {rep.gap:.4f} at horizon 10000"
 
 
@@ -644,13 +648,16 @@ def run_suite(bundle="all", seed=0, max_cases=None):
     Every check gets its own generator seeded from (seed, name), so results
     are reproducible per check and independent of bundle composition. A
     check that raises anything becomes a FAIL row naming the exception
-    type, and the rows after it still run.
+    type, and the rows after it still run. max_cases caps every check's
+    case count and must be at least 1 (ValueError otherwise).
     """
     if bundle not in BUNDLES:
         raise KeyError(f"unknown bundle {bundle!r}")
+    if max_cases is not None and max_cases < 1:
+        raise ValueError(f"the case cap must be at least 1, got {max_cases}")
     results = []
     for name, fn, cases in BUNDLES[bundle]:
-        n = cases if max_cases is None else max(1, min(cases, max_cases))
+        n = cases if max_cases is None else min(cases, max_cases)
         rng = random.Random(f"{seed}:{name}")
         try:
             ran, detail = fn(rng, n)

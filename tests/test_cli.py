@@ -329,6 +329,13 @@ class TestBadInputs:
         (("groupoid", "random", "--kind", "partition", "--units", "4",
           "--arrows", "4", "--seed", "3"),
          "the partition groupoid drawn has 16 arrows, more than --arrows 4"),
+        (("cocycle", "level-model", "--p", "2", "--q", "3", "--k", "-1",
+          "--l", "0"),
+         "need k >= 1 and l >= 0, got (-1,0)"),
+        (("suite", "lemmas", "--cases", "0"),
+         "the case cap must be at least 1, got 0"),
+        (("suite", "lemmas", "--cases", "-3"),
+         "the case cap must be at least 1, got -3"),
     ])
     def test_usage_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -13,7 +13,7 @@ import pytest
 from bsmg.cocycle.core import modular_pair
 from bsmg.cocycle.levelmodel import BSLevelModel
 from bsmg.cocycle.values import GroupoidCocycle, QPos
-from bsmg.errors import VerificationFailure
+from bsmg.errors import BsmgError, MissingUnitArrow, VerificationFailure
 from bsmg.groupoid.core import FiniteMeasuredGroupoid, Subgroupoid, restrict
 from bsmg.groupoid.randomgen import (
     random_action_instance,
@@ -144,7 +144,7 @@ class TestDigests:
         outcomes = list(corrupted_outcomes())
         assert len(outcomes) == 32
         assert digest(outcomes) == (
-            "b62a0511ecf38e4d394f5e30c60fe36976eae6ae62c2b6dd6ce4ba49628fdeaf")
+            "12263b581417e2d6b1b0a8deef819fb6aa6de5a30b990d22d88802a340a7d754")
 
     def test_action_instances_and_restrictions(self):
         outcomes = list(action_outcomes())
@@ -179,6 +179,18 @@ class TestRefusals:
         with pytest.raises(ValueError,
                            match="modular cocycle needs a complete product"):
             modular_pair(G, Subgroupoid(G, (), check=False))
+
+    def test_a_unit_outside_s_is_named(self):
+        # floor 0 of BS(2,3) at level (1,1) has 6 units, so unit 6 is the
+        # first floor-1 unit, whose unit arrow the bare floor-0 set lacks
+        model = BSLevelModel(BSParams(2, 3), 1, 1)
+        S = next(sub for sub in corrupted_subs(model)
+                 if isinstance(sub, frozenset))
+        with pytest.raises(MissingUnitArrow) as err:
+            modular_pair(model.groupoid, S, witnesses=model.witnesses)
+        assert isinstance(err.value, BsmgError)
+        assert isinstance(err.value, ValueError)
+        assert str(err.value).startswith("S lacks the unit arrow of unit 6;")
 
 
 class TestWalk:
