@@ -19,9 +19,9 @@ from ..groupoid.core import (
     ErgodicDecomposition,
     Subgroupoid,
     arrows_by,
+    certificate,
     forest_potential,
     index_within,
-    pair_components,
 )
 from ..groupoid.pseudogroup import witness_family
 from .values import GroupoidCocycle, QPos
@@ -47,7 +47,7 @@ def _per_unit_local_index(G, ambient_ids, sub_ids, units, sub_dec):
     arrow set inside the ambient one.
 
     1 at every unit, with no count, under a certificate: G is a certified
-    pair groupoid (pair_components), sub holds the unit arrow of every unit
+    pair groupoid (certificate), sub holds the unit arrow of every unit
     in units, and sub has exactly sum |C|^2 arrows over the components C its
     arrows span. Distinct arrows of such a G join distinct unit pairs, so
     sub is then the whole pair relation on each C, and every ambient arrow
@@ -56,7 +56,8 @@ def _per_unit_local_index(G, ambient_ids, sub_ids, units, sub_dec):
     it: right multiplication by a sub arrow bijects the left classes of the
     two fibers).
     """
-    if pair_components(G) is not None \
+    cert = certificate(G)
+    if cert is not None and cert.kind == "pair" \
             and all(G.unit_arrow(x) in sub_ids for x in units):
         spanned = {sub_dec.component_of[G.src[g]] for g in sub_ids}
         if len(sub_ids) == sum(len(sub_dec.components[c]) ** 2
@@ -124,10 +125,12 @@ def modular_pair(G, S, *, witnesses=None):
         sub_by_src = S.by_src
     else:
         sub_by_src = arrows_by(G.src, sorted(s_ids))
-    # a certified pair groupoid composes by endpoints and a composer closes
-    # under products, so neither leaves a composable pair undefined
-    walk = pair_components(G) is not None or G._composer is not None
+    # a certified groupoid composes by endpoints or by group elements and a
+    # composer closes under products, so none leaves a composable pair
+    # undefined
+    walk = certificate(G) is not None or G._composer is not None
     dec = ErgodicDecomposition(G, sorted(s_ids))
+    cond = dec.conditional_masses
 
     if witnesses is None:
         reports = witness_family(G, S if isinstance(S, Subgroupoid)
@@ -158,12 +161,11 @@ def modular_pair(G, S, *, witnesses=None):
         # pushforward scalar per s_minus component, constant by the measure
         # preserving assumption; asserted because it is the defining identity
         scalar_of = {}
+        cond_minus = minus_dec.conditional_masses
+        cond_plus = plus_dec.conditional_masses
         for x in dom:
             c = minus_dec.component_of[x]
-            num = G.masses[x] / minus_dec.masses[c]
-            y = phi.target(x)
-            den = G.masses[y] / plus_dec.masses[plus_dec.component_of[y]]
-            val = num / den
+            val = cond_minus[x] / cond_plus[phi.target(x)]
             if c in scalar_of:
                 if scalar_of[c] != val:
                     raise VerificationFailure(
@@ -178,7 +180,7 @@ def modular_pair(G, S, *, witnesses=None):
         for x in sorted(dom):
             g0 = phi.arrow(x)
             y = G.rng[g0]
-            d_val = (dec.conditional_mass(x)) / (dec.conditional_mass(y))
+            d_val = cond[x] / cond[y]
             k_val = li_plus[y] / li_minus[x]
             # every arrow in the left S-class of g0 carries the same values;
             # a hole is the first arrow of s^-1(x) whose g g0^-1 is undefined

@@ -406,7 +406,10 @@ def l_theta(word, params):
 
 def n_element_words(params, count=10):
     """Distinct nontrivial words with trivial modular value and zero line
-    coordinate: commutator-built elements of the kernel of both maps."""
+    coordinate: commutator-built elements of the kernel of both maps. A
+    count below 1 raises ValueError before the search."""
+    if count < 1:
+        raise ValueError(f"the word count must be at least 1, got {count}")
     a = GroupWord.a()
     t = GroupWord.t()
 
@@ -771,11 +774,14 @@ def _to_float(theta, value):
 def component_counts(c, n, r, s, kmax, lmax):
     """|W_{k,l}| = orbit count of the subgroup step r^k s^l c on Z/n,
     computed by orbit enumeration and cross-checked against the gcd closed
-    form; the two ladder divisibility laws are asserted over the table."""
+    form; the two ladder divisibility laws are asserted over the table. A
+    step c that is not a unit mod n raises NotErgodic (a ValueError) before
+    any orbit is walked."""
     if n < 1 or r < 1 or s < 1:
         raise ValueError("moduli and scaling steps must be positive")
     if gcd(c, n) != 1:
-        raise NotErgodic(f"step {c} on Z/{n} has gcd {gcd(c, n)}")
+        raise NotErgodic(
+            f"the step must be a unit mod {n}, got {c} (gcd {gcd(c, n)})")
     table = {}
     for k in range(kmax + 1):
         for l in range(lmax + 1):

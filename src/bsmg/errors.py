@@ -96,8 +96,8 @@ class NotAUnit(BsmgError):
     """Ring element is not a unit at its truncation."""
 
 
-class NotErgodic(BsmgError):
-    """Operation requires an ergodic base action."""
+class NotErgodic(BsmgError, ValueError):
+    """Operation requires an ergodic base action; the input is refused."""
 
 
 class PrecisionError(BsmgError):

@@ -69,6 +69,13 @@ def _free_reduce(word):
     return tuple(out)
 
 
+def _inverse_perm(perm):
+    inverse = [0] * len(perm)
+    for i, v in enumerate(perm):
+        inverse[v] = i
+    return tuple(inverse)
+
+
 class _GroupComposer:
     """Label composition for action groupoids: labels are ("g", element index)
     and multiply through the abstract group elements."""
@@ -76,16 +83,35 @@ class _GroupComposer:
     def __init__(self, elements, index_of):
         self.elements = elements
         self.index_of = index_of
-        self._mult = {}
+        self.order = len(elements)
+        # i * order + j -> the index of elements[i] o elements[j], filled on
+        # first use: at most one int per element pair
+        self.products = {}
+        # (src, rng, inv, labels) of the action groupoid of this group: arrow
+        # e.n + x, for n units, has source x, range e[x], label ("g", e) and
+        # inverse inv(e).n + e[x]
+        n = len(elements[0])
+        inverses = [index_of[_inverse_perm(p)] for p in elements]
+        self.layout = (
+            tuple(range(n)) * self.order,
+            tuple(y for perm in elements for y in perm),
+            tuple(i * n + y for i, perm in zip(inverses, elements)
+                  for y in perm),
+            tuple(label for e in range(self.order)
+                  for label in [("g", e)] * n))
+
+    def multiply(self, i, j):
+        """The index of elements[i] o elements[j] (j acts first)."""
+        key = i * self.order + j
+        k = self.products.get(key)
+        if k is None:
+            pi = self.elements[i]
+            k = self.products[key] = self.index_of[
+                tuple(map(pi.__getitem__, self.elements[j]))]
+        return k
 
     def mul(self, lg, lh):
-        key = (lg[1], lh[1])
-        result = self._mult.get(key)
-        if result is None:
-            pi, pj = self.elements[key[0]], self.elements[key[1]]
-            result = self.index_of[tuple(pi[pj[i]] for i in range(len(pi)))]
-            self._mult[key] = result
-        return ("g", result)
+        return ("g", self.multiply(lg[1], lh[1]))
 
 
 class _WordComposer:
@@ -129,8 +155,8 @@ class FiniteMeasuredGroupoid:
         # 3.11.
         self._src_fibers = None
         self._rng_fibers = None
-        # pair_components' certificate, computed on first use
-        self._pair_components = _UNCHECKED
+        # certificate(G): set by from_group_action, else computed on first use
+        self._certificate = _UNCHECKED
         self.product_complete = product_complete
         self.rn_values = tuple(rn_values) if rn_values is not None else None
         for x in range(self.n_units):
@@ -175,11 +201,26 @@ class FiniteMeasuredGroupoid:
         return self._rng_fibers.get(x, ())
 
     def product(self, g, h):
-        """g . h for s(g) = r(h); None when not composable or outside a window."""
-        if self.src[g] != self.rng[h]:
+        """g . h for s(g) = r(h); None when not composable or outside a window.
+
+        A principal groupoid looks the product up by endpoints. A certified
+        action groupoid (certificate) multiplies the two group elements:
+        arrow e.n + x is (e, x), so g . h is mul(e_g, e_h).n + s(h), each
+        element pair composed once and cached under one int key. Any other
+        groupoid composes labels, caching each arrow pair's result."""
+        src = self.src
+        if src[g] != self.rng[h]:
             return None
         if self._principal is not None:
-            return self._principal(self.src[h], self.rng[g])
+            return self._principal(src[h], self.rng[g])
+        cert = self._certificate
+        if cert.__class__ is ActionCertificate:
+            n = self.n_units
+            i, j = g // n, h // n
+            k = cert.products.get(i * cert.order + j)
+            if k is None:
+                k = cert.composer.multiply(i, j)
+            return k * n + src[h]
         key = (g, h)
         cached = self._prod.get(key)
         if cached is not None:
@@ -187,7 +228,7 @@ class FiniteMeasuredGroupoid:
         if self._composer is None:
             return None
         label = self._composer.mul(self.labels[g], self.labels[h])
-        result = self._by_src_label.get((self.src[h], label))
+        result = self._by_src_label.get((src[h], label))
         if result is None:
             raise VerificationFailure(
                 f"closed groupoid is missing the composite of ({g},{h})")
@@ -196,13 +237,9 @@ class FiniteMeasuredGroupoid:
 
     @property
     def measure_preserving(self):
-        comp_of = pair_components(self)
-        if comp_of is not None:
-            # every unit pair of a component carries an arrow, so the masses
-            # are preserved iff they are constant on each component
-            first = {}
-            return all(first.setdefault(c, m) == m
-                       for c, m in zip(comp_of, self.masses))
+        cert = certificate(self)
+        if cert is not None:
+            return cert.preserves_masses(self)
         return all(self.masses[self.src[g]] == self.masses[self.rng[g]]
                    for g in range(self.n_arrows))
 
@@ -229,7 +266,12 @@ class FiniteMeasuredGroupoid:
 
         action_gens are permutations of the units; the group is the
         transformation group they generate, with at most bound elements
-        (GroupTooLarge otherwise).
+        (GroupTooLarge otherwise). Arrow e.n + x is element e acting at unit
+        x. The result is certified as an action groupoid (certificate) in one
+        pass over the arrows, with the generators' element indices recorded:
+        products then multiply group elements, validate answers [] while no
+        RN values are attached, and GroupoidCocycle.check tests the cocycle
+        law on generators only.
         """
         if not action_gens:
             raise ValueError("need at least one generator")
@@ -244,24 +286,12 @@ class FiniteMeasuredGroupoid:
         index_of = {e: i for i, e in enumerate(group_elements)}
         if masses is None:
             masses = [Fraction(1, n)] * n
-        inv_elem = []
-        for e in group_elements:
-            inverse = [0] * len(e)
-            for i, v in enumerate(e):
-                inverse[v] = i
-            inv_elem.append(index_of[tuple(inverse)])
-        src, rng, inv, labs = [], [], [], []
-        for ei, e in enumerate(group_elements):
-            for x in range(n):
-                src.append(x)
-                rng.append(e[x])
-                labs.append(("g", ei))
-                inv.append(inv_elem[ei] * n + e[x])
         composer = _GroupComposer(group_elements, index_of)
-        G = cls(range(n), masses, src, rng, inv, labs, composer)
+        G = cls(range(n), masses, *composer.layout, composer)
         # the group is its own transformation group: each element is the
         # permutation it acts by
         G.group_elements = G.action_perms = tuple(group_elements)
+        G._certificate = _certify_action(G, [index_of[g] for g in action_gens])
         return G
 
     @classmethod
@@ -473,7 +503,7 @@ class Subgroupoid:
         self._by_src = None
         # [parent : self] at every unit when the parent is a certified pair
         # groupoid and this arrow set is closed under inverse; see index
-        self._pair_indices = _UNCHECKED
+        self._indices = _UNCHECKED
         if check:
             self._check()
 
@@ -572,7 +602,16 @@ class ErgodicDecomposition:
         for x, c in enumerate(labels):
             comps[c].append(x)
         self.components = tuple(tuple(c) for c in comps)
-        self.masses = tuple(parent.mass_of(c) for c in self.components)
+        self._masses = None
+        self._conditional = None
+
+    @property
+    def masses(self):
+        """The mass of each component, summed on first read."""
+        if self._masses is None:
+            self._masses = tuple(self.parent.mass_of(c)
+                                 for c in self.components)
+        return self._masses
 
     @property
     def n_components(self):
@@ -581,9 +620,20 @@ class ErgodicDecomposition:
     def component(self, x):
         return self.components[self.component_of[x]]
 
+    @property
+    def conditional_masses(self):
+        """The mass of every unit under the normalized measure of its
+        component, computed on first read."""
+        if self._conditional is None:
+            masses = self.masses
+            self._conditional = tuple(
+                m / masses[c]
+                for m, c in zip(self.parent.masses, self.component_of))
+        return self._conditional
+
     def conditional_mass(self, x):
         """Mass of x under the normalized measure of its component."""
-        return self.parent.masses[x] / self.masses[self.component_of[x]]
+        return self.conditional_masses[x]
 
     def is_ergodic(self):
         return self.n_components == 1
@@ -650,27 +700,174 @@ def forest_potential(G, values, op, inverse, identity):
     return dec, psi, defects
 
 
-def pair_components(G):
-    """G's component labels (ErgodicDecomposition(G).component_of) when G is
-    exactly the pair groupoid of its components, else None. Cached on G.
+def certificate(G):
+    """What G is known to be exactly, or None. Cached on G.
 
-    Certified in one arrow pass for a groupoid with a principal map: every
-    arrow g has principal_map(s(g), r(g)) == g, so arrows are determined by
-    their endpoints; inv[g] has the swapped endpoints, so it is
-    principal_map(r(g), s(g)); and the units grouped by the lowest unit an
-    arrow from them reaches form blocks B that no arrow leaves, with sum
-    |B|^2 == n_arrows, so the blocks are the components and every unit
-    pair of a component carries an arrow. The product of a composable pair
-    is then the arrow between its outer endpoints, which makes the groupoid
-    axioms hold and every product on G forced.
+    - A PairCertificate (kind "pair"): G is the pair groupoid of its
+      components. Computed on first use for a groupoid with a principal map
+      (level models, partition groupoids and their restrictions).
+    - An ActionCertificate (kind "action"): G is the action groupoid of a
+      finite permutation group. Set by from_group_action when it builds G.
+
+    Each kind answers, in O(arrows) per generator or less: are the masses
+    preserved, do the groupoid axioms hold, and is a value list a cocycle;
+    the pair kind also gives the index of a subgroupoid at every unit. A
+    restriction of an action groupoid, a groupoid read back from JSON and a
+    hand-built window get no certificate. Without one, or when a fast test
+    fails, every caller runs its fiber scan, so messages never depend on the
+    certificate.
     """
-    comp_of = G._pair_components
-    if comp_of is _UNCHECKED:
-        comp_of = G._pair_components = _certify_pair(G)
-    return comp_of
+    cert = G._certificate
+    if cert is _UNCHECKED:
+        cert = G._certificate = _certify_pair(G)
+    return cert
+
+
+class PairCertificate:
+    """G is exactly the pair groupoid of its components: component_of is
+    ErgodicDecomposition(G).component_of, and every unit pair of a component
+    carries exactly one arrow, principal_map(source, range). The product of
+    a composable pair is the arrow between its outer endpoints, so the
+    groupoid axioms hold and every product on G is forced."""
+
+    kind = "pair"
+
+    def __init__(self, component_of):
+        self.component_of = component_of
+
+    def preserves_masses(self, G):
+        # every unit pair of a component carries an arrow, so the masses are
+        # preserved iff they are constant on each component
+        first = {}
+        return all(first.setdefault(c, m) == m
+                   for c, m in zip(self.component_of, G.masses))
+
+    def axioms_hold(self, G):
+        return G.rn_values is None or self.potential_holds(
+            G, G.rn_values, operator.mul, _reciprocal)
+
+    def potential_holds(self, G, values, op, inverse):
+        """True when every values[g] is op(psi(r(g)), inverse(psi(s(g))))
+        for the potential psi(x) = values[arrow from the lowest unit of x's
+        component to x], that is along the spanning star of each component.
+
+        For values in an abelian group (exact ints or Fractions) that is
+        exactly the cocycle condition on every composable pair. A potential
+        with no inverse, a value that is not exact, or a value count other
+        than n_arrows counts as a failure.
+        """
+        if len(values) != G.n_arrows or not all_exact(values):
+            return False
+        pmap = G._principal
+        roots = {}
+        psi = [values[pmap(roots.setdefault(c, x), x)]
+               for x, c in enumerate(self.component_of)]
+        try:
+            psi_inv = [inverse(v) for v in psi]
+        except ZeroDivisionError:
+            return False
+        if not all_exact(psi_inv):
+            return False
+        return all(v == op(psi[r], psi_inv[s])
+                   for v, s, r in zip(values, G.src, G.rng))
+
+    def indices(self, H):
+        """[H.parent : H]_x for every unit x, or None unless H is closed
+        under inverse. Cached on H.
+
+        On a pair groupoid the left H-class of the arrow x -> y is reached
+        from it by H arrows leaving y, so with H closed under inverse the
+        classes of s^-1(x) are the H-components inside the component of x.
+        """
+        counts = H._indices
+        if counts is _UNCHECKED:
+            counts = H._indices = self._count_indices(H)
+        return counts
+
+    def _count_indices(self, H):
+        G = H.parent
+        ids = H.ids
+        if min(ids) < 0 or max(ids) >= G.n_arrows \
+                or any(G.inv[g] not in ids for g in ids):
+            return None
+        h_labels = component_labels(G.n_units, [G.src[g] for g in ids],
+                                    [G.rng[g] for g in ids])
+        inner = {}
+        for c, h in zip(self.component_of, h_labels):
+            inner.setdefault(c, set()).add(h)
+        return tuple(len(inner[c]) for c in self.component_of)
+
+
+class ActionCertificate:
+    """G is exactly the action groupoid of its composer's permutation group,
+    laid out as _GroupComposer.layout. perm_closure built the group, so it
+    is closed, every product is defined and is the arrow mul(e_g, e_h).n +
+    s(h), and the axioms hold. generators are the element indices of the
+    permutations the group was generated from; perm_closure reaches every
+    element as a positive word in them."""
+
+    kind = "action"
+
+    def __init__(self, composer, generators):
+        self.composer = composer
+        # read on every FiniteMeasuredGroupoid.product call
+        self.order = composer.order
+        self.products = composer.products
+        self.generators = tuple(generators)
+
+    def preserves_masses(self, G):
+        # invariant under every generator means invariant under the group
+        masses, elements = G.masses, self.composer.elements
+        return all(masses[elements[s][x]] == m for s in self.generators
+                   for x, m in enumerate(masses))
+
+    def axioms_hold(self, G):
+        return G.rn_values is None
+
+    def generator_pairs(self):
+        """Yield (g, h, g . h) for every composable pair whose right factor
+        h is a generator acting at some unit: |group| x |generators| x
+        |units| pairs, generator by generator, then element by element.
+
+        A value list that sends the unit arrows to the identity of an
+        abelian group and multiplies on these pairs, c(es, x) = c(e, s.x)
+        c(s, x), multiplies on every composable pair: every element d is a
+        positive word in the generators, and induction on its length gives
+        c(ed, x) = c(e, d.x) c(d, x).
+        """
+        elements, multiply = self.composer.elements, self.composer.multiply
+        n = len(elements[0])
+        for s in self.generators:
+            perm = elements[s]
+            for e in range(self.order):
+                g0, k0 = e * n, multiply(e, s) * n
+                for x in range(n):
+                    yield g0 + perm[x], s * n + x, k0 + x
+
+
+def _certify_action(G, generators):
+    """An ActionCertificate for G, or None unless G has a group composer, no
+    principal map, and exactly its composer's layout: one comparison per
+    arrow and field. generators must be the element indices of the
+    permutations perm_closure built the group from, which is what makes the
+    cocycle test on generators complete."""
+    composer = G._composer
+    if not isinstance(composer, _GroupComposer) or G._principal is not None \
+            or G.n_units != len(composer.elements[0]):
+        return None
+    if (G.src, G.rng, G.inv, G.labels) != composer.layout:
+        return None
+    return ActionCertificate(composer, generators)
 
 
 def _certify_pair(G):
+    """A PairCertificate for G, or None, in one arrow pass for a groupoid
+    with a principal map: every arrow g has principal_map(s(g), r(g)) == g,
+    so arrows are determined by their endpoints; inv[g] has the swapped
+    endpoints, so it is principal_map(r(g), s(g)); and the units grouped by
+    the lowest unit an arrow from them reaches form blocks B that no arrow
+    leaves, with sum |B|^2 == n_arrows, so the blocks are the components and
+    every unit pair of a component carries an arrow."""
     pmap = G._principal
     n, m = G.n_units, G.n_arrows
     src, rng, inv = G.src, G.rng, G.inv
@@ -703,73 +900,16 @@ def _certify_pair(G):
         sizes[c] += 1
     if sum(k * k for k in sizes) != m:
         return None
-    return labels
-
-
-def pair_potential_holds(G, values, op, inverse):
-    """True when G is a certified pair groupoid (pair_components) and every
-    values[g] is op(psi(r(g)), inverse(psi(s(g)))) for the potential psi(x) =
-    values[arrow from the lowest unit of x's component to x], that is along
-    the spanning star of each component.
-
-    For values in an abelian group (exact ints or Fractions) that is
-    exactly the cocycle condition on every composable pair: the product of
-    (g, h) is the arrow from s(h) to r(g). A potential with no inverse, a
-    value that is not exact, or a value count other than n_arrows counts as
-    a failure.
-    """
-    comp_of = pair_components(G)
-    if comp_of is None or len(values) != G.n_arrows or not _exact(values):
-        return False
-    pmap = G._principal
-    roots = {}
-    psi = [values[pmap(roots.setdefault(c, x), x)]
-           for x, c in enumerate(comp_of)]
-    try:
-        psi_inv = [inverse(v) for v in psi]
-    except ZeroDivisionError:
-        return False
-    if not _exact(psi_inv):
-        return False
-    return all(v == op(psi[r], psi_inv[s])
-               for v, s, r in zip(values, G.src, G.rng))
+    return PairCertificate(labels)
 
 
 def _reciprocal(v):
     return 1 / Fraction(v)
 
 
-def _exact(values):
+def all_exact(values):
+    """True when every value is an int or a Fraction."""
     return all(type(v) is int or type(v) is Fraction for v in values)
-
-
-def _pair_indices(H):
-    """[H.parent : H]_x for every unit x, or None unless the parent is a
-    certified pair groupoid and H is closed under inverse. Cached on H.
-
-    On a pair groupoid the left H-class of the arrow x -> y is reached from
-    it by H arrows leaving y, so with H closed under inverse the classes of
-    s^-1(x) are the H-components inside the component of x.
-    """
-    counts = H._pair_indices
-    if counts is _UNCHECKED:
-        counts = H._pair_indices = _count_pair_indices(H)
-    return counts
-
-
-def _count_pair_indices(H):
-    G = H.parent
-    comp_of = pair_components(G)
-    ids = H.ids
-    if comp_of is None or min(ids) < 0 or max(ids) >= G.n_arrows \
-            or any(G.inv[g] not in ids for g in ids):
-        return None
-    h_labels = component_labels(G.n_units, [G.src[g] for g in ids],
-                                [G.rng[g] for g in ids])
-    inner = {}
-    for c, h in zip(comp_of, h_labels):
-        inner.setdefault(c, set()).add(h)
-    return tuple(len(inner[c]) for c in comp_of)
 
 
 def restrict(G, units):
@@ -897,7 +1037,7 @@ def index(G, H, x):
     H is a Subgroupoid of G (ParamMismatch when its parent is another
     groupoid) or a collection of arrow ids of G; x must be a unit of G
     (UnknownUnit otherwise). When H is a Subgroupoid closed under inverse
-    and G a certified pair groupoid (pair_components), the index is the
+    and G a certified pair groupoid (certificate), the index is the
     number of H-components inside the component of x: one O(arrows) pass
     computes it for every unit and caches it on H, and each call is then
     O(1). Otherwise the fiber scan of index_of_pair walks s^-1(x) and, from
@@ -907,7 +1047,9 @@ def index(G, H, x):
     rebuild it."""
     if isinstance(H, Subgroupoid):
         _require_parent(G, H)
-        counts = _pair_indices(H)
+        cert = certificate(G)
+        counts = cert.indices(H) if cert is not None \
+            and cert.kind == "pair" else None
         if counts is not None:
             require_unit(G, x)
             return counts[x]
@@ -956,16 +1098,18 @@ def index_within(G, ambient_ids, sub_ids, units, x):
 def validate(G):
     """Axiom check; returns a list of human-readable violations.
 
-    O(arrows) on a certified pair groupoid (pair_components) whose attached
-    RN values, if any, are psi(r)/psi(s) for a potential psi
-    (pair_potential_holds): the answer is then []. Otherwise, and so to
-    explain any defect, the fiber scan is exhaustive over the composable
-    pairs (g, h) of composable_pairs and over the triples (g, h, f) with
-    (g, h) defined and f in r^-1(s(h)): a principal groupoid on n units
-    costs n^3 pairs and n^4 triples."""
-    if all(m > 0 for m in G.masses) and pair_components(G) is not None and (
-            G.rn_values is None or pair_potential_holds(
-                G, G.rn_values, operator.mul, _reciprocal)):
+    [] at once, when every mass is positive, on a certified groupoid
+    (certificate) whose attached RN values pass its test: a pair groupoid
+    with no RN values or with RN values psi(r)/psi(s) for a potential psi
+    (O(arrows)), or an action groupoid with no RN values (O(units)).
+    Otherwise, and so to explain any defect, the fiber scan is exhaustive
+    over the composable pairs (g, h) of composable_pairs and over the
+    triples (g, h, f) with (g, h) defined and f in r^-1(s(h)): a principal
+    groupoid on n units costs n^3 pairs and n^4 triples, an action groupoid
+    of a group of order m on n units m^2 n pairs and m^3 n triples."""
+    cert = certificate(G)
+    if cert is not None and all(m > 0 for m in G.masses) \
+            and cert.axioms_hold(G):
         return []
     problems = []
     for x in range(G.n_units):
@@ -990,14 +1134,16 @@ def validate(G):
         if G.src[k] != G.src[h] or G.rng[k] != G.rng[g]:
             problems.append(f"product ({g},{h}) has wrong endpoints")
         defined.append((g, h, k))
-    table = {(g, h): k for g, h, k in defined}
+    # rows[g]: {h: g.h} over the defined pairs, each h in range-fiber order
+    rows = {}
     for g, h, k in defined:
-        for f in G.range_fiber(G.src[h]):
-            hf = table.get((h, f))
-            if hf is None:
-                continue
-            left = table.get((k, f))
-            right = table.get((g, hf))
+        rows.setdefault(g, {})[h] = k
+    empty = {}
+    for g, h, k in defined:
+        row_g, row_k = rows[g], rows.get(k, empty)
+        for f, hf in rows.get(h, empty).items():
+            left = row_k.get(f)
+            right = row_g.get(hf)
             if left is not None and right is not None and left != right:
                 problems.append(f"associativity fails at ({g},{h},{f})")
     if G.rn_values is not None:

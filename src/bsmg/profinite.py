@@ -18,6 +18,7 @@ import re
 from math import gcd
 
 from .errors import (
+    InvalidLevel,
     LevelBudgetExceeded,
     NotAUnit,
     ParamMismatch,
@@ -156,8 +157,11 @@ def check_unit_fixes_level(r, k, l):
     """Does multiplication by the unit r fix d0 p0^k q0^l . Z/M pointwise?
 
     Checked two ways, by sweeping the submodule and by the congruence
-    d0 p0^k q0^l (r - 1) = 0 mod M; they must agree.
+    d0 p0^k q0^l (r - 1) = 0 mod M; they must agree. A negative k or l
+    raises InvalidLevel.
     """
+    if k < 0 or l < 0:
+        raise InvalidLevel(f"need k >= 0 and l >= 0, got ({k},{l})")
     _require_unit(r)
     K, L = r.level
     if k > K or l > L:

@@ -42,6 +42,12 @@ class BSParams:
     q0: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.p == 0 or self.q == 0:
+            zero = "p" if self.p == 0 else "q"
+            raise ValueError(
+                f"BS({self.p},{self.q}) has {zero} = 0; supported parameters "
+                "have 2 <= |p| <= |q|"
+            )
         if abs(self.p) < 2 or abs(self.q) < 2:
             raise ValueError(
                 f"BS({self.p},{self.q}) is amenable (|p| = 1 or |q| = 1); "
@@ -298,11 +304,13 @@ def conjugation_exponents(
     N Z, and a gcd adjustment restores divisibility by s on both sides. The
     answer is exact however large n is; bound caps the tree radius only.
     |m/n| = modular_hom(g) and the conjugation identity itself are checked
-    on the result.
+    on the result. A negative bound raises ValueError before any search.
     """
     from . import tree
     from .errors import RadiusExceeded
 
+    if bound < 0:
+        raise ValueError(f"the search bound must be at least 0, got {bound}")
     try:
         vertex = tree.fixed_vertex(x, params, radius=bound)
         if vertex is None:

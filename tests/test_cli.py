@@ -336,6 +336,21 @@ class TestBadInputs:
          "the case cap must be at least 1, got 0"),
         (("suite", "lemmas", "--cases", "-3"),
          "the case cap must be at least 1, got -3"),
+        (("profinite", "unit", "--p", "2", "--q", "3", "--value", "5@(1,1)",
+          "--k", "-1", "--l", "0"),
+         "need k >= 0 and l >= 0, got (-1,0)"),
+        (("bs", "conjugation", "--p", "2", "--q", "3", "--g", "t", "--x", "a",
+          "--bound", "-1"),
+         "the search bound must be at least 0, got -1"),
+        (("dynamics", "components", "--c", "0", "--n", "12", "--r", "2",
+          "--s", "3", "--kmax", "1", "--lmax", "1"),
+         "the step must be a unit mod 12, got 0 (gcd 12)"),
+        (("dynamics", "words", "--p", "2", "--q", "3", "--count", "-1"),
+         "the word count must be at least 1, got -1"),
+        (("tree", "neighbors", "--p", "0", "--q", "3", "--v", "e"),
+         "BS(0,3) has p = 0; supported parameters have 2 <= |p| <= |q|"),
+        (("tree", "neighbors", "--p", "2", "--q", "0", "--v", "e"),
+         "BS(2,0) has q = 0; supported parameters have 2 <= |p| <= |q|"),
     ])
     def test_usage_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import bsmg.cocycle.values as values_mod
 from bsmg.cocycle import (
     BSLevelModel,
     GroupoidCocycle,
@@ -31,10 +32,13 @@ from bsmg.groupoid.core import (
     ErgodicDecomposition,
     FiniteMeasuredGroupoid,
     Subgroupoid,
+    _certify_action,
+    certificate,
+    composable_pairs,
     validate,
 )
 from bsmg.groupoid.pseudogroup import PartialIso
-from bsmg.groupoid.randomgen import partition_groupoid
+from bsmg.groupoid.randomgen import partition_groupoid, random_action_instance
 from bsmg.words import BSParams
 from test_groupoid_core import (element_arrows, s3_action, scanned,
                                 swap_window, z3_action)
@@ -260,16 +264,32 @@ def scan_error(G, target, values):
     return None
 
 
+# (target, a random value, a value that is not the identity)
+TARGETS = [
+    (QPos, lambda rng: Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+     Fraction(2)),
+    (ZAdd, lambda rng: rng.randint(-9, 9), 1),
+    (ZModAdd(6), lambda rng: rng.randrange(6), 1),
+]
+
+
+def corruptions(G, target, c, g, bump):
+    """c with the value at g moved by bump: first with its inverse's value
+    moved to match (a product fails), then alone (its inverse fails)."""
+    h = G.inv[g]
+    for bad in ({g: target.op(c(g), bump),
+                 h: target.op(c(h), target.inverse(bump))},
+                {g: target.op(c(g), bump)}):
+        values = list(c.values)
+        for arrow, v in bad.items():
+            values[arrow] = v
+        yield ("multiplicative" if len(bad) == 2 else "inverse"), values
+
+
 class TestPairFastPathCheck:
     """GroupoidCocycle.check on certified pair groupoids against the scan."""
 
-    # (target, a random value, a value that is not the identity)
-    TARGETS = [
-        (QPos, lambda rng: Fraction(rng.randint(1, 9), rng.randint(1, 9)),
-         Fraction(2)),
-        (ZAdd, lambda rng: rng.randint(-9, 9), 1),
-        (ZModAdd(6), lambda rng: rng.randrange(6), 1),
-    ]
+    TARGETS = TARGETS
 
     @staticmethod
     def groupoids():
@@ -286,19 +306,10 @@ class TestPairFastPathCheck:
             c = coboundary(G, target, psi)
             assert c.check() is c
             assert scan_error(G, target, c.values) is None
-            g = G._principal(1, 2)
-            h = G.inv[g]
-            # one value off with its inverse matching it (a product fails),
-            # then one value off alone (its inverse fails)
-            for bad in ({g: target.op(c(g), bump),
-                         h: target.op(c(h), target.inverse(bump))},
-                        {g: target.op(c(g), bump)}):
-                values = list(c.values)
-                for arrow, v in bad.items():
-                    values[arrow] = v
+            for kind, values in corruptions(G, target, c, G._principal(1, 2),
+                                            bump):
                 want = scan_error(G, target, values)
-                assert ("multiplicative" if len(bad) == 2 else "inverse") \
-                    in want
+                assert kind in want
                 with pytest.raises(NotACocycle) as err:
                     GroupoidCocycle(G, target, tuple(values)).check()
                 assert str(err.value) == want
@@ -319,3 +330,160 @@ class TestPairFastPathCheck:
         for H in (G, scanned(G)):
             with pytest.raises(IndexError):
                 GroupoidCocycle(H, QPos, short).check()
+
+
+def action_samples():
+    """random_action_instance samples, two of each style: one generator
+    (cyclic), two commuting ones (bicyclic), two that do not commute
+    (dihedral). Half of them preserve the masses."""
+    found = {"cyclic": [], "bicyclic": [], "dihedral": []}
+    i = 0
+    while any(len(v) < 2 for v in found.values()):
+        G = random_action_instance(random.Random(f"action-check:{i}"),
+                                   max_units=7, max_arrows=200,
+                                   preserve_masses=i % 2 == 0)
+        i += 1
+        gens = [G.action_perms[s] for s in certificate(G).generators]
+        if len(gens) == 1:
+            style = "cyclic"
+        else:
+            a, b = gens
+            commute = tuple(a[x] for x in b) == tuple(b[x] for x in a)
+            style = "bicyclic" if commute else "dihedral"
+        if len(found[style]) < 2:
+            found[style].append(G)
+    return [G for v in found.values() for G in v]
+
+
+def tampered(G, *, inverse=None, label=None):
+    """G rebuilt through the constructor with the inverses, or the labels,
+    of two arrows swapped: same composer and group, no certificate."""
+    inv, labels = list(G.inv), list(G.labels)
+    if inverse is not None:
+        a, b = inverse
+        inv[a], inv[b] = inv[b], inv[a]
+    if label is not None:
+        a, b = label
+        labels[a], labels[b] = labels[b], labels[a]
+    H = FiniteMeasuredGroupoid(G.unit_names, G.masses, G.src, G.rng, inv,
+                               labels, G._composer)
+    H.group_elements = H.action_perms = G.group_elements
+    return H
+
+
+class TestActionFastPathCheck:
+    """GroupoidCocycle.check, product, validate and measure_preserving on
+    certified action groupoids against the scan."""
+
+    def test_every_action_sample_is_certified(self):
+        samples = action_samples()
+        assert len(samples) == 6
+        for G in samples:
+            cert = certificate(G)
+            assert cert.kind == "action"
+            assert cert.order == len(G.group_elements)
+            assert _certify_action(G, cert.generators) is not None
+            assert G.measure_preserving == scanned(G).measure_preserving
+
+    @pytest.mark.parametrize("target,draw,bump", TARGETS)
+    def test_coboundaries_pass_and_corruptions_fail_alike(self, target, draw,
+                                                          bump, monkeypatch):
+        rng = random.Random(f"action-check:{target.name}")
+        for G in action_samples():
+            psi = [draw(rng) for _ in range(G.n_units)]
+            c = coboundary(G, target, psi)
+            assert scan_error(G, target, c.values) is None
+            with monkeypatch.context() as m:
+                # the generator law answers without walking any pair
+                m.setattr(values_mod, "composable_pairs", None)
+                assert c.check() is c
+            g = next(g for g in range(G.n_units, G.n_arrows)
+                     if G.inv[g] != g)
+            for kind, values in corruptions(G, target, c, g, bump):
+                want = scan_error(G, target, values)
+                assert kind in want
+                with pytest.raises(NotACocycle) as err:
+                    GroupoidCocycle(G, target, tuple(values)).check()
+                assert str(err.value) == want
+            values = list(c.values)
+            values[1] = target.op(values[1], bump)
+            want = scan_error(G, target, values)
+            assert want == "unit arrow at 1 is not sent to identity"
+            with pytest.raises(NotACocycle, match=want):
+                GroupoidCocycle(G, target, tuple(values)).check()
+
+    def test_every_generator_is_checked(self):
+        # values 1 on the subgroup of the first generator and 2 off it obey
+        # the law for the first generator alone, c(es, x) = c(e, s.x) c(s, x)
+        # with e and es in one coset, and break it for the second
+        checked = 0
+        for G in action_samples():
+            gens = certificate(G).generators
+            if len(gens) < 2:
+                continue
+            first, e = {0}, gens[0]
+            while e not in first:
+                first.add(e)
+                e = G._composer.multiply(e, gens[0])
+            values = tuple(Fraction(1) if G.labels[g][1] in first
+                           else Fraction(2) for g in range(G.n_arrows))
+            want = scan_error(G, QPos, values)
+            assert want is not None
+            with pytest.raises(NotACocycle) as err:
+                GroupoidCocycle(G, QPos, values).check()
+            assert str(err.value) == want
+            checked += 1
+        assert checked == 4
+
+    @pytest.mark.parametrize("swap", ["inverse", "label"])
+    def test_a_swapped_layout_is_not_certified(self, swap):
+        for G in action_samples():
+            n = G.n_units
+            a = next(g for g in range(n, G.n_arrows) if G.src[g] != G.rng[g])
+            if swap == "inverse":
+                # a and its inverse each claim to be their own inverse
+                H = tampered(G, inverse=(a, G.inv[a]))
+            else:
+                # a and the unit arrow at its source trade labels
+                H = tampered(G, label=(G.src[a], a))
+            assert _certify_action(H, certificate(G).generators) is None
+            assert certificate(H) is None
+            problems = validate(H)
+            assert problems and problems == validate(scanned(H))
+            # G's coboundary passes G's generator law; the scan on H
+            # refuses it
+            c = coboundary(G, QPos, [Fraction(x + 1) for x in range(n)])
+            with pytest.raises(NotACocycle) as err:
+                GroupoidCocycle(H, QPos, c.values).check()
+            if swap == "inverse":
+                assert f"inverse of arrow {a} does not swap endpoints" \
+                    in problems
+                assert str(err.value) \
+                    == f"value at the inverse of {a} does not invert"
+            else:
+                assert str(err.value).startswith("not multiplicative at")
+
+    def test_products_are_the_label_products(self):
+        for G in action_samples():
+            comp, by_label = G._composer, G._by_src_label
+            pairs = list(composable_pairs(G))
+            # no arrow pair is cached: the element pairs are
+            assert G._prod == {}
+            twin = scanned(G)
+            for g, h, k in pairs:
+                want = by_label[(G.src[h], comp.mul(G.labels[g], G.labels[h]))]
+                assert k == want == twin.product(g, h)
+
+    def test_validate_matches_the_scan(self):
+        for G in action_samples():
+            assert validate(G) == validate(scanned(G)) == []
+            # attached RN values are not the certificate's to answer
+            rn = [Fraction(1)] * G.n_arrows
+            rn[G.n_units] = Fraction(2)
+            rn[G.inv[G.n_units]] = Fraction(1, 2)
+            H = FiniteMeasuredGroupoid(G.unit_names, G.masses, G.src, G.rng,
+                                       G.inv, G.labels, G._composer,
+                                       rn_values=rn)
+            H._certificate = certificate(G)
+            problems = validate(H)
+            assert problems and problems == validate(scanned(H))

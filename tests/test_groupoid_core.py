@@ -21,12 +21,12 @@ from bsmg.groupoid.core import (
     ErgodicDecomposition,
     FiniteMeasuredGroupoid,
     Subgroupoid,
+    certificate,
     composable_pairs,
     index,
     index_of_pair,
     local_index,
     local_index_of_pair,
-    pair_components,
     restrict,
     validate,
     whole,
@@ -612,10 +612,11 @@ PAIR_LEVELS = [((2, 3), (1, 1)), ((2, 3), (2, 1)), ((2, -3), (2, 1))]
 
 
 def scanned(G):
-    """A copy of G whose pair certificate reads "not certified", so
-    validate, index and GroupoidCocycle.check on it take the fiber scan."""
+    """A copy of G whose certificate reads "not certified", so validate,
+    index and GroupoidCocycle.check on it take the fiber scan, and product
+    on an action groupoid composes labels."""
     twin = copy.copy(G)
-    twin._pair_components = None
+    twin._certificate = None
     return twin
 
 
@@ -654,12 +655,13 @@ class TestPairFastPath:
         samples = pair_samples()
         assert len(samples) > 10
         for G in samples:
-            comp_of = pair_components(G)
-            assert comp_of == ErgodicDecomposition(G).component_of
-            assert pair_components(G) is comp_of
+            cert = certificate(G)
+            assert cert.kind == "pair"
+            assert cert.component_of == ErgodicDecomposition(G).component_of
+            assert certificate(G) is cert
             assert G.measure_preserving == scanned(G).measure_preserving
-        assert pair_components(s3_action()) is None
-        assert pair_components(swap_window()) is None
+        assert certificate(s3_action()).kind == "action"
+        assert certificate(swap_window()) is None
 
     def test_validate_and_index_agree_with_the_scan(self):
         rng = random.Random("pair-fast-path:index")
@@ -695,7 +697,7 @@ class TestPairFastPath:
         a, b = G.n_units, G.n_units + 1
         inv[a], inv[b] = inv[b], inv[a]
         H = rebuilt(G, inv=inv)
-        assert pair_components(H) is None
+        assert certificate(H) is None
         problems = validate(H)
         assert f"inverse of arrow {a} is not an involution" in problems
         assert problems == validate(scanned(H))
@@ -709,7 +711,7 @@ class TestPairFastPath:
             return wrong if (s, r) == (1, 6) else pmap(s, r)
 
         H = rebuilt(G, principal_map=skewed)
-        assert pair_components(H) is None
+        assert certificate(H) is None
         problems = validate(H)
         assert any(line.endswith("has wrong endpoints") for line in problems)
         assert problems == validate(scanned(H))
@@ -722,10 +724,10 @@ class TestPairFastPath:
         blocks = [[0, 1, 2], [3, 4]]
         pairs = [(s, r) for b in blocks for s in b for r in b if s != r]
         full = pair_window(5, pairs)
-        assert pair_components(full) is not None
+        assert certificate(full) is not None
         short = pair_window(5, [e for e in pairs
                                 if e not in (gone, gone[::-1])])
-        assert pair_components(short) is None
+        assert certificate(short) is None
         problems = validate(short)
         assert any(line.startswith("missing product") for line in problems)
         assert problems == validate(scanned(short)) == product_violations(short)
@@ -735,7 +737,7 @@ class TestPairFastPath:
         # 3} and {2} of lowest reachable units hold pairs; the arrow 1 -> 2
         # crosses the blocks
         path = pair_window(4, [(0, 1), (1, 0), (0, 3), (3, 0), (1, 2), (2, 1)])
-        assert pair_components(path) is None
+        assert certificate(path) is None
         problems = validate(path)
         assert any(line.startswith("missing product") for line in problems)
         assert problems == validate(scanned(path)) == product_violations(path)
@@ -749,7 +751,7 @@ class TestPairFastPath:
         g = G._principal(2, 7)
         rn[g] *= 3
         H = rebuilt(G, rn_values=rn)
-        assert pair_components(H) is not None
+        assert certificate(H) is not None
         problems = validate(H)
         assert f"attached RN values not multiplicative at ({g},{G.inv[g]})" \
             in problems
@@ -764,7 +766,7 @@ class TestPairFastPath:
         assert split.measure_preserving and scanned(split).measure_preserving
         skew = rebuilt(G, masses=[Fraction(2, 3 * G.n_units)]
                        + [Fraction(1, G.n_units)] * (G.n_units - 1))
-        assert pair_components(skew) is not None
+        assert certificate(skew) is not None
         assert not skew.measure_preserving
         assert not scanned(skew).measure_preserving
 
