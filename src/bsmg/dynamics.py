@@ -17,8 +17,11 @@ lowest terms with d > 0. For rational theta = u/v its sign is the sign of
 p*v + q*u and its floor (p*v + q*u) // (d*v); for the golden ratio both come
 from 2p + q and q*sqrt(5) through math.isqrt. Sums, scalings and the
 products the Cesaro average needs stay on integers with one gcd per result;
-a Fraction is built only where a caller reads a or b. Interval theta reads
-the values back as Fractions and keeps its exact bound arithmetic.
+a Fraction is built only where a caller reads a or b. The Cesaro step loop
+goes one level lower still: its values are bare integer pairs (P, Q) over
+one common denominator, decided by _pair_sign and _pair_floor, the same
+two helpers affine_sign and affine_floor call. Interval theta reads the
+values back as Fractions and keeps its exact bound arithmetic.
 """
 
 from __future__ import annotations
@@ -204,30 +207,50 @@ def as_affine(x):
     return _raw(x.numerator, 0, x.denominator)
 
 
-def affine_sign(theta, value):
-    """Exact sign of a + b*theta: -1, 0, or +1."""
-    value = as_affine(value)
-    p, q = value.p, value.q
+def _pair_sign(theta, p, q):
+    """Exact sign of p + q*theta for a rational or golden theta: -1, 0, +1.
+    (p + q*theta)/d has the same sign for any d > 0."""
     if theta.kind == "rational":
-        # d > 0 and the denominator of theta = u/v is positive
+        # the denominator of theta = u/v is positive
         frac = theta.frac
         v = p * frac.denominator + q * frac.numerator
         return (v > 0) - (v < 0)
-    if theta.kind == "golden":
-        # 2d(a + b*phi) = (2p + q) + q*sqrt(5)
-        u, w = 2 * p + q, q
-        if w == 0:
-            return (u > 0) - (u < 0)
-        if u == 0:
-            return 1 if w > 0 else -1
-        if u > 0 and w > 0:
-            return 1
-        if u < 0 and w < 0:
-            return -1
-        big = u * u > 5 * w * w
-        if u > 0:
-            return 1 if big else -1
-        return -1 if big else 1
+    # 2(p + q*phi) = (2p + q) + q*sqrt(5)
+    u = 2 * p + q
+    if q == 0:
+        return (u > 0) - (u < 0)
+    if u == 0:
+        return 1 if q > 0 else -1
+    if u > 0 and q > 0:
+        return 1
+    if u < 0 and q < 0:
+        return -1
+    big = u * u > 5 * q * q
+    if u > 0:
+        return 1 if big else -1
+    return -1 if big else 1
+
+
+def _pair_floor(theta, p, q, d):
+    """Largest integer n with n <= (p + q*theta)/d, d > 0, for a rational
+    or golden theta."""
+    if theta.kind == "rational":
+        frac = theta.frac
+        return (p * frac.denominator + q * frac.numerator) // (
+            d * frac.denominator)
+    # (p + q*phi)/d = (U + q sqrt5) / (2d) with U = 2p + q.
+    # floor(q sqrt5) is isqrt(5 q^2), or -isqrt(5 q^2) - 1 for q < 0
+    # (5 q^2 is a square only at q = 0), and the integer floor commutes
+    # with flooring by the positive 2d.
+    root = math.isqrt(5 * q * q)
+    return (2 * p + q + (root if q >= 0 else -root - 1)) // (2 * d)
+
+
+def affine_sign(theta, value):
+    """Exact sign of a + b*theta: -1, 0, or +1."""
+    value = as_affine(value)
+    if theta.kind != "interval":
+        return _pair_sign(theta, value.p, value.q)
     a, b = value.a, value.b
     vlo = a + b * (theta.lo if b >= 0 else theta.hi)
     vhi = a + b * (theta.hi if b >= 0 else theta.lo)
@@ -243,18 +266,8 @@ def affine_sign(theta, value):
 def affine_floor(theta, value):
     """Largest integer n with n <= a + b*theta, decided exactly."""
     value = as_affine(value)
-    p, q, d = value.p, value.q, value.d
-    if theta.kind == "rational":
-        frac = theta.frac
-        return (p * frac.denominator + q * frac.numerator) // (
-            d * frac.denominator)
-    if theta.kind == "golden":
-        # (p + q*phi)/d = (U + q sqrt5) / (2d) with U = 2p + q.
-        # floor(q sqrt5) is isqrt(5 q^2), or -isqrt(5 q^2) - 1 for q < 0
-        # (5 q^2 is a square only at q = 0), and the integer floor commutes
-        # with flooring by the positive 2d.
-        root = math.isqrt(5 * q * q)
-        return (2 * p + q + (root if q >= 0 else -root - 1)) // (2 * d)
+    if theta.kind != "interval":
+        return _pair_floor(theta, value.p, value.q, value.d)
     a, b = value.a, value.b
     n = math.floor(a + b * (theta.lo + theta.hi) / 2)
     # the midpoint gave a candidate; exact signs settle the fencepost
@@ -625,37 +638,29 @@ class BernoulliBase:
         return Fraction(1, 2 ** len(merged))
 
 
-def _intervals_mod(theta, lo, hi):
-    """The set [lo, hi) pushed into the circle [0, |theta|): 1 or 2 pieces."""
+def _interval_list(theta, intervals, name):
+    """The intervals [lo, hi) of one list as ThetaAffine pairs. Each must be
+    nonempty and lie inside [0, |theta|], and no two may overlap; all three
+    are decided exactly, and a violation raises ValueError."""
     width = _abs_theta(theta)
-    q = div_by_theta(theta, lo)
-    if not theta_is_positive(theta):
-        q = q.scale(-1)
-    shift = width.scale(affine_floor(theta, q))
-    lo = lo - shift
-    hi = hi - shift
-    if affine_sign(theta, width - hi) >= 0:
-        return [(lo, hi)]
-    return [(lo, width), (_ZERO, hi - width)]
-
-
-def _meet(theta, one, two):
-    """Intersection of two disjoint-interval lists; endpoints affine."""
     out = []
-    for lo1, hi1 in one:
-        for lo2, hi2 in two:
-            lo = lo1 if affine_sign(theta, lo1 - lo2) >= 0 else lo2
-            hi = hi1 if affine_sign(theta, hi1 - hi2) <= 0 else hi2
-            if affine_sign(theta, hi - lo) > 0:
-                out.append((lo, hi))
-    return out
-
-
-def _total_length(theta, pieces):
-    total = _ZERO
-    for lo, hi in pieces:
-        total = total + (hi - lo)
-    return total
+    for lo, hi in intervals:
+        shown = f"[{lo}, {hi})"
+        lo, hi = as_affine(lo), as_affine(hi)
+        if affine_sign(theta, hi - lo) <= 0:
+            raise ValueError(f"the interval {shown} of {name} is empty")
+        if affine_sign(theta, lo) < 0 or affine_sign(theta, width - hi) < 0:
+            shown_theta = theta.frac if theta.kind == "rational" else "golden"
+            raise ValueError(
+                f"the interval {shown} of {name} is not inside [0, |theta|] "
+                f"for theta = {shown_theta}")
+        for lo2, hi2, shown2 in out:
+            if affine_sign(theta, hi2 - lo) > 0 and \
+                    affine_sign(theta, hi - lo2) > 0:
+                raise ValueError(
+                    f"the intervals {shown2} and {shown} of {name} overlap")
+        out.append((lo, hi, shown))
+    return [(lo, hi) for lo, hi, _ in out]
 
 
 @dataclass
@@ -685,14 +690,21 @@ def cesaro_mixing_test(base, theta, A1, B1, A2, B2, horizon, *,
     value, for the skew step b(x, y) = (x - 1 + theta*m, shift^m y) on
     [0, theta) x base, m the return time of x.
 
-    A1, A2 are interval lists on [0, theta) (affine endpoints allowed);
-    B1, B2 are cylinders. Every term is exact; the report carries floats for
-    reading plus the exact final gap (average - target), as text in
-    gap_exact and as a value in gap_affine. independent_from records the
-    first step from which the base factor equals the product exactly, and
-    the burn-in contribution of the steps before it is bounded in the
-    report.
+    A1, A2 are lists of intervals [lo, hi) (affine endpoints allowed); B1,
+    B2 are cylinders. Every interval must be nonempty and lie inside the
+    circle [0, |theta|], and the intervals of one list must not overlap;
+    anything else raises ValueError, after the horizon and theta checks.
+    Every term is exact; the report carries floats for reading plus the
+    exact final gap (average - target), as text in gap_exact and as a value
+    in gap_affine. independent_from records the first step from which the
+    base factor equals the product exactly, and the burn-in contribution of
+    the steps before it is bounded in the report.
     The horizon must be a positive integer (ValueError otherwise).
+
+    Cost: every endpoint is an integer pair (P, Q) meaning (P + Q*theta)/D
+    over one common denominator D, so a step is O(1) integer operations
+    per pair of intervals. The steps' lengths are summed as pairs, one sum
+    per base factor, and divided by theta only where a sample is taken.
     """
     if horizon < 1:
         raise ValueError(f"the horizon must be at least 1, got {horizon}")
@@ -700,15 +712,25 @@ def cesaro_mixing_test(base, theta, A1, B1, A2, B2, horizon, *,
         raise PrecisionError("Cesaro averages need a rational or golden theta")
     if not theta_is_positive(theta):
         raise ValueError("the mixing diagnostic expects a positive theta")
-    width = _abs_theta(theta)
-    A1 = [(as_affine(lo), as_affine(hi)) for lo, hi in A1]
-    A2 = [(as_affine(lo), as_affine(hi)) for lo, hi in A2]
+    A1 = _interval_list(theta, A1, "A1")
+    A2 = _interval_list(theta, A2, "A2")
+    D = math.lcm(*(v.d for lo, hi in A1 + A2 for v in (lo, hi)))
+
+    def pairs(intervals):
+        return [(lo.p * (D // lo.d), lo.q * (D // lo.d),
+                 hi.p * (D // hi.d), hi.q * (D // hi.d))
+                for lo, hi in intervals]
+
+    def length(intervals):
+        return _affine(sum(hp - lp for lp, _, hp, _ in intervals),
+                       sum(hq - lq for _, lq, _, hq in intervals), D)
+
+    A1, A2 = pairs(A1), pairs(A2)
     muB1, muB2 = base.measure(B1), base.measure(B2)
-    t1 = div_by_theta(theta, _total_length(theta, A1))
-    t2 = div_by_theta(theta, _total_length(theta, A2))
+    t1 = div_by_theta(theta, length(A1))
+    t2 = div_by_theta(theta, length(A2))
     product = muB1 * muB2
     target_affine = _affine_product(t1, t2).scale(product)
-    total = _ZERO
     samples = []
     independent_from = None
     sample_every = sample_every or max(1, horizon // 50)
@@ -718,41 +740,87 @@ def cesaro_mixing_test(base, theta, A1, B1, A2, B2, horizon, *,
     span1 = [c for c, _ in B1.fixed]
     span2 = [c for c, _ in B2.fixed]
     indep_dist = max(0, max(span1) - min(span2) + 1) if span1 and span2 else 0
+    # 1/theta = (ip + iq*theta)/idd, so x/theta for x = (P + Q*theta)/D is
+    # ((P ip + Q idd) + P iq*theta)/(D idd)
+    inverse = div_by_theta(theta, 1)
+    ip, iq, idd = inverse.p, inverse.q, inverse.d
+    sign, floor = _pair_sign, _pair_floor
+    # each return time m seen -> (the length sum of its base factor, whether
+    # that factor is the product); a sum [P, Q] means (P + Q*theta)/D
+    factor_of = {}
+    sums = {}
     for k in range(1, horizon + 1):
-        # m(x') = floor((x' + k)/theta) on the circle; one breakpoint
-        m0 = affine_floor(theta, div_by_theta(theta, k))
-        cut = width.scale(m0 + 1) - k
-        cut_sign = affine_sign(theta, cut)
-        if cut_sign > 0 and affine_sign(theta, width - cut) > 0:
-            pieces = [((_ZERO, cut), m0), ((cut, width), m0 + 1)]
-        elif cut_sign <= 0:
-            pieces = [((_ZERO, width), m0 + 1)]
-        else:
-            pieces = [((_ZERO, width), m0)]
-        shiftA1 = []
-        for lo, hi in A1:
-            shiftA1.extend(_intervals_mod(theta, lo - k, hi - k))
-        term = _ZERO
+        m0 = floor(theta, k * ip, k * iq, idd)
+        kD = k * D
+        # on the circle the return time is m0 before cut, m0 + 1 from it
+        cut_p, cut_q = -kD, (m0 + 1) * D
+        below_p = below_q = above_p = above_q = 0
+        below = above = False
+        for lp, lq, hp, hq in A1:
+            # [lo - k, hi - k) moved into [0, theta) by whole turns
+            lp -= kD
+            hp -= kD
+            turns = floor(theta, lp * ip + lq * idd, lp * iq, D * idd) * D
+            lq -= turns
+            hq -= turns
+            if sign(theta, -hp, D - hq) >= 0:
+                shifted = ((lp, lq, hp, hq),)
+            else:
+                shifted = ((lp, lq, 0, D), (0, 0, hp, hq - D))
+            for sp, sq, tp, tq in shifted:
+                for ap, aq, bp, bq in A2:
+                    # the cell [lo, hi) of the piece and the A2 interval
+                    if sign(theta, sp - ap, sq - aq) >= 0:
+                        lo_p, lo_q = sp, sq
+                    else:
+                        lo_p, lo_q = ap, aq
+                    if sign(theta, tp - bp, tq - bq) <= 0:
+                        hi_p, hi_q = tp, tq
+                    else:
+                        hi_p, hi_q = bp, bq
+                    if sign(theta, hi_p - lo_p, hi_q - lo_q) <= 0:
+                        continue
+                    if sign(theta, hi_p - cut_p, hi_q - cut_q) <= 0:
+                        below = True
+                        below_p += hi_p - lo_p
+                        below_q += hi_q - lo_q
+                    elif sign(theta, cut_p - lo_p, cut_q - lo_q) <= 0:
+                        above = True
+                        above_p += hi_p - lo_p
+                        above_q += hi_q - lo_q
+                    else:
+                        below = above = True
+                        below_p += cut_p - lo_p
+                        below_q += cut_q - lo_q
+                        above_p += hi_p - cut_p
+                        above_q += hi_q - cut_q
         all_factors_product = True
-        for (plo, phi_), m in pieces:
-            cell = _meet(theta, [(plo, phi_)], shiftA1)
-            cell = _meet(theta, cell, A2)
-            if not cell:
+        for used, m, add_p, add_q in ((below, m0, below_p, below_q),
+                                      (above, m0 + 1, above_p, above_q)):
+            if not used:
                 continue
-            factor = base.meet_measure(B1.shifted(-m), B2)
-            if factor != product:
+            known = factor_of.get(m)
+            if known is None:
+                factor = base.meet_measure(B1.shifted(-m), B2)
+                known = factor_of[m] = (sums.setdefault(factor, [0, 0]),
+                                        factor == product)
+            acc, same = known
+            acc[0] += add_p
+            acc[1] += add_q
+            if not same:
                 all_factors_product = False
-            term = term + _total_length(theta, cell).scale(factor)
         if independent_from is None and all_factors_product \
                 and m0 >= indep_dist:
             independent_from = k
-        total = total + div_by_theta(theta, term)
         if k % sample_every == 0 or k == horizon:
+            total = _ZERO
+            for factor, (p, q) in sums.items():
+                total = total + div_by_theta(
+                    theta, _affine(p, q, D)).scale(factor)
             avg = total.scale(Fraction(1, k))
             gap = avg - target_affine
             samples.append((k, _to_float(theta, avg), _to_float(theta, gap)))
-    avg = total.scale(Fraction(1, horizon))
-    gap = avg - target_affine
+    # the last step is always a sample, so avg and gap are the final ones
     gap_float = abs(_to_float(theta, gap))
     burn = independent_from or horizon
     # each term and the target both lie in [0, 1], so the steps before

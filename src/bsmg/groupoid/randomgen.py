@@ -170,19 +170,22 @@ def identity_index(G):
 
 
 def subgroup_closure(G, gen_indices):
-    """Subgroup of G.group_elements (as an index set) generated by gens."""
-    comp = G._composer
+    """Subgroup of G.group_elements (as an index set) generated by gens.
+
+    The set grows from the identity by right multiplication with the
+    generators only: in a finite group the monoid they generate is the
+    subgroup, so each element costs one product per generator."""
+    multiply = G._composer.multiply
+    gens = set(gen_indices)
     seen = {identity_index(G)}
-    seen.update(gen_indices)
     work = list(seen)
     while work:
         i = work.pop()
-        for j in list(seen):
-            for k in (comp.mul(("g", i), ("g", j))[1],
-                      comp.mul(("g", j), ("g", i))[1]):
-                if k not in seen:
-                    seen.add(k)
-                    work.append(k)
+        for j in gens:
+            k = multiply(i, j)
+            if k not in seen:
+                seen.add(k)
+                work.append(k)
     return frozenset(seen)
 
 

@@ -254,34 +254,55 @@ def enumerate_levels(params, max_modulus):
 
 def verify_limit_shadow(params, K, L, *, rng=None):
     """Exhaustive finite-level checks of the scaling and unit laws at one
-    level: sigma kernel/round-trip/composition, fixing a submodule forces
-    d0 (r - 1) = 0 at the reduced level, and conversely d0 (r - 1) = 0
-    forces fixing the base submodule. Returns check counts; raises
+    level (K, L), modulus M. Returns check counts; raises
     VerificationFailure on any violation.
+
+    - sigma kernel and round trip: for every (k, l) <= (K, L) and every x
+      in the base submodule, sigma(k,l) x = 0 exactly when x = 0 at the
+      reduced level (K - k, L - l), and dividing by p0^k q0^l gives x back
+      there;
+    - sigma composition: 20 random samples through the object API;
+    - fix_implies_u0: for every unit r and every (k, l), r fixing
+      d0 p0^k q0^l . Z/M pointwise forces d0 (r - 1) = 0 at the reduced
+      level; counted once per (r, k, l) where r fixes the submodule;
+    - u0_implies_fix: every unit with d0 (r - 1) = 0 fixes the whole base
+      submodule, checked at every x;
+    - the public check_unit_fixes_level and u0_membership on up to 30
+      random units.
+
+    Every residue is checked, and a failure is reported at the first
+    residue that breaks a law, in the sweep order above.
     """
     import random
 
     rng = rng or random.Random(0)
     M = level_modulus(params, K, L)
     d0 = params.d0
-    counts = {"sigma_kernel": 0, "sigma_roundtrip": 0, "sigma_composition": 0,
-              "fix_implies_u0": 0, "u0_implies_fix": 0}
-    # raw-integer sweeps for the exhaustive part; the object API is
-    # exercised on samples below so both paths stay honest
+    # per (k, l): f = p0^k q0^l, the submodule step d0 |f| and the
+    # reduced modulus
+    scalings = []
     for k in range(K + 1):
         for l in range(L + 1):
             f = params.p0 ** k * params.q0 ** l
-            reduced_mod = level_modulus(params, K - k, L - l)
-            for x in range(0, M, d0):
-                y = (f * x) % M
-                if (y == 0) != (x % reduced_mod == 0):
-                    raise VerificationFailure(
-                        f"sigma({k},{l}) kernel wrong at {x}@({K},{L})")
-                counts["sigma_kernel"] += 1
-                if (y // f) % reduced_mod != x % reduced_mod:
-                    raise VerificationFailure(
-                        f"sigma({k},{l}) round trip wrong at {x}@({K},{L})")
-                counts["sigma_roundtrip"] += 1
+            scalings.append((k, l, f, d0 * abs(f),
+                             level_modulus(params, K - k, L - l)))
+    # raw-integer sweeps for the exhaustive part; the object API is
+    # exercised on samples below so both paths stay honest
+    submodule = range(0, M, d0)
+    for k, l, f, _, reduced_mod in scalings:
+        for x in submodule:
+            y = (f * x) % M
+            xr = x % reduced_mod
+            if (y == 0) != (xr == 0):
+                raise VerificationFailure(
+                    f"sigma({k},{l}) kernel wrong at {x}@({K},{L})")
+            if (y // f) % reduced_mod != xr:
+                raise VerificationFailure(
+                    f"sigma({k},{l}) round trip wrong at {x}@({K},{L})")
+    swept = len(scalings) * len(submodule)
+    counts = {"sigma_kernel": swept, "sigma_roundtrip": swept,
+              "sigma_composition": 0, "fix_implies_u0": 0,
+              "u0_implies_fix": 0}
     for _ in range(20):
         x = TruncatedProfiniteInt(params, d0 * rng.randrange(M // d0), (K, L))
         k1 = rng.randint(0, K)
@@ -295,23 +316,24 @@ def verify_limit_shadow(params, K, L, *, rng=None):
         counts["sigma_composition"] += 1
     crit = abs(params.d0 * params.p0 * params.q0)
     unit_residues = [r for r in range(M) if gcd(r, crit) == 1]
+    fixes = u0 = 0
     for r in unit_residues:
-        for k in range(K + 1):
-            for l in range(L + 1):
-                step = d0 * abs(params.p0 ** k * params.q0 ** l)
-                if (step * (r - 1)) % M == 0:
-                    reduced_mod = level_modulus(params, K - k, L - l)
-                    if (d0 * (r - 1)) % reduced_mod:
-                        raise VerificationFailure(
-                            f"unit {r}@({K},{L}) fixes level ({k},{l}) but "
-                            f"d0(r-1) != 0 at the reduced level")
-                    counts["fix_implies_u0"] += 1
-        if (d0 * (r - 1)) % M == 0:
-            for x in range(0, M, d0):
+        shift = d0 * (r - 1)
+        for k, l, _, step, reduced_mod in scalings:
+            if (step * (r - 1)) % M == 0:
+                if shift % reduced_mod:
+                    raise VerificationFailure(
+                        f"unit {r}@({K},{L}) fixes level ({k},{l}) but "
+                        f"d0(r-1) != 0 at the reduced level")
+                fixes += 1
+        if shift % M == 0:
+            for x in submodule:
                 if (r * x) % M != x:
                     raise VerificationFailure(
                         f"unit {r}@({K},{L}) is in U0 but moves {x}")
-            counts["u0_implies_fix"] += 1
+            u0 += 1
+    counts["fix_implies_u0"] = fixes
+    counts["u0_implies_fix"] = u0
     for _ in range(min(30, len(unit_residues))):
         r = TruncatedProfiniteInt(params, rng.choice(unit_residues), (K, L))
         k = rng.randint(0, K)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RadiusExceeded
-from .words import BrittonNormalForm, BSParams, GroupWord, normalize
+from .words import BrittonNormalForm, BSParams, GroupWord, fold, normalize
 
 DEFAULT_RADIUS = 32
 
@@ -53,10 +53,11 @@ class TreeEdge:
     sign: int
 
     def origin(self) -> TreeVertex:
-        return canonical_vertex(self.form.to_word(), self.params)
+        return TreeVertex(self.params, _strip_trailing(self.form))
 
     def terminal(self) -> TreeVertex:
-        return canonical_vertex(self.form.to_word() * GroupWord.t(), self.params)
+        return TreeVertex(self.params,
+                          _strip_trailing(fold(self.form, _T, self.params)))
 
     def to_text(self) -> str:
         return str(self.form)
@@ -82,11 +83,23 @@ def base_vertex(params: BSParams) -> TreeVertex:
     return TreeVertex(params, BrittonNormalForm(0, ()))
 
 
+_T = (("t", 1),)
+_T_INV = (("t", -1),)
+
+
 def _strip_trailing(form: BrittonNormalForm) -> BrittonNormalForm:
     if form.syllables:
         e, _ = form.syllables[-1]
         return BrittonNormalForm(form.k0, form.syllables[:-1] + ((e, 0),))
     return BrittonNormalForm(0, ())
+
+
+def _edge_form(form: BrittonNormalForm, params: BSParams) -> BrittonNormalForm:
+    """The edge coset form<a^q>: trailing exponent reduced mod |q|."""
+    if form.syllables:
+        e, k = form.syllables[-1]
+        return BrittonNormalForm(form.k0, form.syllables[:-1] + ((e, k % abs(params.q)),))
+    return BrittonNormalForm(form.k0 % abs(params.q), ())
 
 
 def canonical_vertex(word: GroupWord, params: BSParams) -> TreeVertex:
@@ -96,26 +109,26 @@ def canonical_vertex(word: GroupWord, params: BSParams) -> TreeVertex:
 
 def canonical_edge(word: GroupWord, params: BSParams) -> BrittonNormalForm:
     """Canonical form of the edge coset word<a^q>."""
-    form = normalize(word, params)
-    if form.syllables:
-        e, k = form.syllables[-1]
-        return BrittonNormalForm(form.k0, form.syllables[:-1] + ((e, k % abs(params.q)),))
-    return BrittonNormalForm(form.k0 % abs(params.q), ())
+    return _edge_form(normalize(word, params), params)
 
 
 def neighbors(vertex: TreeVertex) -> list:
-    """All |q| + |p| neighbors as (edge, vertex) pairs, outgoing first."""
+    """All |q| + |p| neighbors as (edge, vertex) pairs, outgoing first.
+
+    Each is one step from the vertex's own form: a^i t folded onto it for
+    the outgoing edges, a^j t^-1 for the incoming ones."""
     params = vertex.params
-    rep = vertex.rep_word()
+    form = vertex.form
     result = []
     for i in range(abs(params.q)):
-        shifted = rep * GroupWord.a(i)
-        edge = TreeEdge(params, canonical_edge(shifted, params), 1)
-        result.append((edge, canonical_vertex(shifted * GroupWord.t(), params)))
+        shifted = fold(form, (("a", i),), params)
+        edge = TreeEdge(params, _edge_form(shifted, params), 1)
+        result.append((edge, TreeVertex(
+            params, _strip_trailing(fold(shifted, _T, params)))))
     for j in range(abs(params.p)):
-        shifted = rep * GroupWord.a(j) * GroupWord.t(-1)
-        edge = TreeEdge(params, canonical_edge(shifted, params), -1)
-        result.append((edge, canonical_vertex(shifted, params)))
+        shifted = fold(form, (("a", j), ("t", -1)), params)
+        edge = TreeEdge(params, _edge_form(shifted, params), -1)
+        result.append((edge, TreeVertex(params, _strip_trailing(shifted))))
     return result
 
 
@@ -136,16 +149,16 @@ def geodesic(u: TreeVertex, v: TreeVertex, radius: int = DEFAULT_RADIUS) -> Geod
         raise RadiusExceeded(f"distance {diff.t_length} exceeds radius {radius}")
     vertices = [u]
     edges = []
-    prefix = u.rep_word() * GroupWord.a(diff.k0)
+    # the prefix walk extends u's form one syllable at a time
+    prefix = fold(u.form, (("a", diff.k0),), params)
     for e, k in diff.syllables:
         if e == 1:
-            edges.append(TreeEdge(params, canonical_edge(prefix, params), 1))
+            edges.append(TreeEdge(params, _edge_form(prefix, params), 1))
         else:
-            edges.append(
-                TreeEdge(params, canonical_edge(prefix * GroupWord.t(-1), params), -1)
-            )
-        prefix = prefix * GroupWord.t(e) * GroupWord.a(k)
-        vertices.append(canonical_vertex(prefix, params))
+            edges.append(TreeEdge(
+                params, _edge_form(fold(prefix, _T_INV, params), params), -1))
+        prefix = fold(prefix, (("t", e), ("a", k)), params)
+        vertices.append(TreeVertex(params, _strip_trailing(prefix)))
     return Geodesic(tuple(vertices), tuple(edges))
 
 

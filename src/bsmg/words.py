@@ -92,6 +92,15 @@ class GroupWord:
                 reduced.append((letter, exp))
         self.runs = tuple(reduced)
 
+    @classmethod
+    def _reduced(cls, runs: tuple) -> "GroupWord":
+        """A word from runs that are already freely reduced: nonzero
+        exponents, no two neighbours with one letter. Nothing is checked;
+        input from outside goes through the constructor."""
+        word = object.__new__(cls)
+        word.runs = runs
+        return word
+
     @staticmethod
     def identity() -> "GroupWord":
         return GroupWord()
@@ -195,82 +204,83 @@ class BrittonNormalForm:
         return not self.syllables
 
     def to_word(self) -> GroupWord:
-        runs = [("a", self.k0)]
+        """The word a^k0 t^e1 a^k1 ... t^en a^kn. It is built as already
+        reduced: a normal form has no pinch, so t letters with a zero
+        exponent between them share one sign and make one run. A form with
+        a t^e t^-e seam is not normal and goes through the checked
+        constructor instead."""
+        runs = [("a", self.k0)] if self.k0 else []
         for e, k in self.syllables:
-            runs.append(("t", e))
-            runs.append(("a", k))
-        return GroupWord(runs)
+            if runs and runs[-1][0] == "t":
+                if runs[-1][1] * e < 0:
+                    return GroupWord([("a", self.k0)] + [
+                        run for e, k in self.syllables
+                        for run in (("t", e), ("a", k))])
+                runs[-1] = ("t", runs[-1][1] + e)
+            else:
+                runs.append(("t", e))
+            if k:
+                runs.append(("a", k))
+        return GroupWord._reduced(tuple(runs))
 
     def __str__(self):
         return self.to_word().to_text()
 
 
-class _Folder:
-    """Left-to-right normal form accumulator.
+_EMPTY_FORM = BrittonNormalForm(0, ())
 
-    Appending a-letters only touches the trailing exponent; appending a stable
-    letter reduces the trailing exponent to the transversal [0,|q|) or
-    [0,|p|), pushes the quotient through as a carry, and cancels t^-1 t or
-    t t^-1 seams with zero exponent between.
+
+def fold(form: BrittonNormalForm, runs, params: BSParams) -> BrittonNormalForm:
+    """Normal form of form's element followed by the runs, resumed from form.
+
+    The trailing exponent is a local int and the rest of the form two
+    lists, t-signs and exponents. An a-run adds to the trailing exponent; a
+    stable letter reduces it to the transversal [0,|q|) or [0,|p|), pushes
+    the quotient through as a carry, and cancels a t^-1 t or t t^-1 seam
+    with zero exponent between. So a tree step folds a^i t^+-1 onto a
+    vertex's form instead of normalizing the whole word again.
     """
-
-    __slots__ = ("p", "q", "k0", "syls")
-
-    def __init__(self, params: BSParams):
-        self.p = params.p
-        self.q = params.q
-        self.k0 = 0
-        self.syls = []
-
-    def push_a(self, exp: int):
-        if self.syls:
-            e, k = self.syls[-1]
-            self.syls[-1] = (e, k + exp)
+    p, q = params.p, params.q
+    ap, aq = abs(p), abs(q)
+    if form.syllables:
+        signs, exps = map(list, zip(*form.syllables))
+        exps.insert(0, form.k0)
+        trail = exps.pop()
+    else:
+        signs, exps, trail = [], [], form.k0
+    for letter, exp in runs:
+        if letter == "a":
+            trail += exp
+        elif exp > 0:
+            for _ in range(exp):
+                r = trail % aq
+                carry = p * ((trail - r) // q)
+                if r == 0 and signs and signs[-1] == -1:
+                    signs.pop()
+                    trail = exps.pop() + carry
+                else:
+                    signs.append(1)
+                    exps.append(r)
+                    trail = carry
         else:
-            self.k0 += exp
-
-    def _trailing(self) -> int:
-        return self.syls[-1][1] if self.syls else self.k0
-
-    def _set_trailing(self, value: int):
-        if self.syls:
-            e, _ = self.syls[-1]
-            self.syls[-1] = (e, value)
-        else:
-            self.k0 = value
-
-    def push_t(self, e: int):
-        trail = self._trailing()
-        if e == 1:
-            r = trail % abs(self.q)
-            m = (trail - r) // self.q
-            carry = self.p * m
-        else:
-            r = trail % abs(self.p)
-            m = (trail - r) // self.p
-            carry = self.q * m
-        if r == 0 and self.syls and self.syls[-1][0] == -e:
-            self.syls.pop()
-            self.push_a(carry)
-        else:
-            self._set_trailing(r)
-            self.syls.append((e, carry))
-
-    def result(self) -> BrittonNormalForm:
-        return BrittonNormalForm(self.k0, tuple(self.syls))
+            for _ in range(-exp):
+                r = trail % ap
+                carry = q * ((trail - r) // p)
+                if r == 0 and signs and signs[-1] == 1:
+                    signs.pop()
+                    trail = exps.pop() + carry
+                else:
+                    signs.append(-1)
+                    exps.append(r)
+                    trail = carry
+    exps.append(trail)
+    return BrittonNormalForm(exps[0], tuple(zip(signs, exps[1:])))
 
 
 def normalize(word: GroupWord, params: BSParams) -> BrittonNormalForm:
-    """Normal form of a word; idempotent and pinch-free."""
-    folder = _Folder(params)
-    for letter, exp in word.runs:
-        if letter == "a":
-            folder.push_a(exp)
-        else:
-            step = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                folder.push_t(step)
-    return folder.result()
+    """Normal form of a word: its runs folded onto the empty form.
+    Idempotent and pinch-free; fold resumes from any other form."""
+    return fold(_EMPTY_FORM, word.runs, params)
 
 
 def is_identity(word: GroupWord, params: BSParams) -> bool:

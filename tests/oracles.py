@@ -1,13 +1,26 @@
 """Independent slow-path oracles the tests compare the library against.
 
 Everything here is written for obviousness, not speed: whole-word rescans,
-breadth-first walks, and smallest-power searches. None of it shares code
-with the implementations under test beyond the public data types.
+breadth-first walks, smallest-power searches, whole-word tree steps, and a
+Cesaro loop on ThetaAffine values. None of it shares code with the
+implementations under test beyond the public data types and the exact
+ThetaAffine sign, floor and division.
 """
 
 from fractions import Fraction
 
 from bsmg import tree
+from bsmg.dynamics import (
+    _ZERO,
+    CesaroReport,
+    _abs_theta,
+    _affine_product,
+    _to_float,
+    affine_floor,
+    affine_sign,
+    as_affine,
+    div_by_theta,
+)
 from bsmg.words import GroupWord, normalize
 
 
@@ -258,3 +271,136 @@ def product_violations(G):
             if k is not None and rn[g] * rn[h] != rn[k]:
                 lines.append(f"attached RN values not multiplicative at ({g},{h})")
     return lines
+
+
+def scratch_neighbors(vertex):
+    """tree.neighbors with every neighbour normalized from the whole word
+    rep * a^i (* t or * t^-1)."""
+    params = vertex.params
+    rep = vertex.rep_word()
+    result = []
+    for i in range(abs(params.q)):
+        shifted = rep * GroupWord.a(i)
+        edge = tree.TreeEdge(params, tree.canonical_edge(shifted, params), 1)
+        result.append((edge, tree.canonical_vertex(shifted * GroupWord.t(),
+                                                   params)))
+    for j in range(abs(params.p)):
+        shifted = rep * GroupWord.a(j) * GroupWord.t(-1)
+        edge = tree.TreeEdge(params, tree.canonical_edge(shifted, params), -1)
+        result.append((edge, tree.canonical_vertex(shifted, params)))
+    return result
+
+
+def scratch_geodesic(u, v):
+    """tree.geodesic with every prefix renormalized from its whole word."""
+    params = u.params
+    diff = normalize(u.rep_word().inverse() * v.rep_word(), params)
+    vertices = [u]
+    edges = []
+    prefix = u.rep_word() * GroupWord.a(diff.k0)
+    for e, k in diff.syllables:
+        if e == 1:
+            edges.append(tree.TreeEdge(
+                params, tree.canonical_edge(prefix, params), 1))
+        else:
+            edges.append(tree.TreeEdge(
+                params, tree.canonical_edge(prefix * GroupWord.t(-1), params),
+                -1))
+        prefix = prefix * GroupWord.t(e) * GroupWord.a(k)
+        vertices.append(tree.canonical_vertex(prefix, params))
+    return tree.Geodesic(tuple(vertices), tuple(edges))
+
+
+def _intervals_mod(theta, lo, hi):
+    """The set [lo, hi) pushed into the circle [0, |theta|): 1 or 2 pieces."""
+    width = _abs_theta(theta)
+    q = div_by_theta(theta, lo)
+    shift = width.scale(affine_floor(theta, q))
+    lo = lo - shift
+    hi = hi - shift
+    if affine_sign(theta, width - hi) >= 0:
+        return [(lo, hi)]
+    return [(lo, width), (_ZERO, hi - width)]
+
+
+def _meet(theta, one, two):
+    """Intersection of two disjoint-interval lists; endpoints affine."""
+    out = []
+    for lo1, hi1 in one:
+        for lo2, hi2 in two:
+            lo = lo1 if affine_sign(theta, lo1 - lo2) >= 0 else lo2
+            hi = hi1 if affine_sign(theta, hi1 - hi2) <= 0 else hi2
+            if affine_sign(theta, hi - lo) > 0:
+                out.append((lo, hi))
+    return out
+
+
+def _total_length(pieces):
+    total = _ZERO
+    for lo, hi in pieces:
+        total = total + (hi - lo)
+    return total
+
+
+def cesaro_reference(base, theta, A1, B1, A2, B2, horizon, *,
+                     sample_every=None):
+    """dynamics.cesaro_mixing_test step by step on ThetaAffine values: at
+    every step the return-time pieces, the shifted A1 and their meets with
+    A2 are built as intervals, and the step's term is divided by theta and
+    added to the running total. Takes a positive rational or golden theta
+    and valid interval lists; the library checks those."""
+    width = _abs_theta(theta)
+    A1 = [(as_affine(lo), as_affine(hi)) for lo, hi in A1]
+    A2 = [(as_affine(lo), as_affine(hi)) for lo, hi in A2]
+    muB1, muB2 = base.measure(B1), base.measure(B2)
+    t1 = div_by_theta(theta, _total_length(A1))
+    t2 = div_by_theta(theta, _total_length(A2))
+    product = muB1 * muB2
+    target_affine = _affine_product(t1, t2).scale(product)
+    total = _ZERO
+    samples = []
+    independent_from = None
+    sample_every = sample_every or max(1, horizon // 50)
+    span1 = [c for c, _ in B1.fixed]
+    span2 = [c for c, _ in B2.fixed]
+    indep_dist = max(0, max(span1) - min(span2) + 1) if span1 and span2 else 0
+    for k in range(1, horizon + 1):
+        m0 = affine_floor(theta, div_by_theta(theta, k))
+        cut = width.scale(m0 + 1) - k
+        cut_sign = affine_sign(theta, cut)
+        if cut_sign > 0 and affine_sign(theta, width - cut) > 0:
+            pieces = [((_ZERO, cut), m0), ((cut, width), m0 + 1)]
+        elif cut_sign <= 0:
+            pieces = [((_ZERO, width), m0 + 1)]
+        else:
+            pieces = [((_ZERO, width), m0)]
+        shiftA1 = []
+        for lo, hi in A1:
+            shiftA1.extend(_intervals_mod(theta, lo - k, hi - k))
+        term = _ZERO
+        all_factors_product = True
+        for (plo, phi_), m in pieces:
+            cell = _meet(theta, [(plo, phi_)], shiftA1)
+            cell = _meet(theta, cell, A2)
+            if not cell:
+                continue
+            factor = base.meet_measure(B1.shifted(-m), B2)
+            if factor != product:
+                all_factors_product = False
+            term = term + _total_length(cell).scale(factor)
+        if independent_from is None and all_factors_product \
+                and m0 >= indep_dist:
+            independent_from = k
+        total = total + div_by_theta(theta, term)
+        if k % sample_every == 0 or k == horizon:
+            avg = total.scale(Fraction(1, k))
+            gap = avg - target_affine
+            samples.append((k, _to_float(theta, avg), _to_float(theta, gap)))
+    avg = total.scale(Fraction(1, horizon))
+    gap = avg - target_affine
+    burn = independent_from or horizon
+    burn_in_bound = (burn / horizon) * (1.0 + float(product))
+    return CesaroReport(horizon, _to_float(theta, avg),
+                        _to_float(theta, target_affine),
+                        abs(_to_float(theta, gap)), repr(gap), gap,
+                        independent_from, samples, burn_in_bound)

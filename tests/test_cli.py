@@ -351,6 +351,12 @@ class TestBadInputs:
          "BS(0,3) has p = 0; supported parameters have 2 <= |p| <= |q|"),
         (("tree", "neighbors", "--p", "2", "--q", "0", "--v", "e"),
          "BS(2,0) has q = 0; supported parameters have 2 <= |p| <= |q|"),
+        (("dynamics", "cesaro", "--theta", "1/3", "--horizon", "10"),
+         "the interval [0, 1/2) of A1 is not inside [0, |theta|] for "
+         "theta = 1/3"),
+        (("dynamics", "cesaro", "--theta", "1"),
+         "the interval [1/4, 5/4) of A2 is not inside [0, |theta|] for "
+         "theta = 1"),
     ])
     def test_usage_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -1,14 +1,20 @@
 """Return-time cocycle, coupling action, rotation orbits, and the counters."""
 
+import dataclasses
+import functools
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bsmg.dynamics as dynamics
 from bsmg.dynamics import (
     BernoulliBase,
+    CesaroReport,
     CouplingPoint,
     CylinderSet,
     ThetaAffine,
@@ -40,7 +46,7 @@ from bsmg.errors import (
 from bsmg.profinite import TruncatedProfiniteInt
 from bsmg.words import BSParams, GroupWord, commutator, is_identity, modular_hom
 
-from oracles import sqrt5_sign
+from oracles import cesaro_reference, sqrt5_sign
 
 P23 = BSParams(2, 3)
 THETA32 = ThetaValue.from_rational(Fraction(3, 2))
@@ -407,6 +413,191 @@ class TestCesaro:
         with pytest.raises(ValueError, match="horizon must be at least 1"):
             cesaro_mixing_test(BernoulliBase(), theta, [(0, 1)], c,
                                [(0, 1)], c, horizon)
+
+
+# the intervals and cylinders of `bsmg dynamics cesaro` and the suite check
+CLI_A1 = [(Fraction(0), Fraction(1, 2))]
+CLI_A2 = [(Fraction(1, 4), Fraction(5, 4))]
+CLI_B1 = CylinderSet.of({0: 1})
+CLI_B2 = CylinderSet.of({2: 0})
+RATIONAL_THETAS = [Fraction(3, 2), Fraction(2), Fraction(7, 5),
+                   Fraction(29, 15), Fraction(5, 2)]
+THETAS = [GOLDEN] + [ThetaValue.from_rational(t) for t in RATIONAL_THETAS]
+
+
+def assert_same_report(got, want):
+    """Field by field, floats by ==."""
+    for field in dataclasses.fields(CesaroReport):
+        assert getattr(got, field.name) == getattr(want, field.name), \
+            field.name
+
+
+def random_intervals(rng, theta, count):
+    """Up to count disjoint intervals inside [0, theta], in random order:
+    affine endpoints for the golden ratio, rational ones otherwise."""
+    if theta.kind == "golden":
+        points = [ThetaAffine(Fraction(rng.randint(-6, 12), rng.randint(1, 6)),
+                              Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                  for _ in range(6 * count)]
+        points += [ThetaAffine(0, 0), ThetaAffine(0, 1)]
+    else:
+        top = theta.frac
+        points = [top * Fraction(rng.randint(0, 24), 24)
+                  for _ in range(4 * count)]
+    inside = [x for x in points if affine_sign(theta, x) >= 0
+              and affine_sign(theta, ThetaAffine(0, 1) - x) >= 0]
+    distinct = list({dynamics.as_affine(x): x for x in inside}.values())
+    distinct.sort(key=functools.cmp_to_key(
+        lambda x, y: affine_sign(theta, dynamics.as_affine(x)
+                                 - dynamics.as_affine(y))))
+    picked = sorted(rng.sample(range(len(distinct)),
+                               min(len(distinct), 2 * count) // 2 * 2))
+    # consecutive picks may share an endpoint: touching is not overlapping
+    ends = [distinct[i] for i in picked]
+    intervals = [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)]
+    rng.shuffle(intervals)
+    return intervals
+
+
+def random_cylinder(rng):
+    return CylinderSet.of({c: rng.randrange(2)
+                           for c in rng.sample(range(-3, 4),
+                                               rng.randint(0, 3))})
+
+
+class TestCesaroAgainstTheReference:
+    """The integer-pair loop against the ThetaAffine step loop it replaced."""
+
+    @pytest.mark.parametrize("theta", THETAS, ids=repr)
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 10, 57, 200])
+    def test_cli_intervals(self, theta, horizon):
+        for every in (None, 1, 4, 25):
+            args = (BernoulliBase(), theta, CLI_A1, CLI_B1, CLI_A2, CLI_B2,
+                    horizon)
+            assert_same_report(
+                cesaro_mixing_test(*args, sample_every=every),
+                cesaro_reference(*args, sample_every=every))
+
+    @pytest.mark.parametrize("theta", THETAS, ids=repr)
+    def test_random_interval_lists(self, theta):
+        rng = random.Random(f"cesaro {theta!r}")
+        for _ in range(12):
+            A1 = random_intervals(rng, theta, rng.randint(1, 3))
+            A2 = random_intervals(rng, theta, rng.randint(1, 3))
+            if not A1 or not A2:
+                continue
+            args = (BernoulliBase(), theta, A1, random_cylinder(rng), A2,
+                    random_cylinder(rng), rng.randint(1, 200))
+            every = rng.choice((None, 1, 3, 10))
+            assert_same_report(
+                cesaro_mixing_test(*args, sample_every=every),
+                cesaro_reference(*args, sample_every=every))
+
+    @pytest.mark.parametrize("theta", [GOLDEN, THETA32], ids=repr)
+    def test_the_window_check_fails_at_the_same_step(self, theta):
+        # a shifted cylinder leaves a window of 6 after a few steps
+        errors = []
+        for run in (cesaro_mixing_test, cesaro_reference):
+            with pytest.raises(ValueError) as info:
+                run(BernoulliBase(window=6), theta, CLI_A1, CLI_B1, CLI_A2,
+                    CLI_B2, 40)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == "coordinate -7 leaves the window"
+
+    # sha256 of repr(report), recorded before the step loop moved to
+    # integer pairs; golden at 10,000 is the suite's cesaro-mixing report
+    REPORT_DIGESTS = {
+        ("golden", 1000):
+            "408d2d0669e05c9d019242a59ea5f787542b5adbc060935b156f8bbba346ba40",
+        ("golden", 10000):
+            "97a609ae08c0c50b0418eb6f39583e799e96886b6252bd394a42b5a03dc97d10",
+        ("3/2", 1000):
+            "80ca5d32fea7e934146284efe87a9144877cba0b46b846fb07430f971b7c1a91",
+        ("3/2", 10000):
+            "b17805fb01f5f8b8b095a35c309b4424c18a2d5d464c845329051879fcf2560e",
+        ("2", 1000):
+            "7a3e4852aec734f2b8107653b0adaab67bfa4687ed1bfd405e770d2feb292900",
+        ("2", 10000):
+            "698484bce3f2bfb25c0778e6608d8d4ee5213d7cd15feee09b1f96e0706ae066",
+    }
+
+    @pytest.mark.parametrize("theta_text, horizon", sorted(REPORT_DIGESTS))
+    def test_reports_are_pinned(self, theta_text, horizon):
+        theta = GOLDEN if theta_text == "golden" else \
+            ThetaValue.from_rational(Fraction(theta_text))
+        rep = cesaro_mixing_test(BernoulliBase(), theta, CLI_A1, CLI_B1,
+                                 CLI_A2, CLI_B2, horizon)
+        assert hashlib.sha256(repr(rep).encode()).hexdigest() == \
+            self.REPORT_DIGESTS[(theta_text, horizon)]
+
+    @pytest.mark.parametrize("theta", [GOLDEN, THETA32], ids=repr)
+    def test_step_loop_makes_no_affine_call(self, monkeypatch, theta):
+        calls = []
+        real = dynamics._affine
+
+        def counted(p, q, d):
+            calls.append(1)
+            return real(p, q, d)
+
+        monkeypatch.setattr(dynamics, "_affine", counted)
+
+        def count(horizon, every):
+            calls.clear()
+            cesaro_mixing_test(BernoulliBase(), theta, CLI_A1, CLI_B1,
+                               CLI_A2, CLI_B2, horizon, sample_every=every)
+            return len(calls)
+
+        # two samples each: the count cannot grow with the horizon
+        assert count(20, 10) == count(2000, 1000) == count(6000, 3000)
+        # each further sample costs the same fixed number of calls
+        three, four = count(30, 10), count(40, 10)
+        assert four - three == three - count(20, 10) > 0
+
+
+class TestCesaroDomain:
+    """Intervals must be nonempty, inside [0, |theta|] and disjoint."""
+
+    def run(self, A1, A2, theta=THETA32, horizon=5):
+        return cesaro_mixing_test(BernoulliBase(), theta, A1, CLI_B1, A2,
+                                  CLI_B2, horizon)
+
+    def test_the_whole_circle_and_touching_intervals_are_accepted(self):
+        self.run([(0, Fraction(3, 2))], [(0, 1), (1, Fraction(3, 2))])
+        self.run([(0, ThetaAffine(0, 1))], [(ThetaAffine(-1, 1), 1)],
+                 theta=GOLDEN)
+
+    @pytest.mark.parametrize("A1, A2, message", [
+        ([(1, 1)], [(0, 1)], r"the interval \[1, 1\) of A1 is empty"),
+        ([(0, 1)], [(1, Fraction(1, 2))],
+         r"the interval \[1, 1/2\) of A2 is empty"),
+        ([(0, 2)], [(0, 1)],
+         r"the interval \[0, 2\) of A1 is not inside \[0, \|theta\|\] "
+         r"for theta = 3/2"),
+        ([(0, 1)], [(Fraction(-1, 4), 1)],
+         r"the interval \[-1/4, 1\) of A2 is not inside"),
+        ([(0, 1), (Fraction(1, 2), Fraction(3, 2))], [(0, 1)],
+         r"the intervals \[0, 1\) and \[1/2, 3/2\) of A1 overlap"),
+        ([(0, 1)], [(1, Fraction(3, 2)), (0, Fraction(5, 4))],
+         r"the intervals \[1, 3/2\) and \[0, 5/4\) of A2 overlap"),
+    ])
+    def test_refused(self, A1, A2, message):
+        with pytest.raises(ValueError, match=message):
+            self.run(A1, A2)
+
+    def test_golden_bounds_are_exact(self):
+        # 1.618 < phi: a rational bound just above phi leaves the circle
+        with pytest.raises(ValueError, match="for theta = golden"):
+            self.run([(0, Fraction(1619, 1000))], [(0, 1)], theta=GOLDEN)
+        self.run([(0, Fraction(1618, 1000))], [(0, 1)], theta=GOLDEN)
+
+    def test_earlier_checks_come_first(self):
+        bad = [(1, 0)]
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            self.run(bad, bad, horizon=0)
+        with pytest.raises(PrecisionError):
+            self.run(bad, bad, theta=ThetaValue.from_interval(1, 2))
+        with pytest.raises(ValueError, match="expects a positive theta"):
+            self.run(bad, bad, theta=ThetaValue.from_rational(-2))
 
 
 class TestComponentCounts:

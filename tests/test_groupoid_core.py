@@ -33,8 +33,9 @@ from bsmg.groupoid.core import (
 )
 from bsmg.groupoid.pseudogroup import coset_classes
 from bsmg.groupoid.quotient import quotient
-from bsmg.groupoid.randomgen import (random_action_instance, random_groupoid,
-                                     random_wide_subgroupoid)
+from bsmg.groupoid.randomgen import (identity_index, random_action_instance,
+                                     random_groupoid, random_wide_subgroupoid,
+                                     subgroup_closure)
 from bsmg.words import BSParams
 from oracles import (
     arrows_from,
@@ -220,6 +221,35 @@ class TestRandomActionInstance:
         G = random_action_instance(random.Random(5), max_units=3,
                                    max_arrows=4)
         assert (G.n_units, G.n_arrows) == (2, 4)
+
+
+class TestSubgroupClosure:
+    @staticmethod
+    def fixpoint(G, gens):
+        """The subgroup by brute force: the identity and the generators,
+        then products of every two members until nothing new appears."""
+        multiply = G._composer.multiply
+        members = {identity_index(G), *gens}
+        while True:
+            grown = members | {multiply(i, j) for i in members
+                               for j in members}
+            if grown == members:
+                return frozenset(members)
+            members = grown
+
+    def test_matches_the_brute_force_fixpoint(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            G = random_action_instance(rng, max_units=8, max_arrows=200)
+            order = len(G.group_elements)
+            for n_gens in range(3):
+                gens = [rng.randrange(order) for _ in range(n_gens)]
+                assert subgroup_closure(G, gens) == self.fixpoint(G, gens)
+
+    def test_no_generators_give_the_trivial_subgroup(self):
+        G = random_action_instance(random.Random(5), max_units=3,
+                                   max_arrows=4)
+        assert subgroup_closure(G, []) == {identity_index(G)}
 
 
 class TestRandomGroupoid:

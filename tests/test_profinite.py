@@ -1,9 +1,11 @@
 """Truncated ring arithmetic, scaling maps, and the unit shadow checks."""
 
+import hashlib
 import random
 
 import pytest
 
+import bsmg.profinite as profinite
 from bsmg.errors import (
     LevelBudgetExceeded,
     NotAUnit,
@@ -200,3 +202,59 @@ class TestLimitShadow:
         assert a == b == {"sigma_kernel": 4, "sigma_roundtrip": 4,
                           "sigma_composition": 20, "fix_implies_u0": 2,
                           "u0_implies_fix": 1}
+
+    # (sigma_kernel, sigma_roundtrip, sigma_composition, fix_implies_u0,
+    # u0_implies_fix), recorded before the sweeps were hoisted, at the
+    # levels the bs-dynamics benchmark verifies
+    BENCHMARK_COUNTS = {
+        ((2, 3), (1, 1)): (24, 24, 20, 6, 1),
+        ((2, 3), (3, 3)): (3456, 3456, 20, 341, 1),
+        ((2, 3), (5, 5)): (279936, 279936, 20, 13301, 1),
+        ((4, 6), (1, 1)): (24, 24, 20, 12, 2),
+        ((4, 6), (4, 4)): (32400, 32400, 20, 4324, 2),
+        ((2, -3), (2, 2)): (324, 324, 20, 50, 1),
+        ((2, -3), (4, 4)): (32400, 32400, 20, 2162, 1),
+    }
+
+    @pytest.mark.parametrize("pq, level", sorted(BENCHMARK_COUNTS))
+    def test_counts_are_pinned_at_the_benchmark_levels(self, pq, level):
+        counts = verify_limit_shadow(BSParams(*pq), *level)
+        assert list(counts) == ["sigma_kernel", "sigma_roundtrip",
+                                "sigma_composition", "fix_implies_u0",
+                                "u0_implies_fix"]
+        assert tuple(counts.values()) == self.BENCHMARK_COUNTS[(pq, level)]
+
+    def test_counts_are_pinned_at_every_level_up_to_10000(self):
+        # sha256 of repr([((p, q), (K, L), counts as a tuple), ...]) over
+        # the levels of acceptance criterion 09, recorded before the sweeps
+        # were hoisted
+        rows = []
+        for p, q in ((2, 3), (2, 5), (4, 6), (6, 9), (2, -3)):
+            params = BSParams(p, q)
+            for K, L in enumerate_levels(params, 10_000):
+                counts = verify_limit_shadow(params, K, L)
+                rows.append(((p, q), (K, L), tuple(counts.values())))
+        assert len(rows) == 293
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "3b3934c09d1a0386eedfa20b8d995f331e8c621ea90c73ac0d10d9f9bc4767c7")
+
+    @pytest.mark.parametrize("pq, bad, message", [
+        ((2, 3), (0, 0), "sigma(2,2) kernel wrong at 1@(2,2)"),
+        ((2, 3), (1, 1), "sigma(1,1) kernel wrong at 6@(2,2)"),
+        ((4, 6), (2, 1), "sigma(0,1) kernel wrong at 24@(2,2)"),
+        ((2, -3), (0, 1), "sigma(2,1) round trip wrong at 1@(2,2)"),
+    ])
+    def test_the_first_failure_is_reported(self, monkeypatch, pq, bad,
+                                           message):
+        # one reduced modulus doubled: the sweep fails at the first residue
+        # it reaches there, with the message recorded before the sweeps
+        # were hoisted
+        real = profinite.level_modulus
+
+        def doubled(params, K, L):
+            return real(params, K, L) * (2 if (K, L) == bad else 1)
+
+        monkeypatch.setattr(profinite, "level_modulus", doubled)
+        with pytest.raises(VerificationFailure) as info:
+            verify_limit_shadow(BSParams(*pq), 2, 2)
+        assert str(info.value) == message

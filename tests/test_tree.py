@@ -5,7 +5,8 @@ import pytest
 from bsmg import tree
 from bsmg.errors import RadiusExceeded
 from bsmg.words import BSParams, GroupWord
-from oracles import ball, bfs_distance, smallest_power_index
+from oracles import (ball, bfs_distance, scratch_geodesic, scratch_neighbors,
+                     smallest_power_index)
 from test_words import PARAMS_POOL, random_word
 
 
@@ -118,6 +119,34 @@ class TestGeodesic:
         far = tree.canonical_vertex(GroupWord.t(40), params)
         with pytest.raises(RadiusExceeded):
             tree.geodesic(v0, far)
+
+
+class TestResumedSteps:
+    """Tree steps fold onto the vertex's form; each must equal the step
+    normalized from the whole word."""
+
+    BALL_PARAMS = [BSParams(2, 3), BSParams(2, -3), BSParams(4, 6)]
+
+    @pytest.mark.parametrize("params", BALL_PARAMS, ids=str)
+    def test_neighbors_and_edge_ends_on_a_radius_3_ball(self, params):
+        for v in ball(params, 3):
+            steps = tree.neighbors(v)
+            assert steps == scratch_neighbors(v)
+            for edge, w in steps:
+                word = edge.form.to_word()
+                assert edge.form == tree.canonical_edge(word, params)
+                assert edge.origin() == tree.canonical_vertex(word, params)
+                assert edge.terminal() == tree.canonical_vertex(
+                    word * GroupWord.t(), params)
+                assert {edge.origin(), edge.terminal()} == {v, w}
+
+    @pytest.mark.parametrize("params", BALL_PARAMS, ids=str)
+    def test_geodesics_on_a_radius_3_ball(self, params):
+        rng = random.Random(f"geodesic {params}")
+        verts = sorted(ball(params, 3), key=lambda v: v.to_text())
+        for _ in range(150):
+            u, v = rng.choice(verts), rng.choice(verts)
+            assert tree.geodesic(u, v) == scratch_geodesic(u, v)
 
 
 class TestTau:

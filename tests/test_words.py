@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsmg.words import (
+    BrittonNormalForm,
     BSParams,
     GroupWord,
     classify_isomorphism,
     commutator,
     conjugation_exponents,
+    fold,
     is_amenable,
     is_elliptic,
     modular_hom,
@@ -276,3 +278,43 @@ def test_inverse_cancels(runs):
         w = w * (GroupWord.a() if letter == "a" else GroupWord.t()) ** exp
     assert normalize(w * w.inverse(), params).is_trivial()
     assert normalize(w.inverse() * w, params).is_trivial()
+
+
+# negative p or q, and pairs with a common factor, beside the pool
+SIGNED_PARAMS = PARAMS_POOL + [BSParams(-2, 3), BSParams(-3, -5),
+                               BSParams(2, -4), BSParams(-4, -6)]
+RUNS = st.lists(st.one_of(
+    st.tuples(st.just("a"), st.integers(-10 ** 6, 10 ** 6)),
+    st.tuples(st.just("t"), st.integers(-3, 3))), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SIGNED_PARAMS), RUNS)
+def test_normalize_matches_the_oracle_on_large_exponents(params, runs):
+    word = GroupWord(runs)
+    form = normalize(word, params)
+    assert (form.k0, form.syllables) == oracle_normal_form(word, params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SIGNED_PARAMS), RUNS, RUNS)
+def test_a_fold_resumed_from_a_form_equals_normalizing_from_scratch(
+        params, left, right):
+    u, v = GroupWord(left), GroupWord(right)
+    assert fold(normalize(u, params), v.runs, params) == \
+        normalize(u * v, params)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SIGNED_PARAMS), RUNS)
+def test_to_word_is_already_reduced(params, runs):
+    form = normalize(GroupWord(runs), params)
+    word = form.to_word()
+    assert GroupWord(word.runs).runs == word.runs
+    assert normalize(word, params) == form
+
+
+def test_to_word_of_a_form_with_a_seam_still_reduces():
+    # not a normal form: t a^0 T is a pinch, so the word reduces to a^2
+    form = BrittonNormalForm(2, ((1, 0), (-1, 0)))
+    assert form.to_word() == GroupWord.a(2)
