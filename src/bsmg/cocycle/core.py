@@ -21,7 +21,9 @@ from ..groupoid.core import (
     arrows_by,
     certificate,
     forest_potential,
+    id_set,
     index_within,
+    products_defined,
 )
 from ..groupoid.pseudogroup import witness_family
 from .values import GroupoidCocycle, QPos
@@ -36,10 +38,6 @@ def radon_nikodym(G):
         values = [G.masses[G.rng[g]] / G.masses[G.src[g]]
                   for g in range(G.n_arrows)]
     return GroupoidCocycle.from_values(G, QPos, values, check=False)
-
-
-def _sub_ids(S):
-    return S.ids if isinstance(S, Subgroupoid) else frozenset(S)
 
 
 def _per_unit_local_index(G, ambient_ids, sub_ids, units, sub_dec):
@@ -96,13 +94,13 @@ def modular_pair(G, S, *, witnesses=None):
     values at x on the left S-class of g0 = phi(x), cross-checked against
     every earlier value; a clash names the lowest arrow, D before K.
 
-    - The class walk. When every composable product is defined (a
-      certified pair groupoid, or a composer) the class is {s . g0 : s in
-      S leaving r(g0)}, since g g0^-1 = s exactly when g = s g0: one
-      product per S arrow leaving r(g0). Otherwise (an explicit product
-      table, or a principal map that is not certified) the class is read
-      off a scan of s^-1(x) computing g g0^-1 for every g, which refuses a
-      missing product.
+    - The class walk. When every composable product is defined
+      (products_defined: G is certified or closed by construction) the
+      class is {s . g0 : s in S leaving r(g0)}, since g g0^-1 = s exactly
+      when g = s g0: one product per S arrow leaving r(g0). Otherwise (a
+      products table, or a principal map that is not certified) the class
+      is read off a scan of s^-1(x) computing g g0^-1 for every g, which
+      refuses a missing product.
     - The local indices. On a certified pair groupoid a sub that is the
       whole pair relation on its components has local index 1 at every
       unit (_per_unit_local_index), found in one pass over the sub arrows
@@ -113,7 +111,7 @@ def modular_pair(G, S, *, witnesses=None):
     """
     if not G.measure_preserving:
         raise NotMeasurePreserving("modular cocycle needs preserved masses")
-    s_ids = _sub_ids(S)
+    s_ids = id_set(S)
     # a unit outside S has no S-class, so its local indices would be 0 / 0
     lacking = next((x for x in range(G.n_units)
                     if G.unit_arrow(x) not in s_ids), None)
@@ -125,10 +123,7 @@ def modular_pair(G, S, *, witnesses=None):
         sub_by_src = S.by_src
     else:
         sub_by_src = arrows_by(G.src, sorted(s_ids))
-    # a certified groupoid composes by endpoints or by group elements and a
-    # composer closes under products, so none leaves a composable pair
-    # undefined
-    walk = certificate(G) is not None or G._composer is not None
+    walk = products_defined(G)
     dec = ErgodicDecomposition(G, sorted(s_ids))
     cond = dec.conditional_masses
 

@@ -118,9 +118,8 @@ class BSLevelModel:
 
         masses = [Fraction(1, total)] * total
         names = [f"0:{x}" for x in range(N)] + [f"1:{j}" for j in range(Np)]
-        self.groupoid = FiniteMeasuredGroupoid(
-            names, masses, src, rng, inv, labels, None,
-            principal_map=pair_to_id)
+        self.groupoid = FiniteMeasuredGroupoid.principal(
+            names, masses, src, rng, inv, labels, pair_to_id)
         self.S = Subgroupoid(self.groupoid, range(base_t), check=False)
         self.t_arrow_ids = range(base_t, base_tt)
         self.lower_arrow_ids = range(base_tt, n_arrows)

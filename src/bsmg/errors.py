@@ -29,6 +29,11 @@ class UnknownUnit(BsmgError, ValueError):
     """A unit index outside [0, n_units) of the groupoid it was given for."""
 
 
+class InvalidDocument(BsmgError, ValueError):
+    """A groupoid document that is not a JSON object, or whose ids name no
+    arrow or unit of it."""
+
+
 class MissingUnitArrow(BsmgError, ValueError):
     """An arrow set used as a wide subgroupoid lacks the unit arrow of some
     unit."""

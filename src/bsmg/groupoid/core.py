@@ -2,10 +2,12 @@
 
 An instance is a finite window of a discrete measured groupoid: finitely many
 units with positive rational masses, finitely many arrows with source, range,
-inverse, and a label, and a partial product. Constructors that close their
-input (group actions, partial isomorphism closures) produce a complete
-product; hand-built windows may leave products undefined beyond the modeled
-region, and operations that need closure refuse such windows.
+inverse, and a label, and a partial product, fixed by the constructor: by
+endpoints, group elements, label words or a table; a restriction composes
+through its parent. Constructors that close their input (group actions,
+partial isomorphism closures) produce a complete product; hand-built windows
+may leave products undefined beyond the modeled region, and operations that
+need closure refuse such windows.
 
 Arrows are identified by dense integer ids assigned in construction order;
 ties everywhere break toward the lowest id, which keeps every computation
@@ -19,8 +21,9 @@ import operator
 from fractions import Fraction
 
 from .._kernels import component_labels, perm_closure
-from ..errors import (ClosureTooLarge, EmptySet, GroupTooLarge, ParamMismatch,
-                      UnknownArrow, UnknownUnit, VerificationFailure)
+from ..errors import (ClosureTooLarge, EmptySet, GroupTooLarge,
+                      InvalidDocument, ParamMismatch, UnknownArrow, UnknownUnit,
+                      VerificationFailure)
 
 
 # marks a cached certificate that has not been computed yet (None is a
@@ -43,8 +46,8 @@ def composable_pairs(G, ids=None):
     ascending. The product is None where a window leaves it undefined.
 
     This is the one walk over composable pairs behind validate, the cocycle
-    checks, the subgroupoid check and the products tables of to_doc and
-    restrict: sum over units x of |r^-1(x)|.|s^-1(x)| pairs when ids is None.
+    checks, the subgroupoid check and the products table of to_doc: sum over
+    units x of |r^-1(x)|.|s^-1(x)| pairs when ids is None.
     """
     product, src, range_fiber = G.product, G.src, G.range_fiber
     if ids is None:
@@ -59,16 +62,6 @@ def composable_pairs(G, ids=None):
                 yield g, h, product(g, h)
 
 
-def _free_reduce(word):
-    out = []
-    for sym in word:
-        if out and out[-1] == -sym:
-            out.pop()
-        else:
-            out.append(sym)
-    return tuple(out)
-
-
 def _inverse_perm(perm):
     inverse = [0] * len(perm)
     for i, v in enumerate(perm):
@@ -76,64 +69,25 @@ def _inverse_perm(perm):
     return tuple(inverse)
 
 
-class _GroupComposer:
-    """Label composition for action groupoids: labels are ("g", element index)
-    and multiply through the abstract group elements."""
-
-    def __init__(self, elements, index_of):
-        self.elements = elements
-        self.index_of = index_of
-        self.order = len(elements)
-        # i * order + j -> the index of elements[i] o elements[j], filled on
-        # first use: at most one int per element pair
-        self.products = {}
-        # (src, rng, inv, labels) of the action groupoid of this group: arrow
-        # e.n + x, for n units, has source x, range e[x], label ("g", e) and
-        # inverse inv(e).n + e[x]
-        n = len(elements[0])
-        inverses = [index_of[_inverse_perm(p)] for p in elements]
-        self.layout = (
-            tuple(range(n)) * self.order,
-            tuple(y for perm in elements for y in perm),
-            tuple(i * n + y for i, perm in zip(inverses, elements)
-                  for y in perm),
-            tuple(label for e in range(self.order)
-                  for label in [("g", e)] * n))
-
-    def multiply(self, i, j):
-        """The index of elements[i] o elements[j] (j acts first)."""
-        key = i * self.order + j
-        k = self.products.get(key)
-        if k is None:
-            pi = self.elements[i]
-            k = self.products[key] = self.index_of[
-                tuple(map(pi.__getitem__, self.elements[j]))]
-        return k
-
-    def mul(self, lg, lh):
-        return ("g", self.multiply(lg[1], lh[1]))
+def _doc_id(value, bound, what):
+    """value when it is an int in [0, bound); InvalidDocument otherwise."""
+    if type(value) is not int or not 0 <= value < bound:
+        raise InvalidDocument(f"{what} is {value!r}, not in [0, {bound})")
+    return value
 
 
-class _WordComposer:
-    """Label composition for partial isomorphism closures: labels are reduced
-    words over signed seed indices, the unit label is the empty word."""
-
-    def __init__(self, normalizer=None):
-        self.normalizer = normalizer
-
-    def mul(self, lg, lh):
-        word = _free_reduce(lg + lh)
-        if self.normalizer is not None:
-            word = self.normalizer(word)
-        return word
+def table_product(table):
+    """The compose of a products table {(g, h): g . h}: a pair off the table
+    has no product (None), as beyond a window."""
+    return lambda g, h: table.get((g, h))
 
 
 class FiniteMeasuredGroupoid:
-    """See module docstring. Build through the class methods, not __init__."""
+    """See module docstring. Build through the class methods, not __init__:
+    each passes its own compose(g, h), the product of a composable pair."""
 
-    def __init__(self, unit_names, masses, src, rng, inv, labels, composer, *,
-                 explicit_products=None, product_complete=True, rn_values=None,
-                 principal_map=None):
+    def __init__(self, unit_names, masses, src, rng, inv, labels, compose, *,
+                 product_complete=True, rn_values=None):
         self.unit_names = tuple(unit_names)
         self.n_units = len(self.unit_names)
         self.masses = tuple(Fraction(m) for m in masses)
@@ -143,11 +97,13 @@ class FiniteMeasuredGroupoid:
         self.rng = tuple(rng)
         self.inv = tuple(inv)
         self.labels = tuple(labels)
-        self._composer = composer
-        # principal groupoids have exactly one arrow per unit pair, so the
-        # product is endpoint lookup; the callable maps (src, rng) to an id
-        self._principal = principal_map
-        self._prod = dict(explicit_products) if explicit_products else {}
+        self._compose = compose
+        # (src, rng) -> the arrow id of a principal groupoid, for the pair
+        # certificate; set by principal and restrict
+        self._principal = None
+        # every composable pair has a product by construction; set by
+        # from_group_action and from_partial_isos, inherited by restrict
+        self._closed = False
         # the fiber index, each half built on first use (src and rng never
         # change). Declared here: writing a new key into the instance dict
         # later, as functools.cached_property does, slowed every attribute
@@ -162,13 +118,6 @@ class FiniteMeasuredGroupoid:
         for x in range(self.n_units):
             if not (self.src[x] == self.rng[x] == x and self.inv[x] == x):
                 raise ValueError("arrows 0..n_units-1 must be the unit loops")
-        self._by_src_label = {}
-        if composer is not None:
-            for gid, (s, lab) in enumerate(zip(self.src, self.labels)):
-                key = (s, lab)
-                if key in self._by_src_label:
-                    raise ValueError("duplicate (source, label) pair")
-                self._by_src_label[key] = gid
 
     def __repr__(self):
         return (f"FiniteMeasuredGroupoid(units={self.n_units}, "
@@ -201,39 +150,11 @@ class FiniteMeasuredGroupoid:
         return self._rng_fibers.get(x, ())
 
     def product(self, g, h):
-        """g . h for s(g) = r(h); None when not composable or outside a window.
-
-        A principal groupoid looks the product up by endpoints. A certified
-        action groupoid (certificate) multiplies the two group elements:
-        arrow e.n + x is (e, x), so g . h is mul(e_g, e_h).n + s(h), each
-        element pair composed once and cached under one int key. Any other
-        groupoid composes labels, caching each arrow pair's result."""
-        src = self.src
-        if src[g] != self.rng[h]:
+        """g . h for s(g) = r(h); None when not composable or outside a
+        window. The compose that answers was fixed by the constructor."""
+        if self.src[g] != self.rng[h]:
             return None
-        if self._principal is not None:
-            return self._principal(src[h], self.rng[g])
-        cert = self._certificate
-        if cert.__class__ is ActionCertificate:
-            n = self.n_units
-            i, j = g // n, h // n
-            k = cert.products.get(i * cert.order + j)
-            if k is None:
-                k = cert.composer.multiply(i, j)
-            return k * n + src[h]
-        key = (g, h)
-        cached = self._prod.get(key)
-        if cached is not None:
-            return cached
-        if self._composer is None:
-            return None
-        label = self._composer.mul(self.labels[g], self.labels[h])
-        result = self._by_src_label.get((src[h], label))
-        if result is None:
-            raise VerificationFailure(
-                f"closed groupoid is missing the composite of ({g},{h})")
-        self._prod[key] = result
-        return result
+        return self._compose(g, h)
 
     @property
     def measure_preserving(self):
@@ -261,17 +182,28 @@ class FiniteMeasuredGroupoid:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def principal(cls, unit_names, masses, src, rng, inv, labels, pair_map, *,
+                  rn_values=None):
+        """A principal groupoid: at most one arrow per (source, range) pair,
+        pair_map(s, r) its id (None where there is none), and g . h is
+        pair_map(s(h), r(g)). The pair certificate is tried on first use."""
+        src, rng = tuple(src), tuple(rng)
+        G = cls(unit_names, masses, src, rng, inv, labels,
+                lambda g, h: pair_map(src[h], rng[g]), rn_values=rn_values)
+        G._principal = pair_map
+        return G
+
+    @classmethod
     def from_group_action(cls, action_gens, masses=None, *, bound=5000):
         """Action groupoid of a finite group acting on the unit set.
 
         action_gens are permutations of the units; the group is the
         transformation group they generate, with at most bound elements
         (GroupTooLarge otherwise). Arrow e.n + x is element e acting at unit
-        x. The result is certified as an action groupoid (certificate) in one
-        pass over the arrows, with the generators' element indices recorded:
-        products then multiply group elements, validate answers [] while no
-        RN values are attached, and GroupoidCocycle.check tests the cocycle
-        law on generators only.
+        x. The result is certified as an action groupoid (certificate), with
+        the generators' element indices recorded: products multiply group
+        elements, validate answers [] while no RN values are attached, and
+        GroupoidCocycle.check tests the cocycle law on generators only.
         """
         if not action_gens:
             raise ValueError("need at least one generator")
@@ -283,15 +215,26 @@ class FiniteMeasuredGroupoid:
         group_elements = perm_closure(action_gens, bound)
         if group_elements is None:
             raise GroupTooLarge(f"group closure exceeds {bound} elements")
-        index_of = {e: i for i, e in enumerate(group_elements)}
         if masses is None:
             masses = [Fraction(1, n)] * n
-        composer = _GroupComposer(group_elements, index_of)
-        G = cls(range(n), masses, *composer.layout, composer)
+        group = ActionCertificate(group_elements, action_gens)
+        products, multiply, order = group._products, group.multiply, group.order
+
+        def compose(g, h):
+            # (e_g, x) . (e_h, y) = (e_g e_h, y), read off the element-pair
+            # cache before calling multiply
+            i, j = g // n, h // n
+            k = products.get(i * order + j)
+            if k is None:
+                k = multiply(i, j)
+            return k * n + h % n
+
+        G = cls(range(n), masses, *group.layout, compose)
+        G._closed = True
         # the group is its own transformation group: each element is the
         # permutation it acts by
-        G.group_elements = G.action_perms = tuple(group_elements)
-        G._certificate = _certify_action(G, [index_of[g] for g in action_gens])
+        G.group_elements = G.action_perms = group.elements
+        G._certificate = group
         return G
 
     @classmethod
@@ -303,7 +246,8 @@ class FiniteMeasuredGroupoid:
         (source, normalized label word); distinct normalized labels give
         distinct parallel arrows even when they agree pointwise, so without a
         label_normalizer collapsing relations the closure of any recurrent
-        seed is infinite and raises ClosureTooLarge.
+        seed is infinite and raises ClosureTooLarge. g . h is the arrow
+        leaving s(h) labeled by the normalized free reduction of g h.
         """
         seeds = [dict(s) for s in seeds]
         for s in seeds:
@@ -311,7 +255,17 @@ class FiniteMeasuredGroupoid:
                 raise ValueError("seeds must be injective")
         if masses is None:
             masses = [Fraction(1, n_units)] * n_units
-        composer = _WordComposer(label_normalizer)
+
+        def mul(u, v):
+            word = []
+            for s in u + v:
+                if word and word[-1] == -s:
+                    word.pop()
+                else:
+                    word.append(s)
+            word = tuple(word)
+            return word if label_normalizer is None else label_normalizer(word)
+
         src, rng, labs = [], [], []
         by_key = {}
         # the fiber index of the arrows so far, each list ascending
@@ -338,12 +292,12 @@ class FiniteMeasuredGroupoid:
         worklist = []
         for i, seed in enumerate(seeds):
             for x in sorted(seed):
-                gid = add_arrow(x, seed[x], composer.mul((i + 1,), ()))
+                gid = add_arrow(x, seed[x], mul((i + 1,), ()))
                 if gid is not None:
                     worklist.append(gid)
             inv_seed = {y: x for x, y in seed.items()}
             for y in sorted(inv_seed):
-                gid = add_arrow(y, inv_seed[y], composer.mul((-(i + 1),), ()))
+                gid = add_arrow(y, inv_seed[y], mul((-(i + 1),), ()))
                 if gid is not None:
                     worklist.append(gid)
         cursor = 0
@@ -357,7 +311,7 @@ class FiniteMeasuredGroupoid:
             for h in partners:
                 for left, right in ((g, h), (h, g)):
                     if src[left] == rng[right]:
-                        label = composer.mul(labs[left], labs[right])
+                        label = mul(labs[left], labs[right])
                         gid = add_arrow(src[right], rng[left], label)
                         if gid is not None:
                             worklist.append(gid)
@@ -366,13 +320,23 @@ class FiniteMeasuredGroupoid:
                                     f"closure exceeds {bound} arrows")
         inv = [0] * len(src)
         for g in range(len(src)):
-            ilabel = composer.mul(tuple(-s for s in reversed(labs[g])), ())
+            ilabel = mul(tuple(-s for s in reversed(labs[g])), ())
             partner = by_key.get((rng[g], ilabel))
             if partner is None:
                 raise VerificationFailure(
                     f"closure is missing the inverse of arrow {g}")
             inv[g] = partner
-        return cls(range(n_units), masses, src, rng, inv, labs, composer)
+
+        def compose(g, h):
+            k = by_key.get((src[h], mul(labs[g], labs[h])))
+            if k is None:
+                raise VerificationFailure(
+                    f"closed groupoid is missing the composite of ({g},{h})")
+            return k
+
+        G = cls(range(n_units), masses, src, rng, inv, labs, compose)
+        G._closed = True
+        return G
 
     @classmethod
     def window(cls, masses, arrows, inverse_pairs, *, unit_names=None,
@@ -440,9 +404,8 @@ class FiniteMeasuredGroupoid:
                 rn[partner] = 1 / value
             if None in rn:
                 raise ValueError("rn_values must cover every arrow")
-        return cls(names, masses, src, rng, inv, labs, None,
-                   explicit_products=prod, product_complete=False,
-                   rn_values=rn)
+        return cls(names, masses, src, rng, inv, labs, table_product(prod),
+                   product_complete=False, rn_values=rn)
 
     # -- serialization -----------------------------------------------------
 
@@ -472,18 +435,43 @@ class FiniteMeasuredGroupoid:
 
     @classmethod
     def from_doc(cls, doc):
+        """The groupoid of a to_doc document. InvalidDocument refuses, in
+        O(arrows + products), a document that is not an object or whose ids
+        name no arrow or unit: arrow ids other than 0..m-1, endpoints,
+        inverses, product rows (which must pair composable arrows), and an rn
+        list whose length is not m. Data in range is validate's to explain."""
+        if not isinstance(doc, dict):
+            raise InvalidDocument("a groupoid document is a JSON object, "
+                                  f"got a {type(doc).__name__}")
         masses = [Fraction(u["mass"]) for u in doc["units"]]
         names = [u["name"] for u in doc["units"]]
-        src, rng, inv, labs = [], [], [], []
-        for a in sorted(doc["arrows"], key=lambda a: a["id"]):
-            src.append(a["source"])
-            rng.append(a["range"])
-            inv.append(a["inverse"])
-            labs.append(a["label"])
-        prod = {(g, h): k for g, h, k in doc.get("products", [])}
+        n, m = len(names), len(doc["arrows"])
+        by_id = [None] * m
+        for a in doc["arrows"]:
+            g = _doc_id(a["id"], m, "an arrow id")
+            if by_id[g] is not None:
+                raise InvalidDocument(f"arrow id {g} appears twice")
+            by_id[g] = a
+        src, rng, inv = ([_doc_id(a[key], bound, f"the {key} of arrow {g}")
+                          for g, a in enumerate(by_id)]
+                         for key, bound in (("source", n), ("range", n),
+                                            ("inverse", m)))
+        labs = [a["label"] for a in by_id]
+        prod = {}
+        for i, row in enumerate(doc.get("products", [])):
+            if not (isinstance(row, list) and len(row) == 3):
+                raise InvalidDocument(f"product row {i} is not [g, h, g.h]")
+            g, h, k = (_doc_id(v, m, f"an arrow of product row {i}")
+                       for v in row)
+            if src[g] != rng[h]:
+                raise InvalidDocument(f"product row {i}: arrows {g} and {h} "
+                                      "are not composable")
+            prod[(g, h)] = k
         rn = [Fraction(v) for v in doc["rn"]] if "rn" in doc else None
-        return cls(names, masses, src, rng, inv, labs, None,
-                   explicit_products=prod,
+        if rn is not None and len(rn) != m:
+            raise InvalidDocument(
+                f"the document has {len(rn)} RN values for {m} arrows")
+        return cls(names, masses, src, rng, inv, labs, table_product(prod),
                    product_complete=bool(doc.get("product_complete")),
                    rn_values=rn)
 
@@ -571,6 +559,11 @@ class Subgroupoid:
 
     def full(self):
         return len(self.ids) == self.parent.n_arrows
+
+
+def id_set(S):
+    """The arrow ids of S, a Subgroupoid or an id collection, a frozenset."""
+    return S.ids if isinstance(S, Subgroupoid) else frozenset(S)
 
 
 def whole(G):
@@ -707,20 +700,27 @@ def certificate(G):
       components. Computed on first use for a groupoid with a principal map
       (level models, partition groupoids and their restrictions).
     - An ActionCertificate (kind "action"): G is the action groupoid of a
-      finite permutation group. Set by from_group_action when it builds G.
+      finite permutation group, the group object from_group_action built G
+      from and composes G's products with.
 
     Each kind answers, in O(arrows) per generator or less: are the masses
     preserved, do the groupoid axioms hold, and is a value list a cocycle;
     the pair kind also gives the index of a subgroupoid at every unit. A
     restriction of an action groupoid, a groupoid read back from JSON and a
-    hand-built window get no certificate. Without one, or when a fast test
-    fails, every caller runs its fiber scan, so messages never depend on the
-    certificate.
+    hand-built window get no certificate. No certificate changes a product.
+    Without one, or when a fast test fails, every caller runs its fiber
+    scan, so messages never depend on the certificate.
     """
     cert = G._certificate
     if cert is _UNCHECKED:
         cert = G._certificate = _certify_pair(G)
     return cert
+
+
+def products_defined(G):
+    """True when every composable pair of G has a product: G is certified or
+    closed by construction (group actions, partial isomorphism closures)."""
+    return G._closed or certificate(G) is not None
 
 
 class PairCertificate:
@@ -799,25 +799,59 @@ class PairCertificate:
 
 
 class ActionCertificate:
-    """G is exactly the action groupoid of its composer's permutation group,
-    laid out as _GroupComposer.layout. perm_closure built the group, so it
-    is closed, every product is defined and is the arrow mul(e_g, e_h).n +
-    s(h), and the axioms hold. generators are the element indices of the
-    permutations the group was generated from; perm_closure reaches every
-    element as a positive word in them."""
+    """A permutation group on n units, and the certificate that G is exactly
+    its action groupoid. perm_closure built the elements, so they are closed
+    and each is a positive word in the generators (element indices). layout
+    is the (src, rng, inv, labels) of arrow(e, x) = e.n + x, element e at
+    unit x with label ("g", e): every product is defined, the arrow
+    arrow(multiply(e_g, e_h), s(h)), and the axioms hold."""
 
     kind = "action"
 
-    def __init__(self, composer, generators):
-        self.composer = composer
-        # read on every FiniteMeasuredGroupoid.product call
-        self.order = composer.order
-        self.products = composer.products
-        self.generators = tuple(generators)
+    def __init__(self, elements, generators):
+        self.elements = tuple(elements)
+        self.order = len(self.elements)
+        n = self.n = len(self.elements[0])
+        index_of = self._index_of = {e: i for i, e in enumerate(self.elements)}
+        self.generators = tuple(index_of[g] for g in generators)
+        # i * order + j -> the index of elements[i] o elements[j], filled on
+        # first use: at most one int per element pair
+        self._products = {}
+        self._inverses = tuple(index_of[_inverse_perm(p)]
+                               for p in self.elements)
+        self.layout = (
+            tuple(range(n)) * self.order,
+            tuple(y for perm in self.elements for y in perm),
+            tuple(i * n + y for i, perm in zip(self._inverses, self.elements)
+                  for y in perm),
+            tuple(label for e in range(self.order)
+                  for label in [("g", e)] * n))
+
+    def multiply(self, i, j):
+        """The index of elements[i] o elements[j] (j acts first)."""
+        key = i * self.order + j
+        k = self._products.get(key)
+        if k is None:
+            pi = self.elements[i]
+            k = self._products[key] = self._index_of[
+                tuple(map(pi.__getitem__, self.elements[j]))]
+        return k
+
+    def inverse(self, e):
+        """The index of the inverse of elements[e]."""
+        return self._inverses[e]
+
+    def arrow(self, e, x):
+        """The arrow of element e acting at unit x."""
+        return e * self.n + x
+
+    def element(self, g):
+        """The element index of arrow g."""
+        return g // self.n
 
     def preserves_masses(self, G):
         # invariant under every generator means invariant under the group
-        masses, elements = G.masses, self.composer.elements
+        masses, elements = G.masses, self.elements
         return all(masses[elements[s][x]] == m for s in self.generators
                    for x, m in enumerate(masses))
 
@@ -835,29 +869,13 @@ class ActionCertificate:
         positive word in the generators, and induction on its length gives
         c(ed, x) = c(e, d.x) c(d, x).
         """
-        elements, multiply = self.composer.elements, self.composer.multiply
-        n = len(elements[0])
+        n = self.n
         for s in self.generators:
-            perm = elements[s]
+            perm = self.elements[s]
             for e in range(self.order):
-                g0, k0 = e * n, multiply(e, s) * n
+                g0, k0 = e * n, self.multiply(e, s) * n
                 for x in range(n):
                     yield g0 + perm[x], s * n + x, k0 + x
-
-
-def _certify_action(G, generators):
-    """An ActionCertificate for G, or None unless G has a group composer, no
-    principal map, and exactly its composer's layout: one comparison per
-    arrow and field. generators must be the element indices of the
-    permutations perm_closure built the group from, which is what makes the
-    cocycle test on generators complete."""
-    composer = G._composer
-    if not isinstance(composer, _GroupComposer) or G._principal is not None \
-            or G.n_units != len(composer.elements[0]):
-        return None
-    if (G.src, G.rng, G.inv, G.labels) != composer.layout:
-        return None
-    return ActionCertificate(composer, generators)
 
 
 def _certify_pair(G):
@@ -917,7 +935,8 @@ def restrict(G, units):
 
     Returns (restricted groupoid, unit_map, arrow_map) where unit_map sends a
     parent unit index to its restricted index and arrow_map likewise for the
-    surviving arrows. Masses are restricted, not renormalized.
+    surviving arrows. Masses are restricted, not renormalized. The product
+    is G's through arrow_map, and a principal map of G is kept, restricted.
     """
     A = sorted(set(units))
     if not A:
@@ -931,40 +950,22 @@ def restrict(G, units):
              if not G.is_unit_arrow(g)
              and G.src[g] in inside and G.rng[g] in inside]
     arrow_map = {g: i for i, g in enumerate(kept)}
-    src = [unit_map[G.src[g]] for g in kept]
-    rng = [unit_map[G.rng[g]] for g in kept]
-    inv = [arrow_map[G.inv[g]] for g in kept]
-    labels = [G.labels[g] for g in kept]
-    rn = [G.rn_values[g] for g in kept] if G.rn_values is not None else None
-    if G._principal is not None:
-        parent_principal = G._principal
+    parent_compose, local = G._compose, arrow_map.get
 
-        def local_principal(i, j, _A=A, _map=arrow_map):
-            return _map[parent_principal(_A[i], _A[j])]
+    def compose(i, j):
+        return local(parent_compose(kept[i], kept[j]))
 
-        sub = FiniteMeasuredGroupoid(
-            [G.unit_names[x] for x in A],
-            [G.masses[x] for x in A],
-            src, rng, inv, labels, None,
-            principal_map=local_principal, rn_values=rn)
-    elif G._composer is not None:
-        # The label algebra is inherited and composites of surviving arrows
-        # survive, so lazy label lookup keeps working on the restriction.
-        sub = FiniteMeasuredGroupoid(
-            [G.unit_names[x] for x in A],
-            [G.masses[x] for x in A],
-            src, rng, inv, labels, G._composer, rn_values=rn)
-    else:
-        # kept ascends in parent ids, so composable_pairs walks it in order
-        prod = {(arrow_map[g], arrow_map[h]): arrow_map[k]
-                for g, h, k in composable_pairs(G, kept) if k in arrow_map}
-        sub = FiniteMeasuredGroupoid(
-            [G.unit_names[x] for x in A],
-            [G.masses[x] for x in A],
-            src, rng, inv, labels, None,
-            explicit_products=prod,
-            product_complete=G.product_complete,
-            rn_values=rn)
+    sub = FiniteMeasuredGroupoid(
+        [G.unit_names[x] for x in A], [G.masses[x] for x in A],
+        [unit_map[G.src[g]] for g in kept], [unit_map[G.rng[g]] for g in kept],
+        [arrow_map[G.inv[g]] for g in kept], [G.labels[g] for g in kept],
+        compose, product_complete=G.product_complete,
+        rn_values=None if G.rn_values is None
+        else [G.rn_values[g] for g in kept])
+    sub._closed = G._closed
+    pmap = G._principal
+    if pmap is not None:
+        sub._principal = lambda i, j: arrow_map[pmap(A[i], A[j])]
     return sub, unit_map, arrow_map
 
 
@@ -1062,10 +1063,7 @@ def local_index(G, H, x):
     in index."""
     if isinstance(H, Subgroupoid):
         _require_parent(G, H)
-        sub_ids = H.ids
-    else:
-        sub_ids = frozenset(H)
-    return local_index_of_pair(G, range(G.n_arrows), sub_ids, x)
+    return local_index_of_pair(G, range(G.n_arrows), id_set(H), x)
 
 
 def local_index_of_pair(G, ambient_ids, sub_ids, x):

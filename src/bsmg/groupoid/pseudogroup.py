@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, field
 
 from ..errors import NotInFullGroup, NotQuasiNormal
-from .core import Subgroupoid, index_of_pair, left_classes, require_unit
+from .core import id_set, index_of_pair, left_classes, require_unit
 
 
 class QNClass(enum.Enum):
@@ -142,10 +142,7 @@ def qn_membership(G, S, phi):
     the report then carries the indices of the intersection at each unit of
     the range.
     """
-    if isinstance(S, Subgroupoid):
-        s_ids = S.ids
-    else:
-        s_ids = frozenset(S)
+    s_ids = id_set(S)
     s_dom = arrows_within(G, s_ids, phi.domain)
     s_rng = arrows_within(G, s_ids, phi.range)
     s_img = phi.conjugate_set(s_dom)

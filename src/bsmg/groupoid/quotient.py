@@ -20,8 +20,8 @@ from .._kernels import component_labels
 from ..errors import IndexNotConstant, NotACocycle, NotNormal, VerificationFailure
 from ..tree import base_vertex, canonical_vertex, neighbors
 from ..words import GroupWord, same_element
-from .core import (ErgodicDecomposition, FiniteMeasuredGroupoid, Subgroupoid,
-                   arrows_by, composable_pairs)
+from .core import (ErgodicDecomposition, FiniteMeasuredGroupoid, arrows_by,
+                   certificate, composable_pairs, id_set, table_product)
 
 
 def _class_partition(G, s_ids):
@@ -56,7 +56,7 @@ def quotient(G, S):
     id in Q and pi maps each unit of G to its component index. Raises
     NotNormal when S does not sit normally enough for the quotient to exist.
     """
-    s_ids = S.ids if isinstance(S, Subgroupoid) else frozenset(S)
+    s_ids = id_set(S)
     dec = ErgodicDecomposition(G, sorted(s_ids))
     labels, classes = _class_partition(G, s_ids)
 
@@ -129,8 +129,7 @@ def quotient(G, S):
     q_labels = ["e"] * n_comp + [f"c{c}" for c in range(n_comp, len(q_classes))]
     Q = FiniteMeasuredGroupoid(
         [f"z{z}" for z in range(n_comp)], q_masses,
-        q_src, q_rng, q_inv, q_labels, None,
-        explicit_products=q_prod, product_complete=True)
+        q_src, q_rng, q_inv, q_labels, table_product(q_prod))
     Q.base_components = dec.components
     pi = list(dec.component_of)
     return Q, theta, pi
@@ -146,18 +145,16 @@ def check_group_action_quotient(G, S, Q, theta):
     arrows, verify that Q is the action groupoid of the quotient group: the
     map (coset, component) -> class is well defined, bijective on fibers, and
     multiplicative. Raises VerificationFailure with the first discrepancy."""
-    elements = G.group_elements
-    n_pts = G.n_units
-    s_ids = S.ids if isinstance(S, Subgroupoid) else frozenset(S)
-    lam = sorted({G.labels[g][1] for g in s_ids})
-    composer = G._composer
+    group = certificate(G)
+    multiply, arrow_id = group.multiply, group.arrow
+    lam = sorted({group.element(g) for g in id_set(S)})
     # right cosets e.Lam as frozensets of element indices
     coset_of = {}
     cosets = []
-    for ei in range(len(elements)):
+    for ei in range(group.order):
         if ei in coset_of:
             continue
-        members = frozenset(composer.mul(("g", ei), ("g", li))[1] for li in lam)
+        members = frozenset(multiply(ei, li) for li in lam)
         cid = len(cosets)
         cosets.append(members)
         for m in members:
@@ -167,9 +164,6 @@ def check_group_action_quotient(G, S, Q, theta):
     for z, comp in enumerate(dec_components):
         for x in comp:
             comp_of[x] = z
-
-    def arrow_id(ei, x):
-        return ei * n_pts + x
 
     # well defined: theta constant over the coset and over the component
     table = {}
@@ -196,7 +190,7 @@ def check_group_action_quotient(G, S, Q, theta):
                 x = min(dec_components[z])
                 mid = comp_of[G.rng[arrow_id(e2, x)]]
                 left = Q.product(table[(cid1, mid)], table[(cid2, z)])
-                e12 = composer.mul(("g", e1), ("g", e2))[1]
+                e12 = multiply(e1, e2)
                 right = table[(coset_of[e12], z)]
                 if left != right:
                     raise VerificationFailure(
@@ -254,7 +248,7 @@ def find_invariant_vertex_map(G, S, rho, params, *, radius=3):
     around the standard base vertex, per S-component; returns the assignment
     dict or None when no candidate in the ball works.
     """
-    s_ids = sorted(S.ids if isinstance(S, Subgroupoid) else set(S))
+    s_ids = sorted(id_set(S))
     check_word_cocycle(G, s_ids, rho, params)
     dec = ErgodicDecomposition(G, s_ids)
     by_src = arrows_by(G.src, s_ids)
@@ -303,7 +297,7 @@ def induce_finite_invariant_set(G, H, rho, psi, params):
     pointwise; both checks are structural identities, verified anyway."""
     from .pseudogroup import coset_classes
 
-    h_ids = H.ids if isinstance(H, Subgroupoid) else frozenset(H)
+    h_ids = id_set(H)
     for g in sorted(h_ids):
         if _translate(rho[g], psi[G.src[g]]) != psi[G.rng[g]]:
             raise ValueError(f"psi is not invariant under arrow {g} of H")

@@ -17,7 +17,7 @@ from math import isqrt
 
 from .._kernels import component_labels
 from ..errors import GroupTooLarge
-from .core import FiniteMeasuredGroupoid, Subgroupoid
+from .core import FiniteMeasuredGroupoid, Subgroupoid, certificate
 
 
 def random_masses(rng, n, *, uniform_chance=0.3):
@@ -73,8 +73,8 @@ def partition_groupoid(masses, blocks):
     def pmap(s, r):
         return s if s == r else pair_id.get((s, r))
 
-    return FiniteMeasuredGroupoid(names, masses, src, rng_, inv, labels,
-                                  None, principal_map=pmap)
+    return FiniteMeasuredGroupoid.principal(names, masses, src, rng_, inv,
+                                            labels, pmap)
 
 
 def relation_arrow_ids(G, blocks):
@@ -175,7 +175,7 @@ def subgroup_closure(G, gen_indices):
     The set grows from the identity by right multiplication with the
     generators only: in a finite group the monoid they generate is the
     subgroup, so each element costs one product per generator."""
-    multiply = G._composer.multiply
+    multiply = certificate(G).multiply
     gens = set(gen_indices)
     seen = {identity_index(G)}
     work = list(seen)
@@ -201,26 +201,17 @@ def random_subgroup(rng, G, *, proper_chance=0.0):
 
 
 def subgroup_arrow_ids(G, elem_indices):
-    """Arrows whose group label lies in the given element-index set."""
+    """Arrows whose group element lies in the given element-index set."""
     members = set(elem_indices)
-    return frozenset(g for g in range(G.n_arrows)
-                     if G.labels[g][1] in members)
+    element = certificate(G).element
+    return frozenset(g for g in range(G.n_arrows) if element(g) in members)
 
 
 def is_normal_subgroup(G, elem_indices):
-    comp = G._composer
-    order = len(G.group_elements)
-    # arrow i*n leaves unit 0 labeled ("g", i); its inverse arrow carries
-    # the inverse element's label
-    inv_of = [G.labels[G.inv[i * G.n_units]][1] for i in range(order)]
-    members = set(elem_indices)
-    for gi in range(order):
-        for li in members:
-            conj = comp.mul(comp.mul(("g", gi), ("g", li)),
-                            ("g", inv_of[gi]))[1]
-            if conj not in members:
-                return False
-    return True
+    group, members = certificate(G), set(elem_indices)
+    multiply = group.multiply
+    return all(multiply(multiply(gi, li), group.inverse(gi)) in members
+               for gi in range(group.order) for li in members)
 
 
 def random_wide_subgroupoid(rng, G, *, max_seeds=4):

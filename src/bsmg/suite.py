@@ -26,7 +26,7 @@ from .dynamics import (BernoulliBase, CylinderSet, ThetaValue, ZCycleModel,
                        rotation_model_orbit)
 from .errors import VerificationFailure
 from .groupoid.core import (ErgodicDecomposition, FiniteMeasuredGroupoid,
-                            Subgroupoid, index, index_of_pair,
+                            Subgroupoid, certificate, index, index_of_pair,
                             local_index_of_pair, restrict, validate)
 from .groupoid.pseudogroup import QNClass, qn_membership, witness_family
 from .groupoid.quotient import check_group_action_quotient, quotient
@@ -335,12 +335,12 @@ def _cyclic_instance(rng, *, max_units=8):
     rng.shuffle(pts)
     gen = tuple(cycle_on(pts, n))
     G = FiniteMeasuredGroupoid.from_group_action([gen], bound=600)
-    comp = G._composer
+    group = certificate(G)
     gi = G.group_elements.index(gen)
     power_of = {identity_index(G): 0}
     cur = identity_index(G)
-    for i in range(1, len(G.group_elements)):
-        cur = comp.mul(("g", gi), ("g", cur))[1]
+    for i in range(1, group.order):
+        cur = group.multiply(gi, cur)
         power_of[cur] = i
     return G, power_of
 
@@ -350,11 +350,12 @@ def check_mackey_laws(rng, cases):
     automorphisms, and saturating restrictions."""
     for _ in range(cases):
         G, power_of = _cyclic_instance(rng)
-        order = len(G.group_elements)
+        group = certificate(G)
+        order = group.order
         m = rng.choice((2, 3, 4, 6))
         c = (m // gcd(m, order)) * rng.randrange(gcd(m, order))
         beta = [rng.randrange(m) for _ in range(G.n_units)]
-        tau = [(c * power_of[G.labels[g][1]]
+        tau = [(c * power_of[group.element(g)]
                 + beta[G.rng[g]] - beta[G.src[g]]) % m
                for g in range(G.n_arrows)]
         base = mackey_range(G, tau, m)
@@ -369,8 +370,8 @@ def check_mackey_laws(rng, cases):
         di = rng.randrange(order)
         tau3 = [None] * G.n_arrows
         for g in range(G.n_arrows):
-            a1 = G._by_src_label[(G.rng[g], ("g", di))]
-            a0 = G._by_src_label[(G.src[g], ("g", di))]
+            a1 = group.arrow(di, G.rng[g])
+            a0 = group.arrow(di, G.src[g])
             tau3[g] = tau[G.product(a1, G.product(g, G.inv[a0]))]
         _require(ranges_isomorphic(base, mackey_range(G, tau3, m)),
                  "inner automorphism changed the Mackey range", groupoid=G,

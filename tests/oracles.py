@@ -1,8 +1,9 @@
 """Independent slow-path oracles the tests compare the library against.
 
 Everything here is written for obviousness, not speed: whole-word rescans,
-breadth-first walks, smallest-power searches, whole-word tree steps, and a
-Cesaro loop on ThetaAffine values. None of it shares code with the
+breadth-first walks, smallest-power searches, whole-word tree steps, a
+Cesaro loop on ThetaAffine values, and groupoid products composed from the
+arrow labels. None of it shares code with the
 implementations under test beyond the public data types and the exact
 ThetaAffine sign, floor and division.
 """
@@ -238,6 +239,49 @@ def two_sided_classes(G, s_ids):
     classes = [tuple(g for g in range(G.n_arrows) if labels[g] == c)
                for c in range(len(number))]
     return labels, classes
+
+
+def label_product(G, elements=None, normalizer=None):
+    """The reference product of G, composed from its labels: compose(g, h)
+    for s(g) = r(h) is the arrow leaving s(h) whose label is the product of
+    the labels of g and h, None when G has no such arrow.
+
+    - Given elements, the permutations of an action groupoid (of G or of
+      the groupoid G is a restriction of): labels ("g", e) multiply as the
+      permutations, elements[e_g] after elements[e_h].
+    - Labels that are words, tuples of signed seed indices (a partial
+      isomorphism closure): the free reduction of the concatenation g h,
+      then normalizer when one is given.
+    - Any other labels (a principal groupoid): the arrow from s(h) to r(g),
+      one per unit pair (ValueError when two arrows join the same pair).
+    """
+    src, rng, labels = G.src, G.rng, G.labels
+    by_label = {(src[g], labels[g]): g for g in range(G.n_arrows)}
+    if elements is not None:
+        index_of = {perm: e for e, perm in enumerate(elements)}
+
+        def mul(a, b):
+            first, then = elements[b[1]], elements[a[1]]
+            return ("g", index_of[tuple(then[x] for x in first)])
+    elif all(isinstance(lab, tuple) and all(type(s) is int for s in lab)
+             for lab in labels):
+        def mul(a, b):
+            word = []
+            for s in a + b:
+                if word and word[-1] == -s:
+                    word.pop()
+                else:
+                    word.append(s)
+            word = tuple(word)
+            return normalizer(word) if normalizer else word
+    else:
+        by_ends = {}
+        for g in range(G.n_arrows):
+            if by_ends.setdefault((src[g], rng[g]), g) != g:
+                raise ValueError(f"arrows {by_ends[(src[g], rng[g])]} and "
+                                 f"{g} join the same unit pair")
+        return lambda g, h: by_ends.get((src[h], rng[g]))
+    return lambda g, h: by_label.get((src[h], mul(labels[g], labels[h])))
 
 
 def product_violations(G):

@@ -303,9 +303,56 @@ class TestDynamics:
         assert doc["gap"] >= 0
 
 
+class Edited:
+    """A groupoid document file, written when the test runs: the output of
+    `groupoid random --seed 11 --kind action --units 5` (5 units, 50 arrows,
+    500 product rows) after edit(doc), which returns the document to
+    write."""
+
+    def __init__(self, edit):
+        self.edit = edit
+
+    def write(self, capsys, tmp_path):
+        doc = run_json(capsys, "groupoid", "random", "--seed", "11", "--kind",
+                       "action", "--units", "5")
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(self.edit(doc)))
+        return str(path)
+
+
+def arrow_field(g, field, value):
+    """Edited with one field of arrow g replaced."""
+    def edit(doc):
+        doc["arrows"][g][field] = value
+        return doc
+    return Edited(edit)
+
+
+def doc_key(key, change):
+    """Edited with doc[key] replaced by change(doc[key])."""
+    def edit(doc):
+        doc[key] = change(doc[key])
+        return doc
+    return Edited(edit)
+
+
+def product_result(value):
+    def change(rows):
+        rows[3][2] = value
+        return rows
+    return doc_key("products", change)
+
+
+VALIDATE = ("groupoid", "validate", "--in")
+INDEX = ("groupoid", "index", "--arrows", "5", "--unit", "0", "--in")
+MODULAR_PAIR = ("cocycle", "modular-pair", "--sub", "5", "--in")
+A_LIST = Edited(lambda doc: [doc])
+
+
 class TestBadInputs:
     """Inputs that once crashed, hung or answered nonsense: each is now a
-    usage error with nothing on stdout."""
+    usage error with nothing on stdout. A groupoid document whose ids name
+    no arrow or unit is one of them (Edited)."""
 
     @pytest.mark.parametrize("argv, message", [
         (("cocycle", "scaled-product", "--ratio", "2/3", "--n", "0"),
@@ -357,8 +404,41 @@ class TestBadInputs:
         (("dynamics", "cesaro", "--theta", "1"),
          "the interval [1/4, 5/4) of A2 is not inside [0, |theta|] for "
          "theta = 1"),
+        # index answered 9 and 5 (the true values are 8 and 2)
+        (INDEX + (arrow_field(7, "source", -1),),
+         "the source of arrow 7 is -1, not in [0, 5)"),
+        # validate answered valid: true
+        (VALIDATE + (doc_key("units", lambda units: []),),
+         "the source of arrow 0 is 0, not in [0, 0)"),
+        # each of these raised an untyped IndexError or TypeError
+        (VALIDATE + (product_result(9999),),
+         "an arrow of product row 3 is 9999, not in [0, 50)"),
+        (VALIDATE + (doc_key("products", lambda rows: rows + [[5, 1, 0]]),),
+         "product row 500: arrows 5 and 1 are not composable"),
+        (VALIDATE + (doc_key("products", lambda rows: rows + [[5, 1]]),),
+         "product row 500 is not [g, h, g.h]"),
+        (VALIDATE + (Edited(lambda doc: {**doc, "rn": ["1"] * 10}),),
+         "the document has 10 RN values for 50 arrows"),
+        (INDEX + (arrow_field(7, "source", 99),),
+         "the source of arrow 7 is 99, not in [0, 5)"),
+        (INDEX + (arrow_field(7, "inverse", 9999),),
+         "the inverse of arrow 7 is 9999, not in [0, 50)"),
+        (MODULAR_PAIR + (arrow_field(7, "range", 5),),
+         "the range of arrow 7 is 5, not in [0, 5)"),
+        (MODULAR_PAIR + (arrow_field(7, "inverse", -1),),
+         "the inverse of arrow 7 is -1, not in [0, 50)"),
+        (VALIDATE + (arrow_field(3, "id", 4),), "arrow id 4 appears twice"),
+        (VALIDATE + (arrow_field(3, "id", 50),),
+         "an arrow id is 50, not in [0, 50)"),
+        (VALIDATE + (A_LIST,),
+         "a groupoid document is a JSON object, got a list"),
+        (INDEX + (A_LIST,), "a groupoid document is a JSON object, got a list"),
+        (MODULAR_PAIR + (A_LIST,),
+         "a groupoid document is a JSON object, got a list"),
     ])
-    def test_usage_error(self, capsys, argv, message):
+    def test_usage_error(self, capsys, tmp_path, argv, message):
+        argv = [arg.write(capsys, tmp_path) if isinstance(arg, Edited)
+                else arg for arg in argv]
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"usage error: {message}\n")
 

@@ -32,7 +32,6 @@ from bsmg.groupoid.core import (
     ErgodicDecomposition,
     FiniteMeasuredGroupoid,
     Subgroupoid,
-    _certify_action,
     certificate,
     composable_pairs,
     validate,
@@ -40,6 +39,7 @@ from bsmg.groupoid.core import (
 from bsmg.groupoid.pseudogroup import PartialIso
 from bsmg.groupoid.randomgen import partition_groupoid, random_action_instance
 from bsmg.words import BSParams
+from oracles import label_product
 from test_groupoid_core import (element_arrows, s3_action, scanned,
                                 swap_window, z3_action)
 
@@ -357,7 +357,8 @@ def action_samples():
 
 def tampered(G, *, inverse=None, label=None):
     """G rebuilt through the constructor with the inverses, or the labels,
-    of two arrows swapped: same composer and group, no certificate."""
+    of two arrows swapped: same group, products composed from the labels
+    (label_product), no certificate."""
     inv, labels = list(G.inv), list(G.labels)
     if inverse is not None:
         a, b = inverse
@@ -366,7 +367,8 @@ def tampered(G, *, inverse=None, label=None):
         a, b = label
         labels[a], labels[b] = labels[b], labels[a]
     H = FiniteMeasuredGroupoid(G.unit_names, G.masses, G.src, G.rng, inv,
-                               labels, G._composer)
+                               labels, None)
+    H._compose = label_product(H, G.group_elements)
     H.group_elements = H.action_perms = G.group_elements
     return H
 
@@ -382,7 +384,7 @@ class TestActionFastPathCheck:
             cert = certificate(G)
             assert cert.kind == "action"
             assert cert.order == len(G.group_elements)
-            assert _certify_action(G, cert.generators) is not None
+            assert (G.src, G.rng, G.inv, G.labels) == cert.layout
             assert G.measure_preserving == scanned(G).measure_preserving
 
     @pytest.mark.parametrize("target,draw,bump", TARGETS)
@@ -424,7 +426,7 @@ class TestActionFastPathCheck:
             first, e = {0}, gens[0]
             while e not in first:
                 first.add(e)
-                e = G._composer.multiply(e, gens[0])
+                e = certificate(G).multiply(e, gens[0])
             values = tuple(Fraction(1) if G.labels[g][1] in first
                            else Fraction(2) for g in range(G.n_arrows))
             want = scan_error(G, QPos, values)
@@ -446,7 +448,7 @@ class TestActionFastPathCheck:
             else:
                 # a and the unit arrow at its source trade labels
                 H = tampered(G, label=(G.src[a], a))
-            assert _certify_action(H, certificate(G).generators) is None
+            assert (H.src, H.rng, H.inv, H.labels) != certificate(G).layout
             assert certificate(H) is None
             problems = validate(H)
             assert problems and problems == validate(scanned(H))
@@ -465,14 +467,10 @@ class TestActionFastPathCheck:
 
     def test_products_are_the_label_products(self):
         for G in action_samples():
-            comp, by_label = G._composer, G._by_src_label
-            pairs = list(composable_pairs(G))
-            # no arrow pair is cached: the element pairs are
-            assert G._prod == {}
+            want = label_product(G, G.group_elements)
             twin = scanned(G)
-            for g, h, k in pairs:
-                want = by_label[(G.src[h], comp.mul(G.labels[g], G.labels[h]))]
-                assert k == want == twin.product(g, h)
+            for g, h, k in composable_pairs(G):
+                assert k == want(g, h) == twin.product(g, h)
 
     def test_validate_matches_the_scan(self):
         for G in action_samples():
@@ -482,8 +480,10 @@ class TestActionFastPathCheck:
             rn[G.n_units] = Fraction(2)
             rn[G.inv[G.n_units]] = Fraction(1, 2)
             H = FiniteMeasuredGroupoid(G.unit_names, G.masses, G.src, G.rng,
-                                       G.inv, G.labels, G._composer,
+                                       G.inv, G.labels,
+                                       label_product(G, G.group_elements),
                                        rn_values=rn)
+            H.group_elements = G.group_elements
             H._certificate = certificate(G)
             problems = validate(H)
             assert problems and problems == validate(scanned(H))

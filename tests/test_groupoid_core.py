@@ -40,6 +40,7 @@ from bsmg.words import BSParams
 from oracles import (
     arrows_from,
     arrows_into,
+    label_product,
     left_class_count,
     mass_transport_sum,
     product_violations,
@@ -228,7 +229,7 @@ class TestSubgroupClosure:
     def fixpoint(G, gens):
         """The subgroup by brute force: the identity and the generators,
         then products of every two members until nothing new appears."""
-        multiply = G._composer.multiply
+        multiply = certificate(G).multiply
         members = {identity_index(G), *gens}
         while True:
             grown = members | {multiply(i, j) for i in members
@@ -644,18 +645,20 @@ PAIR_LEVELS = [((2, 3), (1, 1)), ((2, 3), (2, 1)), ((2, -3), (2, 1))]
 def scanned(G):
     """A copy of G whose certificate reads "not certified", so validate,
     index and GroupoidCocycle.check on it take the fiber scan, and product
-    on an action groupoid composes labels."""
+    on an action groupoid is the reference product composed from the labels
+    (label_product)."""
     twin = copy.copy(G)
     twin._certificate = None
+    if hasattr(G, "group_elements"):
+        twin._compose = label_product(G, G.group_elements)
     return twin
 
 
 def rebuilt(G, *, masses=None, inv=None, principal_map=None, rn_values=None):
     """G with some of its data replaced and nothing cached."""
-    return FiniteMeasuredGroupoid(
+    return FiniteMeasuredGroupoid.principal(
         G.unit_names, masses or G.masses, G.src, G.rng, inv or G.inv,
-        G.labels, None, principal_map=principal_map or G._principal,
-        rn_values=rn_values)
+        G.labels, principal_map or G._principal, rn_values=rn_values)
 
 
 def pair_window(n, pairs):
@@ -663,11 +666,10 @@ def pair_window(n, pairs):
     one arrow per listed (source, range) pair, looked up by endpoints."""
     ends = [(x, x) for x in range(n)] + list(pairs)
     ids = {e: g for g, e in enumerate(ends)}
-    return FiniteMeasuredGroupoid(
+    return FiniteMeasuredGroupoid.principal(
         range(n), [Fraction(1, n)] * n, [s for s, _ in ends],
         [r for _, r in ends], [ids[(r, s)] for s, r in ends],
-        [f"{s}>{r}" for s, r in ends], None,
-        principal_map=lambda s, r: ids.get((s, r)))
+        [f"{s}>{r}" for s, r in ends], lambda s, r: ids.get((s, r)))
 
 
 def pair_samples():

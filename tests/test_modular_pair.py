@@ -24,6 +24,7 @@ from bsmg.groupoid.randomgen import (
     subgroup_closure,
 )
 from bsmg.words import BSParams
+from oracles import label_product
 from test_groupoid_core import pair_window, scanned
 
 THIRD = Fraction(1, 3)
@@ -106,10 +107,15 @@ def action_outcomes(cases=12):
 
 
 def uniform(G):
-    """G with uniform masses, which every arrow preserves."""
-    return FiniteMeasuredGroupoid(
+    """G with uniform masses, which every arrow preserves, and the reference
+    product composed from its labels (label_product). It keeps G's
+    principal map and G's closure, so modular_pair takes the path on it that
+    it takes on G."""
+    H = FiniteMeasuredGroupoid(
         G.unit_names, [Fraction(1, G.n_units)] * G.n_units, G.src, G.rng,
-        G.inv, G.labels, G._composer, principal_map=G._principal)
+        G.inv, G.labels, label_product(G, getattr(G, "group_elements", None)))
+    H._principal, H._closed = G._principal, G._closed
+    return H
 
 
 def random_outcomes(cases=16):

@@ -110,17 +110,19 @@ class TestClassPartition:
             done += 1
 
     def test_normal_subgroup_verdicts_match_the_definition(self):
-        # Lam is normal iff g l g^-1 in Lam for all g, l, with g^-1 found by
-        # search over the group rather than read off the inverse arrows
+        # Lam is normal iff g l g^-1 in Lam for all g, l, with products
+        # composed from the permutations and g^-1 found by search over the
+        # group rather than read off the inverse arrows
         rng = random.Random("normal-subgroups")
         normal = 0
         for _ in range(40):
             G = random_action_instance(rng, max_units=6, max_arrows=240)
             lam = random_subgroup(rng, G)
-            comp, order = G._composer, len(G.group_elements)
+            elements, order = G.group_elements, len(G.group_elements)
 
             def mul(i, j):
-                return comp.mul(("g", i), ("g", j))[1]
+                return elements.index(tuple(elements[i][x]
+                                            for x in elements[j]))
 
             e = G.group_elements.index(tuple(range(G.n_units)))
             inv = {i: next(j for j in range(order) if mul(i, j) == e)
