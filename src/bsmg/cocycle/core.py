@@ -22,10 +22,10 @@ from ..groupoid.core import (
     certificate,
     forest_potential,
     id_set,
-    index_within,
+    local_counts,
     products_defined,
 )
-from ..groupoid.pseudogroup import witness_family
+from ..groupoid.pseudogroup import arrows_within, witness_family
 from .values import GroupoidCocycle, QPos
 
 
@@ -50,9 +50,9 @@ def _per_unit_local_index(G, ambient_ids, sub_ids, units, sub_dec):
     arrows span. Distinct arrows of such a G join distinct unit pairs, so
     sub is then the whole pair relation on each C, and every ambient arrow
     from x into C lies in the left class of the unit arrow at x. Otherwise
-    index_within counts the classes once per sub-component (constant along
+    local_counts counts the classes once per sub-component (constant along
     it: right multiplication by a sub arrow bijects the left classes of the
-    two fibers).
+    two fibers), through one arrows-by-source map of sub.
     """
     cert = certificate(G)
     if cert is not None and cert.kind == "pair" \
@@ -61,23 +61,8 @@ def _per_unit_local_index(G, ambient_ids, sub_ids, units, sub_dec):
         if len(sub_ids) == sum(len(sub_dec.components[c]) ** 2
                                for c in spanned):
             return dict.fromkeys(units, Fraction(1))
-    out = {}
-    per_comp = {}
-    for x in units:
-        c = sub_dec.component_of[x]
-        if c not in per_comp:
-            per_comp[c] = Fraction(index_within(
-                G, ambient_ids, sub_ids, sub_dec.components[c], x))
-        out[x] = per_comp[c]
-    return out
-
-
-def _within(G, sub_by_src, units):
-    """The arrows of an arrows-by-source map (arrows_by) with both ends in
-    units."""
-    inside = set(units)
-    return {g for x in inside for g in sub_by_src.get(x, ())
-            if G.rng[g] in inside}
+    return local_counts(G, ambient_ids, Subgroupoid(G, sub_ids, check=False),
+                        sub_dec.component_of, units)
 
 
 def modular_pair(G, S, *, witnesses=None):
@@ -104,7 +89,7 @@ def modular_pair(G, S, *, witnesses=None):
     - The local indices. On a certified pair groupoid a sub that is the
       whole pair relation on its components has local index 1 at every
       unit (_per_unit_local_index), found in one pass over the sub arrows
-      and no product; any other sub is counted by index_within.
+      and no product; any other sub is counted by local_counts.
 
     So a level model with its own witnesses costs O(arrows) products, at
     most three per arrow, and reads no fiber.
@@ -119,18 +104,14 @@ def modular_pair(G, S, *, witnesses=None):
         raise MissingUnitArrow(
             f"S lacks the unit arrow of unit {lacking}; a subgroupoid holds "
             "the unit arrow of every unit")
-    if isinstance(S, Subgroupoid) and S.parent is G:
-        sub_by_src = S.by_src
-    else:
-        sub_by_src = arrows_by(G.src, sorted(s_ids))
+    if not (isinstance(S, Subgroupoid) and S.parent is G):
+        S = Subgroupoid(G, s_ids, check=False)
     walk = products_defined(G)
     dec = ErgodicDecomposition(G, sorted(s_ids))
     cond = dec.conditional_masses
 
     if witnesses is None:
-        reports = witness_family(G, S if isinstance(S, Subgroupoid)
-                                 else Subgroupoid(G, s_ids, check=False))
-        family = [r.phi for r in reports]
+        family = [r.phi for r in witness_family(G, S)]
     else:
         family = list(witnesses)
 
@@ -139,8 +120,8 @@ def modular_pair(G, S, *, witnesses=None):
 
     for phi in family:
         dom = set(phi.domain)
-        s_dom = _within(G, sub_by_src, dom)
-        s_rng = _within(G, sub_by_src, phi.range)
+        s_dom = arrows_within(G, S, dom)
+        s_rng = arrows_within(G, S, phi.range)
         s_minus, s_plus = set(), set()
         for g in s_dom:
             k = phi.conjugate_arrow(g)
@@ -181,7 +162,7 @@ def modular_pair(G, S, *, witnesses=None):
             # a hole is the first arrow of s^-1(x) whose g g0^-1 is undefined
             hole = None
             if walk:
-                members = [G.product(s, g0) for s in sub_by_src.get(y, ())]
+                members = [G.product(s, g0) for s in S.by_src.get(y, ())]
             else:
                 members = []
                 g0_inv = G.inv[g0]

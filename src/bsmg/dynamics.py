@@ -8,9 +8,9 @@ TruncatedProfiniteInt with explicit level, and every scaling letter consumes
 or produces one level on the ring side.
 
 theta itself comes in three flavors. Exact rationals and the golden ratio
-are fully decidable (golden sign tests reduce to comparing u^2 against 5 w^2,
-no intervals involved); a raw interval theta answers only what its width can
-support and raises PrecisionError on anything it cannot.
+are fully decidable (golden sign tests reduce to comparing u^2 against
+5 w^2, no intervals involved); an interval theta answers only what its two
+rational ends agree on (_at_both_ends) and raises PrecisionError otherwise.
 
 An affine value is three integers (p, q, d) meaning (p + q*theta)/d, in
 lowest terms with d > 0. For rational theta = u/v its sign is the sign of
@@ -18,10 +18,9 @@ p*v + q*u and its floor (p*v + q*u) // (d*v); for the golden ratio both come
 from 2p + q and q*sqrt(5) through math.isqrt. Sums, scalings and the
 products the Cesaro average needs stay on integers with one gcd per result;
 a Fraction is built only where a caller reads a or b. The Cesaro step loop
-goes one level lower still: its values are bare integer pairs (P, Q) over
-one common denominator, decided by _pair_sign and _pair_floor, the same
-two helpers affine_sign and affine_floor call. Interval theta reads the
-values back as Fractions and keeps its exact bound arithmetic.
+goes one level lower still, and so does beta_cocycle: bare integers over
+one common denominator, decided by _pair_sign and _pair_floor, the same two
+helpers affine_sign and affine_floor call.
 """
 
 from __future__ import annotations
@@ -246,121 +245,119 @@ def _pair_floor(theta, p, q, d):
     return (2 * p + q + (root if q >= 0 else -root - 1)) // (2 * d)
 
 
+def _at_both_ends(theta, decide, *args):
+    """decide(theta, *args); for an interval theta, the answer decide gives
+    at both rational ends, PrecisionError when they differ. Each decision
+    passed here is monotone in theta (a + b*theta is linear in theta), so
+    ends that agree decide every theta between them."""
+    if theta.kind != "interval":
+        return decide(theta, *args)
+    lo, hi = (decide(ThetaValue.from_rational(end), *args)
+              for end in (theta.lo, theta.hi))
+    if lo != hi:
+        raise PrecisionError(f"the ends of {theta!r} disagree: {lo} and {hi}")
+    return lo
+
+
 def affine_sign(theta, value):
     """Exact sign of a + b*theta: -1, 0, or +1."""
     value = as_affine(value)
-    if theta.kind != "interval":
-        return _pair_sign(theta, value.p, value.q)
-    a, b = value.a, value.b
-    vlo = a + b * (theta.lo if b >= 0 else theta.hi)
-    vhi = a + b * (theta.hi if b >= 0 else theta.lo)
-    if vlo > 0:
-        return 1
-    if vhi < 0:
-        return -1
-    if vlo == vhi == 0:
-        return 0
-    raise PrecisionError(f"cannot decide the sign of {value} on {theta!r}")
+    return _at_both_ends(theta, _pair_sign, value.p, value.q)
 
 
 def affine_floor(theta, value):
     """Largest integer n with n <= a + b*theta, decided exactly."""
     value = as_affine(value)
-    if theta.kind != "interval":
-        return _pair_floor(theta, value.p, value.q, value.d)
-    a, b = value.a, value.b
-    n = math.floor(a + b * (theta.lo + theta.hi) / 2)
-    # the midpoint gave a candidate; exact signs settle the fencepost
-    while affine_sign(theta, value - n) < 0:
-        n -= 1
-    while affine_sign(theta, value - (n + 1)) >= 0:
-        n += 1
-    return n
+    return _at_both_ends(theta, _pair_floor, value.p, value.q, value.d)
 
 
 def theta_is_positive(theta):
+    if theta.kind == "interval":
+        return theta.lo > 0
+    return theta.kind == "golden" or theta.frac > 0
+
+
+def _inverse_pair(theta):
+    """(ip, iq, idd) with 1/theta = (ip + iq*theta)/idd and idd > 0, for a
+    rational or golden theta."""
     if theta.kind == "rational":
-        return theta.frac > 0
-    if theta.kind == "golden":
-        return True
-    return theta.lo > 0
+        u, v = theta.frac.numerator, theta.frac.denominator
+        return (v, 0, u) if u > 0 else (-v, 0, -u)
+    # 1/phi = phi - 1
+    return -1, 1, 1
 
 
 def div_by_theta(theta, value):
     """(a + b*theta) / theta as an exact affine value (rational or golden)."""
+    if theta.kind == "interval":
+        raise PrecisionError("exact division by an interval theta")
     value = as_affine(value)
-    if theta.kind == "rational":
-        # (p/d)(v/u) + q/d = (p v + q u)/(d u) for theta = u/v
-        u, v = theta.frac.numerator, theta.frac.denominator
-        if u < 0:
-            u, v = -u, -v
-        return _affine(value.p * v + value.q * u, 0, value.d * u)
-    if theta.kind == "golden":
-        # 1/phi = phi - 1, so (p + q phi)/phi = (q - p) + p phi, and
-        # gcd(q - p, p, d) = gcd(p, q, d) = 1
-        return _raw(value.q - value.p, value.p, value.d)
-    raise PrecisionError("exact division by an interval theta")
+    # (p + q theta)/theta = ((p ip + q idd) + p iq theta)/idd
+    ip, iq, idd = _inverse_pair(theta)
+    return _affine(value.p * ip + value.q * idd, value.p * iq,
+                   value.d * idd)
 
 
 # -- the return-time cocycle -------------------------------------------------
 
-def _check_fundamental(theta, x, width):
-    """0 <= x < width, decided exactly; width is affine."""
-    xa = as_affine(x)
-    if affine_sign(theta, xa) < 0:
-        raise ValueError(f"{x} is negative")
-    if affine_sign(theta, width - xa) <= 0:
-        raise ValueError(f"{x} is not below {width}")
-
-
 def _abs_theta(theta):
     if theta.kind == "rational":
         return _raw(abs(theta.frac.numerator), 0, theta.frac.denominator)
-    if theta.kind == "golden" or theta.lo > 0:
-        return _raw(0, 1, 1)
-    return _raw(0, -1, 1)
+    return _raw(0, 1 if theta_is_positive(theta) else -1, 1)
+
+
+def _window(theta, p, q, d):
+    """-1, 0 or 1 as (p + q*theta)/d lies below [0, |theta|), inside it, or
+    at |theta| or above, for a rational or golden theta."""
+    if _pair_sign(theta, p, q) < 0:
+        return -1
+    # |theta| - (p + q*theta)/d = (-p + (s d - q)*theta)/d, |theta| = s*theta
+    s = 1 if theta_is_positive(theta) else -1
+    return 1 if _pair_sign(theta, -p, s * d - q) <= 0 else 0
+
+
+def _return_time(theta, p, q, d):
+    """The m with y + theta*m in [0, |theta|) for y = (p + q*theta)/d and a
+    rational or golden theta, -s*floor(s*y/theta) for s the sign of theta;
+    VerificationFailure unless the landing point is in the window."""
+    # y/theta = ((p ip + q idd) + p iq*theta)/(d idd)
+    ip, iq, idd = _inverse_pair(theta)
+    s = 1 if theta_is_positive(theta) else -1
+    m = -s * _pair_floor(theta, s * (p * ip + q * idd), s * p * iq, d * idd)
+    if _window(theta, p, q + m * d, d):
+        raise VerificationFailure(f"return time {m} left the fundamental window")
+    return m
+
+
+def _beta(n, x, theta):
+    """(m, p, q, d): the return time of beta_cocycle and the landing point
+    (p + q*theta)/d its window check read."""
+    if not isinstance(n, int) and not (isinstance(n, Fraction)
+                                       and n.denominator == 1):
+        raise NotAnInteger(f"beta_cocycle needs an integer n, got {n!r}")
+    if type(x) is ThetaAffine:
+        p, q, d = x.p, x.q, x.d
+    else:
+        value = x if isinstance(x, (int, Fraction)) else Fraction(x)
+        p, q, d = value.numerator, 0, value.denominator
+    where = _at_both_ends(theta, _window, p, q, d)
+    if where:
+        raise ValueError(f"{x} is negative" if where < 0 else
+                         f"{x} is not below {_abs_theta(theta)}")
+    p -= int(n) * d
+    m = _at_both_ends(theta, _return_time, p, q, d)
+    return m, p, q + m * d, d
 
 
 def beta_cocycle(n, x, theta):
     """The unique integer m with x - n + theta*m in [0, |theta|).
 
-    n must be an int or an integral Fraction; anything else raises
-    NotAnInteger. x must already lie in [0, |theta|). Exact for rational
-    theta and the golden ratio; an interval theta that cannot separate the
-    two candidate values raises PrecisionError.
+    n must be an int or an integral Fraction (NotAnInteger), x must lie in
+    [0, |theta|) (ValueError). Decided on the integers of x - n, exact for
+    rational theta and the golden ratio; an interval theta answers what its
+    two rational ends agree on (PrecisionError when they differ).
     """
-    if not isinstance(n, int) and not (isinstance(n, Fraction)
-                                       and n.denominator == 1):
-        raise NotAnInteger(f"beta_cocycle needs an integer n, got {n!r}")
-    n = int(n)
-    width = _abs_theta(theta)
-    _check_fundamental(theta, x, width)
-    x = as_affine(x)
-    shifted = as_affine(n) - x
-    if theta.kind == "interval":
-        lo, hi = theta.lo, theta.hi
-        v = shifted.a
-        q1, q2 = v / lo, v / hi
-        if lo > 0:
-            c1, c2 = math.ceil(q1), math.ceil(q2)
-        else:
-            c1, c2 = math.floor(q1), math.floor(q2)
-        if c1 != c2:
-            raise PrecisionError(f"interval theta cannot place {v}")
-        m = c1
-    else:
-        quotient = div_by_theta(theta, shifted)
-        if theta_is_positive(theta):
-            m = -affine_floor(theta, quotient.scale(-1))
-        else:
-            m = affine_floor(theta, quotient)
-    landed = x - n + _theta_times(theta, m)
-    if theta.kind != "interval":
-        if affine_sign(theta, landed) < 0 or \
-                affine_sign(theta, width - landed) <= 0:
-            raise VerificationFailure(
-                f"return time {m} of ({n}, {x}) left the fundamental window")
-    return m
+    return _beta(n, x, theta)[0]
 
 
 def _theta_times(theta, m):
@@ -370,13 +367,14 @@ def _theta_times(theta, m):
 
 
 def beta_step(n, x, theta):
-    """(m, landing point): the return time together with x - n + theta*m.
-    The landing point is a Fraction for rational theta, affine otherwise."""
-    m = beta_cocycle(n, x, theta)
-    landed = as_affine(x) - as_affine(n) + _theta_times(theta, m)
+    """(m, landing point): the return time together with x - n + theta*m,
+    the point its window check read. The landing point is a Fraction for
+    rational theta, affine otherwise."""
+    m, p, q, d = _beta(n, x, theta)
     if theta.kind == "rational":
-        return m, landed.a + landed.b * theta.frac
-    return m, landed
+        u, v = theta.frac.numerator, theta.frac.denominator
+        return m, Fraction(p * v + q * u, d * v)
+    return m, _affine(p, q, d)
 
 
 # -- the scaling homomorphism on the line coordinate -------------------------
@@ -742,8 +740,7 @@ def cesaro_mixing_test(base, theta, A1, B1, A2, B2, horizon, *,
     indep_dist = max(0, max(span1) - min(span2) + 1) if span1 and span2 else 0
     # 1/theta = (ip + iq*theta)/idd, so x/theta for x = (P + Q*theta)/D is
     # ((P ip + Q idd) + P iq*theta)/(D idd)
-    inverse = div_by_theta(theta, 1)
-    ip, iq, idd = inverse.p, inverse.q, inverse.d
+    ip, iq, idd = _inverse_pair(theta)
     sign, floor = _pair_sign, _pair_floor
     # each return time m seen -> (the length sum of its base factor, whether
     # that factor is the product); a sum [P, Q] means (P + Q*theta)/D

@@ -76,6 +76,25 @@ def _doc_id(value, bound, what):
     return value
 
 
+def _doc_list(doc, key, fields=()):
+    """doc[key] when it is a list, of objects holding every one of fields
+    when fields are given; InvalidDocument naming what is amiss otherwise."""
+    value = doc.get(key)
+    if not isinstance(value, list):
+        raise InvalidDocument(
+            f"{key!r} must be a list, got {type(value).__name__}"
+            if key in doc else f"the document has no field {key!r}")
+    for i, entry in enumerate(value if fields else ()):
+        if not isinstance(entry, dict):
+            raise InvalidDocument(f"entry {i} of {key!r} must be an object, "
+                                  f"got {type(entry).__name__}")
+        for field in fields:
+            if field not in entry:
+                raise InvalidDocument(
+                    f"entry {i} of {key!r} has no field {field!r}")
+    return value
+
+
 def table_product(table):
     """The compose of a products table {(g, h): g . h}: a pair off the table
     has no product (None), as beyond a window."""
@@ -436,18 +455,23 @@ class FiniteMeasuredGroupoid:
     @classmethod
     def from_doc(cls, doc):
         """The groupoid of a to_doc document. InvalidDocument refuses, in
-        O(arrows + products), a document that is not an object or whose ids
+        O(arrows + products), a document that is not an object or not of its
+        shape (_doc_list), an RN value that is not positive, and ids that
         name no arrow or unit: arrow ids other than 0..m-1, endpoints,
-        inverses, product rows (which must pair composable arrows), and an rn
-        list whose length is not m. Data in range is validate's to explain."""
+        inverses, product rows (which must pair composable arrows), and an
+        rn list whose length is not m. Data in range is validate's to
+        explain."""
         if not isinstance(doc, dict):
             raise InvalidDocument("a groupoid document is a JSON object, "
                                   f"got a {type(doc).__name__}")
-        masses = [Fraction(u["mass"]) for u in doc["units"]]
-        names = [u["name"] for u in doc["units"]]
-        n, m = len(names), len(doc["arrows"])
+        units = _doc_list(doc, "units", ("name", "mass"))
+        arrows = _doc_list(doc, "arrows",
+                           ("id", "source", "range", "inverse", "label"))
+        masses = [Fraction(u["mass"]) for u in units]
+        names = [u["name"] for u in units]
+        n, m = len(names), len(arrows)
         by_id = [None] * m
-        for a in doc["arrows"]:
+        for a in arrows:
             g = _doc_id(a["id"], m, "an arrow id")
             if by_id[g] is not None:
                 raise InvalidDocument(f"arrow id {g} appears twice")
@@ -458,7 +482,8 @@ class FiniteMeasuredGroupoid:
                                             ("inverse", m)))
         labs = [a["label"] for a in by_id]
         prod = {}
-        for i, row in enumerate(doc.get("products", [])):
+        rows = _doc_list(doc, "products") if "products" in doc else []
+        for i, row in enumerate(rows):
             if not (isinstance(row, list) and len(row) == 3):
                 raise InvalidDocument(f"product row {i} is not [g, h, g.h]")
             g, h, k = (_doc_id(v, m, f"an arrow of product row {i}")
@@ -467,10 +492,13 @@ class FiniteMeasuredGroupoid:
                 raise InvalidDocument(f"product row {i}: arrows {g} and {h} "
                                       "are not composable")
             prod[(g, h)] = k
-        rn = [Fraction(v) for v in doc["rn"]] if "rn" in doc else None
+        rn = ([Fraction(v) for v in _doc_list(doc, "rn")]
+              if "rn" in doc else None)
         if rn is not None and len(rn) != m:
             raise InvalidDocument(
                 f"the document has {len(rn)} RN values for {m} arrows")
+        if rn is not None and any(v <= 0 for v in rn):
+            raise InvalidDocument("Radon-Nikodym values must be positive")
         return cls(names, masses, src, rng, inv, labs, table_product(prod),
                    product_complete=bool(doc.get("product_complete")),
                    rn_values=rn)
@@ -1070,27 +1098,28 @@ def local_index_of_pair(G, ambient_ids, sub_ids, x):
     """[[ambient : sub]]_x for two nested wide arrow subsets of G.
 
     Both restricted to the sub-component of x before counting, so the value
-    only changes when the restriction severs genuine structure. Raises
-    UnknownUnit when x is not a unit of G."""
+    only changes when the restriction severs genuine structure; counted by
+    local_counts. Raises UnknownUnit when x is not a unit of G."""
     require_unit(G, x)
-    sub_ids = set(sub_ids) | set(range(G.n_units))
-    dec = ErgodicDecomposition(G, sorted(sub_ids))
-    return Fraction(index_within(G, set(ambient_ids), sub_ids,
-                                 dec.component(x), x))
+    sub = Subgroupoid(G, sub_ids, check=False)
+    labels = ErgodicDecomposition(sub).component_of
+    return local_counts(G, set(ambient_ids), sub, labels, [x])[x]
 
 
-def index_within(G, ambient_ids, sub_ids, units, x):
-    """index_of_pair at x in the restriction of G to units (x among them),
-    counted in G itself: the ambient arrows of s^-1(x) and the sub arrows
-    leaving units, each kept when its range lies in units. Restriction keeps
-    every product of two kept arrows, so the count is the same. Both id
-    collections are tested for membership: pass sets or a range."""
-    inside = set(units)
-    amb = {g for g in G.source_fiber(x)
-           if g in ambient_ids and G.rng[g] in inside}
-    sub = [g for y in sorted(inside) for g in G.source_fiber(y)
-           if g in sub_ids and G.rng[g] in inside]
-    return index_of_pair(G, amb, sub, x)
+def local_counts(G, ambient_ids, sub, component_of, units):
+    """{x: [[ambient : sub]]_x as a Fraction} for x in units, counted once
+    per component of the Subgroupoid sub (labelled by component_of): the
+    count in G's restriction to it is index_of_pair over the ambient arrows
+    of s^-1(x) ending in it, since s.h ends where s ends. ambient_ids is
+    tested for membership: pass a set or a range."""
+    per_comp = {}
+    for x in units:
+        c = component_of[x]
+        if c not in per_comp:
+            fiber = {g for g in G.source_fiber(x)
+                     if g in ambient_ids and component_of[G.rng[g]] == c}
+            per_comp[c] = Fraction(index_of_pair(G, fiber, sub, x))
+    return {x: per_comp[component_of[x]] for x in units}
 
 
 def validate(G):

@@ -15,7 +15,8 @@ import enum
 from dataclasses import dataclass, field
 
 from ..errors import NotInFullGroup, NotQuasiNormal
-from .core import id_set, index_of_pair, left_classes, require_unit
+from .core import (Subgroupoid, arrows_by, id_set, index_of_pair,
+                   left_classes, require_unit)
 
 
 class QNClass(enum.Enum):
@@ -115,10 +116,13 @@ class PartialIso:
 
 
 def arrows_within(G, arrow_ids, units):
-    """The arrows among arrow_ids with both endpoints in units."""
+    """The arrows among arrow_ids with both endpoints in units. A
+    Subgroupoid of G is read through its cached arrows-by-source map."""
     inside = set(units)
-    return frozenset(g for g in arrow_ids
-                     if G.src[g] in inside and G.rng[g] in inside)
+    own = isinstance(arrow_ids, Subgroupoid) and arrow_ids.parent is G
+    by_src = arrow_ids.by_src if own else arrows_by(G.src, id_set(arrow_ids))
+    return frozenset(g for x in inside for g in by_src.get(x, ())
+                     if G.rng[g] in inside)
 
 
 @dataclass
@@ -142,9 +146,8 @@ def qn_membership(G, S, phi):
     the report then carries the indices of the intersection at each unit of
     the range.
     """
-    s_ids = id_set(S)
-    s_dom = arrows_within(G, s_ids, phi.domain)
-    s_rng = arrows_within(G, s_ids, phi.range)
+    s_dom = arrows_within(G, S, phi.domain)
+    s_rng = arrows_within(G, S, phi.range)
     s_img = phi.conjugate_set(s_dom)
     if s_img == s_rng:
         return WitnessReport(phi=phi, qn_class=QNClass.NORMALIZING,

@@ -64,9 +64,9 @@ def quotient(G, S):
     kernel = set()
     for x in range(G.n_units):
         kernel.update(classes[labels[G.unit_arrow(x)]])
-    if kernel != set(s_ids):
-        extra = sorted(kernel - set(s_ids))[:4]
-        missing = sorted(set(s_ids) - kernel)[:4]
+    if kernel != s_ids:
+        extra = sorted(kernel - s_ids)[:4]
+        missing = sorted(s_ids - kernel)[:4]
         raise NotNormal(
             "unit classes do not recover the subgroupoid "
             f"(extra arrows {extra}, unreached {missing})")
@@ -80,11 +80,10 @@ def quotient(G, S):
 
     n_comp = dec.n_components
     # reorder classes so the unit classes come first, one per component
-    unit_class_of_comp = {}
-    for x in range(G.n_units):
-        unit_class_of_comp[dec.component_of[x]] = labels[G.unit_arrow(x)]
-    order = [unit_class_of_comp[z] for z in range(n_comp)]
-    order += [c for c in range(len(classes)) if c not in set(order)]
+    unit_class_of_comp = {dec.component_of[x]: labels[G.unit_arrow(x)]
+                          for x in range(G.n_units)}
+    units_first = [unit_class_of_comp[z] for z in range(n_comp)]
+    order = list(dict.fromkeys(units_first + list(range(len(classes)))))
     new_id = {c: i for i, c in enumerate(order)}
     theta = [new_id[labels[g]] for g in range(G.n_arrows)]
     q_classes = [classes[c] for c in order]
@@ -102,28 +101,18 @@ def quotient(G, S):
                 f"class {c} does not lift from every fiber point "
                 f"(misses units {sorted(needed - sources)[:4]})")
 
-    # product: class of g.h must not depend on the representatives
+    # product: class of g.h must not depend on the representatives. Every
+    # composable pair of classes has a lift: h ends in the source component
+    # of a, and a lifts from r(h)
     q_prod = {}
-    for a in range(len(q_classes)):
-        for b in range(len(q_classes)):
-            if q_src[a] != q_rng[b]:
-                continue
-            result = None
-            for h in q_classes[b]:
-                for g in q_classes[a]:
-                    if G.src[g] == G.rng[h]:
-                        k = G.product(g, h)
-                        if k is None:
-                            raise ValueError("quotient needs a complete product")
-                        if result is None:
-                            result = theta[k]
-                        elif result != theta[k]:
-                            raise NotNormal(
-                                f"product of classes ({a},{b}) is not well "
-                                f"defined (witness arrows {g},{h})")
-            if result is None:
-                raise NotNormal(f"classes ({a},{b}) have no composable lift")
-            q_prod[(a, b)] = result
+    for g, h, k in composable_pairs(G):
+        if k is None:
+            raise ValueError("quotient needs a complete product")
+        a, b = theta[g], theta[h]
+        if q_prod.setdefault((a, b), theta[k]) != theta[k]:
+            raise NotNormal(
+                f"product of classes ({a},{b}) is not well defined "
+                f"(witness arrows {g},{h})")
 
     q_masses = list(dec.masses)
     q_labels = ["e"] * n_comp + [f"c{c}" for c in range(n_comp, len(q_classes))]

@@ -2,12 +2,13 @@
 
 Everything here is written for obviousness, not speed: whole-word rescans,
 breadth-first walks, smallest-power searches, whole-word tree steps, a
-Cesaro loop on ThetaAffine values, and groupoid products composed from the
-arrow labels. None of it shares code with the
-implementations under test beyond the public data types and the exact
-ThetaAffine sign, floor and division.
+Cesaro loop on ThetaAffine values, bound arithmetic on interval thetas, and
+groupoid products composed from the arrow labels. None of it shares code
+with the implementations under test beyond the public data types and the
+exact ThetaAffine sign, floor and division.
 """
 
+import math
 from fractions import Fraction
 
 from bsmg import tree
@@ -22,6 +23,7 @@ from bsmg.dynamics import (
     as_affine,
     div_by_theta,
 )
+from bsmg.errors import PrecisionError
 from bsmg.words import GroupWord, normalize
 
 
@@ -196,6 +198,36 @@ def sqrt5_sign(u, w):
     return 1 if dominant > 0 else -1
 
 
+def interval_sign(theta, value):
+    """Sign of a + b*theta on an interval theta [lo, hi] by bound
+    arithmetic: the least and greatest values over the interval, read at the
+    end that minimizes or maximizes b*theta. PrecisionError when they do
+    not share a sign (or both vanish)."""
+    a, b = value.a, value.b
+    vlo = a + b * (theta.lo if b >= 0 else theta.hi)
+    vhi = a + b * (theta.hi if b >= 0 else theta.lo)
+    if vlo > 0:
+        return 1
+    if vhi < 0:
+        return -1
+    if vlo == vhi == 0:
+        return 0
+    raise PrecisionError(f"cannot decide the sign of {value} on {theta!r}")
+
+
+def interval_floor(theta, value):
+    """Floor of a + b*theta on an interval theta: a candidate from the
+    midpoint, then the fencepost settled by interval_sign of value - n and
+    value - (n + 1), which raises PrecisionError where either straddles 0,
+    an exact-integer end included."""
+    n = math.floor(value.a + value.b * (theta.lo + theta.hi) / 2)
+    while interval_sign(theta, value - n) < 0:
+        n -= 1
+    while interval_sign(theta, value - (n + 1)) >= 0:
+        n += 1
+    return n
+
+
 def arrows_from(G, x):
     """s^-1(x) by a scan of every arrow."""
     return [g for g in range(G.n_arrows) if G.src[g] == x]
@@ -206,10 +238,14 @@ def arrows_into(G, x):
     return [g for g in range(G.n_arrows) if G.rng[g] == x]
 
 
-def left_class_count(G, sub_ids, x):
-    """[G : sub]_x straight from the definition: g ~ h in s^-1(x) iff
-    g h^-1 lies in sub; one class per distinct set of partners."""
+def left_class_count(G, sub_ids, x, ambient_ids=None):
+    """[ambient : sub]_x straight from the definition (ambient is all of G
+    when ambient_ids is None): g ~ h in s^-1(x) iff g h^-1 lies in sub; one
+    class per distinct set of partners."""
     fiber = arrows_from(G, x)
+    if ambient_ids is not None:
+        ambient = set(ambient_ids)
+        fiber = [g for g in fiber if g in ambient]
     sub = set(sub_ids)
     return len({frozenset(h for h in fiber if G.product(g, G.inv[h]) in sub)
                 for g in fiber})

@@ -435,6 +435,32 @@ class TestBadInputs:
         (INDEX + (A_LIST,), "a groupoid document is a JSON object, got a list"),
         (MODULAR_PAIR + (A_LIST,),
          "a groupoid document is a JSON object, got a list"),
+        # each of these ended in an untyped TypeError traceback
+        (VALIDATE + (doc_key("arrows", lambda arrows: arrows[:3] + [7]
+                             + arrows[4:]),),
+         "entry 3 of 'arrows' must be an object, got int"),
+        (VALIDATE + (doc_key("units", lambda units: [1] + units[1:]),),
+         "entry 0 of 'units' must be an object, got int"),
+        (VALIDATE + (doc_key("arrows", lambda arrows: 7),),
+         "'arrows' must be a list, got int"),
+        (INDEX + (doc_key("units", lambda units: 5),),
+         "'units' must be a list, got int"),
+        (MODULAR_PAIR + (doc_key("products", lambda rows: 5),),
+         "'products' must be a list, got int"),
+        (VALIDATE + (doc_key("units", lambda units: [
+            {"name": u["name"]} for u in units]),),
+         "entry 0 of 'units' has no field 'mass'"),
+        (VALIDATE + (Edited(lambda doc: {k: v for k, v in doc.items()
+                                         if k != "arrows"}),),
+         "the document has no field 'arrows'"),
+        (INDEX + (doc_key("arrows", lambda arrows: [
+            {k: v for k, v in a.items() if k != "label"} for a in arrows]),),
+         "entry 0 of 'arrows' has no field 'label'"),
+        # valid: true with exit 0, and a verification failure (exit 1)
+        (VALIDATE + (Edited(lambda doc: {**doc, "rn": ["0"] * 50}),),
+         "Radon-Nikodym values must be positive"),
+        (VALIDATE + (Edited(lambda doc: {**doc, "rn": ["-1"] * 50}),),
+         "Radon-Nikodym values must be positive"),
     ])
     def test_usage_error(self, capsys, tmp_path, argv, message):
         argv = [arg.write(capsys, tmp_path) if isinstance(arg, Edited)

@@ -46,7 +46,8 @@ from bsmg.errors import (
 from bsmg.profinite import TruncatedProfiniteInt
 from bsmg.words import BSParams, GroupWord, commutator, is_identity, modular_hom
 
-from oracles import cesaro_reference, sqrt5_sign
+from oracles import (cesaro_reference, interval_floor, interval_sign,
+                     sqrt5_sign)
 
 P23 = BSParams(2, 3)
 THETA32 = ThetaValue.from_rational(Fraction(3, 2))
@@ -240,6 +241,90 @@ class TestBetaCocycle:
         u = 2 * (x - n) + m
         assert sqrt5_sign(u, m) >= 0
         assert sqrt5_sign(u - 1, m - 1) < 0    # landed < phi
+
+
+# small endpoints and values, so that the two ends of an interval often
+# agree and often do not
+SMALL = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 20))
+SMALL_AFFINES = st.builds(ThetaAffine, SMALL, SMALL)
+INTERVAL_THETAS = st.builds(
+    lambda lo, width: (lo, lo + width), SMALL.filter(bool),
+    st.builds(Fraction, st.integers(0, 20), st.integers(1, 100))).filter(
+        lambda ends: not ends[0] <= 0 <= ends[1]).map(
+            lambda ends: ThetaValue.from_interval(*ends))
+
+
+def outcome(call, *args):
+    """call(*args), or the exception it raises: PrecisionError, or for a
+    point outside the window of beta_cocycle ValueError and whether the
+    point lies below it."""
+    try:
+        return call(*args)
+    except PrecisionError:
+        return PrecisionError
+    except ValueError as exc:
+        return ValueError, str(exc).endswith("is negative")
+
+
+def at_ends(call, theta, *args):
+    """The outcomes of call at the rational ends lo and hi of theta."""
+    return [outcome(call, *args, ThetaValue.from_rational(end))
+            for end in theta.bounds()]
+
+
+class TestIntervalTheta:
+    """An interval theta answers what its two rational ends agree on. The
+    bound arithmetic it replaced (oracles.interval_sign, interval_floor) is
+    the reference for sign and floor."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(INTERVAL_THETAS, SMALL_AFFINES)
+    def test_sign_is_the_bound_arithmetic(self, theta, x):
+        assert outcome(affine_sign, theta, x) == \
+            outcome(interval_sign, theta, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(INTERVAL_THETAS, SMALL_AFFINES)
+    def test_floor_answers_where_the_fencepost_did(self, theta, x):
+        got = outcome(affine_floor, theta, x)
+        want = outcome(interval_floor, theta, x)
+        if want is not PrecisionError:
+            assert got == want
+        else:
+            # the fencepost also raised at an exact-integer end, where both
+            # rational ends agree on the floor
+            lo, hi = at_ends(lambda x, t: affine_floor(t, x), theta, x)
+            assert got == (lo if lo == hi else PrecisionError)
+
+    def test_integer_end_is_answered(self):
+        # theta - 1 is 0 at the end lo = 1, so the fencepost could not tell
+        # floor(theta) from floor(theta) - 1
+        theta = ThetaValue.from_interval(1, Fraction(3, 2))
+        x = ThetaAffine(0, 1)
+        with pytest.raises(PrecisionError):
+            interval_floor(theta, x)
+        assert affine_floor(theta, x) == 1
+
+    def test_beta_reads_the_theta_part_of_x(self):
+        # the bound arithmetic read only the rational part of x and answered
+        # 1, landing x - 1 + theta in [3.65, 3.8], outside [0, theta)
+        theta = ThetaValue.from_interval(Fraction(31, 10), Fraction(32, 10))
+        x = ThetaAffine(0, Fraction(1, 2))
+        assert beta_cocycle(1, x, theta) == 0
+        m, landed = beta_step(1, x, theta)
+        assert (m, landed) == (0, ThetaAffine(-1, Fraction(1, 2)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(INTERVAL_THETAS, SMALL_AFFINES, st.integers(-30, 30))
+    def test_beta_is_the_common_answer_of_the_ends(self, theta, x, n):
+        lo, hi = at_ends(beta_cocycle, theta, n, x)
+        got = outcome(beta_cocycle, n, x, theta)
+        if lo == hi:
+            # one return time, or x on the same side outside the window at
+            # both ends
+            assert got == lo
+        else:
+            assert got is PrecisionError
 
 
 class TestLineCoordinate:

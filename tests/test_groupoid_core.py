@@ -34,8 +34,9 @@ from bsmg.groupoid.core import (
 from bsmg.groupoid.pseudogroup import coset_classes
 from bsmg.groupoid.quotient import quotient
 from bsmg.groupoid.randomgen import (identity_index, random_action_instance,
-                                     random_groupoid, random_wide_subgroupoid,
-                                     subgroup_closure)
+                                     random_groupoid, random_partition_tower,
+                                     random_subgroup, random_wide_subgroupoid,
+                                     subgroup_arrow_ids, subgroup_closure)
 from bsmg.words import BSParams
 from oracles import (
     arrows_from,
@@ -831,3 +832,49 @@ class TestPairFastPath:
         assert calls["principal_map"] <= 3 * G.n_arrows
         assert (calls["product"], calls["source_fiber"],
                 calls["range_fiber"]) == (0, 0, 0)
+
+
+def sub_component(G, sub_ids, x):
+    """The units joined to x by arrows of sub_ids, by a breadth-first walk."""
+    seen, todo = {x}, [x]
+    for y in todo:
+        for g in arrows_from(G, y):
+            if g in sub_ids and G.rng[g] not in seen:
+                seen.add(G.rng[g])
+                todo.append(G.rng[g])
+    return sorted(seen)
+
+
+def towers():
+    """(G, K, H) with H <= K <= G: partition towers, and action groupoids
+    with a random subgroup inside the closure of it and one more element."""
+    rng = random.Random("local-index-towers")
+    for _ in range(12):
+        yield random_partition_tower(rng)
+    for _ in range(12):
+        G = random_action_instance(rng, max_units=8, max_arrows=240)
+        lam = random_subgroup(rng, G)
+        mid = subgroup_closure(
+            G, sorted(lam) + [rng.randrange(len(G.group_elements))])
+        yield G, subgroup_arrow_ids(G, mid), subgroup_arrow_ids(G, lam)
+
+
+class TestLocalIndexAgainstTheRestriction:
+    """[[ambient : sub]]_x counted in G equals the left-class count of the
+    definition in the restriction of G to the sub-component of x."""
+
+    def test_towers(self):
+        values = Counter()
+        for G, k_ids, h_ids in towers():
+            units = set(range(G.n_units))
+            for amb, sub in ((range(G.n_arrows), h_ids),
+                             (range(G.n_arrows), k_ids), (k_ids, h_ids)):
+                amb, sub = set(amb) | units, set(sub) | units
+                for x in range(G.n_units):
+                    GA, umap, amap = restrict(G, sub_component(G, sub, x))
+                    want = left_class_count(
+                        GA, {amap[g] for g in sub if g in amap}, umap[x],
+                        ambient_ids={amap[g] for g in amb if g in amap})
+                    assert local_index_of_pair(G, amb, sub, x) == want
+                    values[want] += 1
+        assert sum(values.values()) > 400 and len(values) > 3

@@ -245,6 +245,18 @@ class TestDocumentRefusals:
                    or line.startswith("associativity fails")
                    for line in problems)
 
+    def test_positive_rn_values_that_do_not_multiply_reach_validate(self):
+        G = random_action_instance(random.Random(11), max_units=5)
+        doc = G.to_doc()
+        doc["rn"] = ["2"] * G.n_arrows
+        problems = validate(FiniteMeasuredGroupoid.from_doc(doc))
+        assert "attached RN values not multiplicative at (0,0)" in problems
+        for bad in ("0", "-1"):
+            doc["rn"] = ["1"] * (G.n_arrows - 1) + [bad]
+            with pytest.raises(InvalidDocument,
+                               match="Radon-Nikodym values must be positive"):
+                FiniteMeasuredGroupoid.from_doc(doc)
+
 
 # -- the choice of product stays in groupoid/core.py ----------------------
 

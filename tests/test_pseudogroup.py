@@ -99,6 +99,19 @@ class TestArrowsWithin:
         assert all(G.src[g] in (0, 1) and G.rng[g] in (0, 1) for g in inside)
         assert G.unit_arrow(2) not in inside
 
+    def test_a_subgroupoid_reads_as_its_ids(self):
+        G = s3_action()
+        S = lam_subgroupoid(G)
+        for units in ([], [0], [0, 1], [1, 2], [0, 1, 2]):
+            want = arrows_within(G, sorted(S.ids), units)
+            assert arrows_within(G, S, units) == want
+            assert want == {g for g in S.ids
+                            if G.src[g] in units and G.rng[g] in units}
+        # a Subgroupoid of another groupoid is read by its ids
+        other = Subgroupoid(s3_action(), S.ids)
+        assert arrows_within(G, other, [0, 1]) == arrows_within(
+            G, S, [0, 1])
+
 
 class TestQNMembership:
     def test_identity_normalizes(self):

@@ -79,7 +79,9 @@ class TestQuotient:
         G = s3_action()
         swap = G.action_perms.index((1, 0, 2))
         S = Subgroupoid(G, element_arrows(G, [0, swap]))
-        with pytest.raises(NotNormal):
+        # the witness is the first clash in the walk over composable pairs
+        with pytest.raises(NotNormal, match=r"^product of classes \(4,3\) "
+                           r"is not well defined \(witness arrows 8,10\)$"):
             quotient(G, S)
 
 
