@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -405,14 +406,24 @@ def _pq(parser, r_s=False):
         parser.add_argument("--s", type=int, required=True)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with "-" and a digit as a value, so that
+    --theta -5/3 means --theta=-5/3: argparse's own test takes only -4 and
+    -1.5 for negative numbers. Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default="json", help="output format")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized commands")
 
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="bsmg",
         description="Exact finite models for Baumslag-Solitar measured "
                     "group theory. Global flags go after the subcommand; "

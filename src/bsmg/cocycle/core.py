@@ -3,14 +3,16 @@
 The modular cocycle of a pair (G, S) measures how the normalized conditional
 masses of the S-components transform along arrows of G; the companion index
 cocycle compares local indices across a witness. Both restrict to the
-identity on S. At this finite scale the modular values reduce to conditional
-mass ratios, and the witness computation is kept as the defining procedure:
-every value is produced through a witness realization and cross-checked for
-consistency whenever several witnesses realize the same arrow.
-"""
+identity on S. The witness realization defines them; when S is known to be
+a subgroupoid of a G with every product, they have closed forms, the ratios
+of S's component masses and of its isotropy orders (_closed_form), which
+modular_pair computes without a witness. An explicit witness family is
+always walked, and every value it writes is cross-checked whenever several
+witnesses realize the same arrow."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from ..errors import (MissingUnitArrow, NotMeasurePreserving,
@@ -20,6 +22,7 @@ from ..groupoid.core import (
     Subgroupoid,
     arrows_by,
     certificate,
+    composable_pairs,
     forest_potential,
     id_set,
     local_counts,
@@ -40,59 +43,57 @@ def radon_nikodym(G):
     return GroupoidCocycle.from_values(G, QPos, values, check=False)
 
 
-def _per_unit_local_index(G, ambient_ids, sub_ids, units, sub_dec):
-    """[[ambient : sub]]_x for each x in units, as a Fraction, for a sub
-    arrow set inside the ambient one.
+def _closed_form(G, s_ids, dec):
+    """(D values, K values) of (G, S), or None unless G has every product
+    (products_defined) and S is known to be a subgroupoid: on a certified
+    pair groupoid, S's ids lie in [0, n_arrows) and |S| = sum |C|^2 over
+    its components C (distinct arrows of G join distinct unit pairs, so S
+    is the pair relation on its components); otherwise S is closed under
+    inverse and under every product within it. Then, for every arrow g,
 
-    1 at every unit, with no count, under a certificate: G is a certified
-    pair groupoid (certificate), sub holds the unit arrow of every unit
-    in units, and sub has exactly sum |C|^2 arrows over the components C its
-    arrows span. Distinct arrows of such a G join distinct unit pairs, so
-    sub is then the whole pair relation on each C, and every ambient arrow
-    from x into C lies in the left class of the unit arrow at x. Otherwise
-    local_counts counts the classes once per sub-component (constant along
-    it: right multiplication by a sub arrow bijects the left classes of the
-    two fibers), through one arrows-by-source map of sub.
+        D(g) = M(C_S(r(g))) / M(C_S(s(g))),  K(g) = |S_r^r| / |S_s^s|
+
+    for r = r(g), s = s(g), each read off a table keyed by the pair of
+    S-components of s and r.
+    - D. The walk writes cond(x) / cond(y) on the left S-class of
+      g0 = phi(x), y = r(g0), whose arrows leave x and end in C_S(y); cond
+      is m / M(C_S) with m constant on G-components.
+    - K. With every product, [[A : B]]_x = |A_x^x| / |B_x^x| for nested
+      subgroupoids B of A: the |A_x^x| |C_B(x)| arrows of s_A^-1(x) ending
+      in C_B(x) fall into left B-classes of |B_x^x| |C_B(x)| arrows each.
+      Conjugation by g0 maps S_x^x meet g0^-1 S_y^y g0 onto S_y^y meet
+      g0 S_x^x g0^-1, so li_plus[y] / li_minus[x] = |S_y^y| / |S_x^x| for
+      every witness; isotropy orders are constant on S-components, and 1
+      on a pair groupoid.
     """
+    if not products_defined(G) or min(s_ids) < 0 or max(s_ids) >= G.n_arrows:
+        return None
     cert = certificate(G)
-    if cert is not None and cert.kind == "pair" \
-            and all(G.unit_arrow(x) in sub_ids for x in units):
-        spanned = {sub_dec.component_of[G.src[g]] for g in sub_ids}
-        if len(sub_ids) == sum(len(sub_dec.components[c]) ** 2
-                               for c in spanned):
-            return dict.fromkeys(units, Fraction(1))
-    return local_counts(G, ambient_ids, Subgroupoid(G, sub_ids, check=False),
-                        sub_dec.component_of, units)
+    if cert is not None and cert.kind == "pair":
+        if len(s_ids) != sum(len(c) ** 2 for c in dec.components):
+            return None
+    elif any(G.inv[g] not in s_ids for g in s_ids) or any(
+            k not in s_ids for _, _, k in composable_pairs(G, s_ids)):
+        return None
+    loops = Counter(G.src[g] for g in s_ids if G.src[g] == G.rng[g])
+    mass, iso = dec.masses, [loops[c[0]] for c in dec.components]
+    comp, width = dec.component_of, dec.n_components
+    keys = [comp[s] * width + comp[r] for s, r in zip(G.src, G.rng)]
+    d_of = {key: mass[key % width] / mass[key // width] for key in set(keys)}
+    k_of = {key: Fraction(iso[key % width], iso[key // width]) for key in d_of}
+    return (tuple(map(d_of.__getitem__, keys)),
+            tuple(map(k_of.__getitem__, keys)))
 
 
 def modular_pair(G, S, *, witnesses=None):
-    """The modular cocycle D and the index cocycle K of the pair (G, S).
+    """The modular cocycle D and the index cocycle K of the pair (G, S), as
+    QPos cocycles. G must be measure preserving (NotMeasurePreserving), and
+    S must hold the unit arrow of every unit (MissingUnitArrow).
 
-    G must be measure preserving (NotMeasurePreserving), and S must hold
-    the unit arrow of every unit (MissingUnitArrow). Witnesses default to
-    a covering family; a caller with structural knowledge may pass its own
-    family of PartialIso objects, which is then verified to cover every
-    arrow. Returns (D, K) as QPos cocycles.
-
-    Each witness phi conjugates the S arrows inside its domain once (two
-    products each), found through S's arrows-by-source map, and writes its
-    values at x on the left S-class of g0 = phi(x), cross-checked against
-    every earlier value; a clash names the lowest arrow, D before K.
-
-    - The class walk. When every composable product is defined
-      (products_defined: G is certified or closed by construction) the
-      class is {s . g0 : s in S leaving r(g0)}, since g g0^-1 = s exactly
-      when g = s g0: one product per S arrow leaving r(g0). Otherwise (a
-      products table, or a principal map that is not certified) the class
-      is read off a scan of s^-1(x) computing g g0^-1 for every g, which
-      refuses a missing product.
-    - The local indices. On a certified pair groupoid a sub that is the
-      whole pair relation on its components has local index 1 at every
-      unit (_per_unit_local_index), found in one pass over the sub arrows
-      and no product; any other sub is counted by local_counts.
-
-    So a level model with its own witnesses costs O(arrows) products, at
-    most three per arrow, and reads no fiber.
+    With no witnesses, (D, K) is read off S's component masses and isotropy
+    orders when _closed_form applies: O(arrows), plus S's composable pairs
+    off a pair groupoid, and no witness. Otherwise _witness_walk realizes
+    them through the witnesses given, or through witness_family.
     """
     if not G.measure_preserving:
         raise NotMeasurePreserving("modular cocycle needs preserved masses")
@@ -104,10 +105,30 @@ def modular_pair(G, S, *, witnesses=None):
         raise MissingUnitArrow(
             f"S lacks the unit arrow of unit {lacking}; a subgroupoid holds "
             "the unit arrow of every unit")
+    dec = ErgodicDecomposition(G, s_ids)
+    values = None if witnesses is not None else _closed_form(G, s_ids, dec)
+    if values is None:
+        values = _witness_walk(G, S, s_ids, dec, witnesses)
+    # both paths write exact positive Fractions, so no value is coerced
+    return tuple(GroupoidCocycle(G, QPos, tuple(v)) for v in values)
+
+
+def _witness_walk(G, S, s_ids, dec, witnesses):
+    """(D values, K values) of (G, S) through a family of PartialIso
+    witnesses (witness_family when None), which must cover every arrow.
+
+    Each witness phi conjugates the S arrows inside its domain once (two
+    products each) and writes its values at x on the left S-class of
+    g0 = phi(x), cross-checked against every earlier value; a clash names
+    the lowest arrow, D before K. The class is {s . g0 : s in S leaving
+    r(g0)} when every product is defined (products_defined). Otherwise it
+    is read off a scan of s^-1(x) computing g g0^-1 for every g, which
+    refuses a missing product. The local indices are counted by
+    local_counts.
+    """
     if not (isinstance(S, Subgroupoid) and S.parent is G):
         S = Subgroupoid(G, s_ids, check=False)
     walk = products_defined(G)
-    dec = ErgodicDecomposition(G, sorted(s_ids))
     cond = dec.conditional_masses
 
     if witnesses is None:
@@ -150,8 +171,10 @@ def modular_pair(G, S, *, witnesses=None):
             else:
                 scalar_of[c] = val
 
-        li_minus = _per_unit_local_index(G, s_dom, s_minus, dom, minus_dec)
-        li_plus = _per_unit_local_index(G, s_rng, s_plus, phi.range, plus_dec)
+        li_minus = local_counts(G, s_dom, Subgroupoid(G, s_minus, check=False),
+                                minus_dec.component_of, dom)
+        li_plus = local_counts(G, s_rng, Subgroupoid(G, s_plus, check=False),
+                               plus_dec.component_of, phi.range)
 
         for x in sorted(dom):
             g0 = phi.arrow(x)
@@ -213,9 +236,7 @@ def modular_pair(G, S, *, witnesses=None):
         raise ValueError(
             f"witness family does not cover arrows {missing[:6]} "
             f"({len(missing)} total)")
-    D = GroupoidCocycle.from_values(G, QPos, d_values, check=False)
-    K = GroupoidCocycle.from_values(G, QPos, k_values, check=False)
-    return D, K
+    return d_values, k_values
 
 
 def _as_values(c, G):

@@ -139,11 +139,12 @@ class BSLevelModel:
         return Fraction(abs(self.params.q), abs(self.params.p))
 
     def modular_cocycles(self):
-        """(D, K) computed through this model's explicit witness family,
-        once per model."""
+        """(D, K) in closed form (modular_pair), once per model: D is
+        |floor of r(g)| / |floor of s(g)| and K is 1. self.witnesses, the
+        paper's realization, gives the same pair through the witness
+        walk."""
         if self._modular_pair is None:
-            self._modular_pair = modular_pair(self.groupoid, self.S,
-                                              witnesses=self.witnesses)
+            self._modular_pair = modular_pair(self.groupoid, self.S)
         return self._modular_pair
 
     def check_modular_identity(self):

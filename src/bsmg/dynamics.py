@@ -75,28 +75,12 @@ class ThetaValue:
             raise ValueError("theta interval must not contain zero")
         return cls("interval", lo=lo, hi=hi)
 
-    @property
-    def is_rational(self):
-        return self.kind == "rational"
-
     def __float__(self):
         if self.kind == "rational":
             return float(self.frac)
         if self.kind == "golden":
             return (1 + math.sqrt(5)) / 2
         return float((self.lo + self.hi) / 2)
-
-    def bounds(self, depth=40):
-        """Exact rational bounds lo <= theta <= hi. For the golden ratio
-        these are consecutive Fibonacci convergents at the given depth."""
-        if self.kind == "rational":
-            return self.frac, self.frac
-        if self.kind == "interval":
-            return self.lo, self.hi
-        a, b = _fib(depth), _fib(depth + 1)
-        c, d = b, a + b
-        lo, hi = Fraction(b, a), Fraction(d, c)
-        return (lo, hi) if lo <= hi else (hi, lo)
 
     def __repr__(self):
         if self.kind == "rational":

@@ -76,6 +76,16 @@ def _doc_id(value, bound, what):
     return value
 
 
+def _doc_fraction(value, what, at):
+    """Fraction(value) when value is a rational number, as an int or a string
+    such as "3/4"; InvalidDocument naming what and at otherwise."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InvalidDocument(
+            f"{what} {at} is {value!r}, not a rational number") from None
+
+
 def _doc_list(doc, key, fields=()):
     """doc[key] when it is a list, of objects holding every one of fields
     when fields are given; InvalidDocument naming what is amiss otherwise."""
@@ -456,7 +466,8 @@ class FiniteMeasuredGroupoid:
     def from_doc(cls, doc):
         """The groupoid of a to_doc document. InvalidDocument refuses, in
         O(arrows + products), a document that is not an object or not of its
-        shape (_doc_list), an RN value that is not positive, and ids that
+        shape (_doc_list), a mass or an RN value that is not a rational number
+        (_doc_fraction), an RN value that is not positive, and ids that
         name no arrow or unit: arrow ids other than 0..m-1, endpoints,
         inverses, product rows (which must pair composable arrows), and an
         rn list whose length is not m. Data in range is validate's to
@@ -467,7 +478,8 @@ class FiniteMeasuredGroupoid:
         units = _doc_list(doc, "units", ("name", "mass"))
         arrows = _doc_list(doc, "arrows",
                            ("id", "source", "range", "inverse", "label"))
-        masses = [Fraction(u["mass"]) for u in units]
+        masses = [_doc_fraction(u["mass"], "the mass of unit", x)
+                  for x, u in enumerate(units)]
         names = [u["name"] for u in units]
         n, m = len(names), len(arrows)
         by_id = [None] * m
@@ -492,7 +504,8 @@ class FiniteMeasuredGroupoid:
                 raise InvalidDocument(f"product row {i}: arrows {g} and {h} "
                                       "are not composable")
             prod[(g, h)] = k
-        rn = ([Fraction(v) for v in _doc_list(doc, "rn")]
+        rn = ([_doc_fraction(v, "the RN value of arrow", g)
+               for g, v in enumerate(_doc_list(doc, "rn"))]
               if "rn" in doc else None)
         if rn is not None and len(rn) != m:
             raise InvalidDocument(
@@ -651,10 +664,6 @@ class ErgodicDecomposition:
                 m / masses[c]
                 for m, c in zip(self.parent.masses, self.component_of))
         return self._conditional
-
-    def conditional_mass(self, x):
-        """Mass of x under the normalized measure of its component."""
-        return self.conditional_masses[x]
 
     def is_ergodic(self):
         return self.n_components == 1

@@ -39,15 +39,10 @@ class PartialIso:
         if len(set(ranges)) != len(ranges):
             raise NotInFullGroup("ranges collide; not a partial isomorphism")
         self.range = tuple(sorted(ranges))
-        self._preimage = {G.rng[g]: x for x, g in self.arrows.items()}
 
     @classmethod
     def identity_on(cls, G, units):
         return cls(G, {x: G.unit_arrow(x) for x in units})
-
-    @classmethod
-    def from_arrows(cls, G, arrow_ids):
-        return cls(G, {G.src[g]: g for g in arrow_ids})
 
     def __len__(self):
         return len(self.arrows)
@@ -57,9 +52,6 @@ class PartialIso:
 
     def target(self, x):
         return self.G.rng[self.arrows[x]]
-
-    def preimage(self, y):
-        return self._preimage[y]
 
     def inverse(self):
         G = self.G
@@ -105,10 +97,6 @@ class PartialIso:
             if k is not None:
                 out.add(k)
         return frozenset(out)
-
-    def is_measure_preserving(self):
-        G = self.G
-        return all(G.masses[x] == G.masses[self.target(x)] for x in self.domain)
 
     def __repr__(self):
         pairs = ", ".join(f"{x}->{self.target(x)}" for x in self.domain)

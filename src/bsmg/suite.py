@@ -317,11 +317,17 @@ def check_modular_transfers(rng, cases):
 
 
 def check_modular_identity(rng, cases):
-    """Product of the modular pair on level-model floor moves."""
+    """Product of the modular pair on level-model floor moves, whose closed
+    form must match the walk of the model's own witnesses."""
     combos = [((2, 3), 1, 0), ((2, 3), 1, 1), ((2, -3), 1, 0), ((4, 6), 1, 1)]
     arrows = 0
     for (p, q), k, l in combos[:max(1, cases)]:
         model = BSLevelModel(BSParams(p, q), k, l)
+        walked = modular_pair(model.groupoid, model.S,
+                              witnesses=model.witnesses)
+        _require(walked == model.modular_cocycles(),
+                 "the witness walk differs from the closed form",
+                 model=f"BS({p},{q}) level ({k},{l})")
         arrows += model.check_modular_identity()
     return min(len(combos), max(1, cases)), f"{arrows} arrows checked"
 

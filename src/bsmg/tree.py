@@ -167,13 +167,6 @@ def tau(word: GroupWord, params: BSParams) -> int:
     return word.t_exponent_sum()
 
 
-def tau_via_tree(word: GroupWord, params: BSParams, radius: int = DEFAULT_RADIUS) -> int:
-    """tau computed the slow way, by summing geodesic edge signs."""
-    v0 = base_vertex(params)
-    path = geodesic(v0, canonical_vertex(word, params), radius)
-    return sum(path.signs())
-
-
 def stabilizer_index(u: TreeVertex, v: TreeVertex, radius: int = DEFAULT_RADIUS) -> int:
     """Index in the stabilizer of u of the subgroup also stabilizing v.
 

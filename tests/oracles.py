@@ -2,10 +2,11 @@
 
 Everything here is written for obviousness, not speed: whole-word rescans,
 breadth-first walks, smallest-power searches, whole-word tree steps, a
-Cesaro loop on ThetaAffine values, bound arithmetic on interval thetas, and
-groupoid products composed from the arrow labels. None of it shares code
-with the implementations under test beyond the public data types and the
-exact ThetaAffine sign, floor and division.
+Cesaro loop on ThetaAffine values, bound arithmetic on interval thetas,
+groupoid products composed from the arrow labels, and the small readers of
+thetas, partial isomorphisms and components that only tests need. None of
+it shares code with the implementations under test beyond the public data
+types and the exact ThetaAffine sign, floor and division.
 """
 
 import math
@@ -17,6 +18,7 @@ from bsmg.dynamics import (
     CesaroReport,
     _abs_theta,
     _affine_product,
+    _fib,
     _to_float,
     affine_floor,
     affine_sign,
@@ -24,6 +26,7 @@ from bsmg.dynamics import (
     div_by_theta,
 )
 from bsmg.errors import PrecisionError
+from bsmg.groupoid.pseudogroup import PartialIso
 from bsmg.words import GroupWord, normalize
 
 
@@ -196,6 +199,54 @@ def sqrt5_sign(u, w):
         return (total > 0) - (total < 0)
     dominant = u if u * u > 5 * w * w else w
     return 1 if dominant > 0 else -1
+
+
+def is_rational(theta):
+    """True for a rational ThetaValue."""
+    return theta.kind == "rational"
+
+
+def theta_bounds(theta, depth=40):
+    """Exact rational bounds lo <= theta <= hi. For the golden ratio these
+    are consecutive Fibonacci convergents at the given depth."""
+    if theta.kind == "rational":
+        return theta.frac, theta.frac
+    if theta.kind == "interval":
+        return theta.lo, theta.hi
+    a, b = _fib(depth), _fib(depth + 1)
+    c, d = b, a + b
+    lo, hi = Fraction(b, a), Fraction(d, c)
+    return (lo, hi) if lo <= hi else (hi, lo)
+
+
+def tau_via_tree(word, params, radius=tree.DEFAULT_RADIUS):
+    """tau computed the slow way, by summing geodesic edge signs."""
+    v0 = tree.base_vertex(params)
+    path = tree.geodesic(v0, tree.canonical_vertex(word, params), radius)
+    return sum(path.signs())
+
+
+def partial_iso_from_arrows(G, arrow_ids):
+    """The PartialIso choosing each given arrow at its source."""
+    return PartialIso(G, {G.src[g]: g for g in arrow_ids})
+
+
+def preimage(phi, y):
+    """The domain unit that phi sends to y, by a scan of the domain."""
+    return next(x for x in phi.domain if phi.target(x) == y)
+
+
+def iso_preserves_masses(phi):
+    """True when phi sends every domain unit to a unit of equal mass."""
+    G = phi.G
+    return all(G.masses[x] == G.masses[phi.target(x)] for x in phi.domain)
+
+
+def conditional_mass(dec, x):
+    """The mass of x under the normalized measure of its component, summed
+    afresh from the component's units."""
+    G = dec.parent
+    return G.masses[x] / sum(G.masses[y] for y in dec.component(x))
 
 
 def interval_sign(theta, value):

@@ -276,6 +276,30 @@ class TestDynamics:
         # m = ceil((n - x)/phi) = -floor((10^27 + 1/2)/phi)
         assert doc == {"value": -618033988749894848204586834}
 
+    @pytest.mark.parametrize("argv", [
+        ("dynamics", "beta", "--theta", "-5/3", "--n", "7", "--x", "1/2"),
+        ("dynamics", "beta", "--theta", "-5/3", "--n", "-7", "--x", "1/2"),
+        ("dynamics", "beta", "--theta", "-3/2", "--n", "-2", "--x", "-1/2"),
+        ("dynamics", "rotation", "--theta", "-1/3", "--N", "3"),
+        ("dynamics", "cesaro", "--theta", "-3/2", "--horizon", "40"),
+        ("cocycle", "scaled-product", "--ratio", "-2/3", "--n", "3"),
+    ])
+    def test_a_negative_value_reads_in_both_spellings(self, capsys, argv):
+        # argparse took "-5/3" for an option name, so only --theta=-5/3 ran
+        joined = []
+        for arg in argv:
+            if arg[:1] == "-" and arg[1:2].isdigit():
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        assert len(joined) < len(argv)
+        assert run(capsys, *argv) == run(capsys, *joined)
+
+    def test_a_negative_theta_as_a_separate_value(self, capsys):
+        doc = run_json(capsys, "dynamics", "beta", "--theta", "-5/3",
+                       "--n", "7", "--x", "1/2")
+        assert doc == {"value": -4}
+
     def test_rotation(self, capsys):
         doc = run_json(capsys, "dynamics", "rotation", "--theta", "3/2",
                        "--N", "6")
@@ -324,6 +348,14 @@ def arrow_field(g, field, value):
     """Edited with one field of arrow g replaced."""
     def edit(doc):
         doc["arrows"][g][field] = value
+        return doc
+    return Edited(edit)
+
+
+def unit_mass(x, value):
+    """Edited with the mass of unit x replaced."""
+    def edit(doc):
+        doc["units"][x]["mass"] = value
         return doc
     return Edited(edit)
 
@@ -461,6 +493,18 @@ class TestBadInputs:
          "Radon-Nikodym values must be positive"),
         (VALIDATE + (Edited(lambda doc: {**doc, "rn": ["-1"] * 50}),),
          "Radon-Nikodym values must be positive"),
+        # each of these ended in an untyped TypeError or ZeroDivisionError
+        (VALIDATE + (unit_mass(2, [1]),),
+         "the mass of unit 2 is [1], not a rational number"),
+        (VALIDATE + (unit_mass(2, "1/0"),),
+         "the mass of unit 2 is '1/0', not a rational number"),
+        (MODULAR_PAIR + (unit_mass(4, "half"),),
+         "the mass of unit 4 is 'half', not a rational number"),
+        (VALIDATE + (Edited(lambda doc: {**doc, "rn": [[1]] * 50}),),
+         "the RN value of arrow 0 is [1], not a rational number"),
+        (VALIDATE + (Edited(lambda doc: {
+            **doc, "rn": ["1"] * 7 + ["1/0"] + ["1"] * 42}),),
+         "the RN value of arrow 7 is '1/0', not a rational number"),
     ])
     def test_usage_error(self, capsys, tmp_path, argv, message):
         argv = [arg.write(capsys, tmp_path) if isinstance(arg, Edited)

@@ -47,7 +47,7 @@ from bsmg.profinite import TruncatedProfiniteInt
 from bsmg.words import BSParams, GroupWord, commutator, is_identity, modular_hom
 
 from oracles import (cesaro_reference, interval_floor, interval_sign,
-                     sqrt5_sign)
+                     is_rational, sqrt5_sign, theta_bounds)
 
 P23 = BSParams(2, 3)
 THETA32 = ThetaValue.from_rational(Fraction(3, 2))
@@ -57,21 +57,21 @@ GOLDEN = ThetaValue.golden()
 class TestTheta:
     def test_rational(self):
         t = ThetaValue.from_rational(Fraction(3, 2))
-        assert t.is_rational
+        assert is_rational(t)
         assert float(t) == 1.5
-        assert t.bounds() == (Fraction(3, 2), Fraction(3, 2))
+        assert theta_bounds(t) == (Fraction(3, 2), Fraction(3, 2))
         with pytest.raises(ValueError):
             ThetaValue.from_rational(0)
 
     def test_golden_bounds_are_convergents(self):
-        lo, hi = GOLDEN.bounds(10)
+        lo, hi = theta_bounds(GOLDEN, 10)
         assert (lo, hi) == (Fraction(144, 89), Fraction(89, 55))
         assert float(lo) < float(GOLDEN) < float(hi)
-        assert not GOLDEN.is_rational
+        assert not is_rational(GOLDEN)
 
     def test_interval(self):
         t = ThetaValue.from_interval(Fraction(31, 10), Fraction(32, 10))
-        assert t.bounds() == (Fraction(31, 10), Fraction(32, 10))
+        assert theta_bounds(t) == (Fraction(31, 10), Fraction(32, 10))
         with pytest.raises(ValueError):
             ThetaValue.from_interval(2, 1)
         with pytest.raises(ValueError):
@@ -269,7 +269,7 @@ def outcome(call, *args):
 def at_ends(call, theta, *args):
     """The outcomes of call at the rational ends lo and hi of theta."""
     return [outcome(call, *args, ThetaValue.from_rational(end))
-            for end in theta.bounds()]
+            for end in theta_bounds(theta)]
 
 
 class TestIntervalTheta:

@@ -6,7 +6,7 @@ from bsmg import tree
 from bsmg.errors import RadiusExceeded
 from bsmg.words import BSParams, GroupWord
 from oracles import (ball, bfs_distance, scratch_geodesic, scratch_neighbors,
-                     smallest_power_index)
+                     smallest_power_index, tau_via_tree)
 from test_words import PARAMS_POOL, random_word
 
 
@@ -156,7 +156,7 @@ class TestTau:
             params = rng.choice(PARAMS_POOL)
             w = random_word(rng, max_runs=6, max_exp=4)
             assert tree.tau(w, params) == w.t_exponent_sum()
-            assert tree.tau_via_tree(w, params, radius=64) == tree.tau(w, params)
+            assert tau_via_tree(w, params, radius=64) == tree.tau(w, params)
 
 
 class TestStabilizerIndex:
