@@ -22,7 +22,7 @@ from ..groupoid.core import (
     Subgroupoid,
     arrows_by,
     certificate,
-    composable_pairs,
+    closure_failure,
     forest_potential,
     id_set,
     local_counts,
@@ -45,11 +45,11 @@ def radon_nikodym(G):
 
 def _closed_form(G, s_ids, dec):
     """(D values, K values) of (G, S), or None unless G has every product
-    (products_defined) and S is known to be a subgroupoid: on a certified
-    pair groupoid, S's ids lie in [0, n_arrows) and |S| = sum |C|^2 over
-    its components C (distinct arrows of G join distinct unit pairs, so S
-    is the pair relation on its components); otherwise S is closed under
-    inverse and under every product within it. Then, for every arrow g,
+    (products_defined) and S, a set of arrow ids of G, is known to be a
+    subgroupoid: on a certified pair groupoid, |S| = sum |C|^2 over its
+    components C (distinct arrows of G join distinct unit pairs, so S is the
+    pair relation on its components); otherwise S passes Subgroupoid's
+    closure test (closure_failure). Then, for every arrow g,
 
         D(g) = M(C_S(r(g))) / M(C_S(s(g))),  K(g) = |S_r^r| / |S_s^s|
 
@@ -66,14 +66,13 @@ def _closed_form(G, s_ids, dec):
       every witness; isotropy orders are constant on S-components, and 1
       on a pair groupoid.
     """
-    if not products_defined(G) or min(s_ids) < 0 or max(s_ids) >= G.n_arrows:
+    if not products_defined(G):
         return None
     cert = certificate(G)
     if cert is not None and cert.kind == "pair":
         if len(s_ids) != sum(len(c) ** 2 for c in dec.components):
             return None
-    elif any(G.inv[g] not in s_ids for g in s_ids) or any(
-            k not in s_ids for _, _, k in composable_pairs(G, s_ids)):
+    elif closure_failure(G, s_ids) is not None:
         return None
     loops = Counter(G.src[g] for g in s_ids if G.src[g] == G.rng[g])
     mass, iso = dec.masses, [loops[c[0]] for c in dec.components]
@@ -88,7 +87,8 @@ def _closed_form(G, s_ids, dec):
 def modular_pair(G, S, *, witnesses=None):
     """The modular cocycle D and the index cocycle K of the pair (G, S), as
     QPos cocycles. G must be measure preserving (NotMeasurePreserving), and
-    S must hold the unit arrow of every unit (MissingUnitArrow).
+    S must hold the unit arrow of every unit (MissingUnitArrow) and name
+    only arrows of G (UnknownArrow).
 
     With no witnesses, (D, K) is read off S's component masses and isotropy
     orders when _closed_form applies: O(arrows), plus S's composable pairs
@@ -105,6 +105,8 @@ def modular_pair(G, S, *, witnesses=None):
         raise MissingUnitArrow(
             f"S lacks the unit arrow of unit {lacking}; a subgroupoid holds "
             "the unit arrow of every unit")
+    if not (isinstance(S, Subgroupoid) and S.parent is G):
+        S = Subgroupoid(G, s_ids, check=False)
     dec = ErgodicDecomposition(G, s_ids)
     values = None if witnesses is not None else _closed_form(G, s_ids, dec)
     if values is None:
@@ -126,8 +128,6 @@ def _witness_walk(G, S, s_ids, dec, witnesses):
     refuses a missing product. The local indices are counted by
     local_counts.
     """
-    if not (isinstance(S, Subgroupoid) and S.parent is G):
-        S = Subgroupoid(G, s_ids, check=False)
     walk = products_defined(G)
     cond = dec.conditional_masses
 

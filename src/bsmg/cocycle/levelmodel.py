@@ -31,11 +31,7 @@ from .core import modular_pair
 def level_sizes(params, k, l):
     if k < 1 or l < 0:
         raise InvalidLevel(f"need k >= 1 and l >= 0, got ({k},{l})")
-    d0 = params.d0
-    p0, q0 = abs(params.p0), abs(params.q0)
-    n = d0 * p0 ** k * q0 ** l
-    nprime = d0 * p0 ** (k - 1) * q0 ** (l + 1)
-    return n, nprime
+    return params.level_modulus(k, l), params.level_modulus(k - 1, l + 1)
 
 
 class BSLevelModel:

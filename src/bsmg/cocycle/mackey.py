@@ -284,10 +284,10 @@ def flow_type(G, base):
     return labels
 
 
-def one_loop_model(loop_values, *, mass=Fraction(1)):
-    """A single-unit window carrying one loop per given Radon-Nikodym value
-    (with its inverse); the minimal nonsingular test pattern. The values
-    must be positive (ValueError otherwise)."""
+def one_loop_model(loop_values):
+    """A single-unit window of mass 1 carrying one loop per given
+    Radon-Nikodym value (with its inverse); the minimal nonsingular test
+    pattern. The values must be positive (ValueError otherwise)."""
     from ..groupoid.core import FiniteMeasuredGroupoid
 
     arrows = []
@@ -302,7 +302,7 @@ def one_loop_model(loop_values, *, mass=Fraction(1)):
         pairs.append((2 * i, 2 * i + 1))
         rn.extend([v, 1 / v])
     return FiniteMeasuredGroupoid.window(
-        [mass], arrows, pairs, rn_values=rn)
+        [1], arrows, pairs, rn_values=rn)
 
 
 def scaled_product_model(ratio, n, *, masses=None):

@@ -901,6 +901,6 @@ def periodicity_check(model, d, m, n, kmax, lmax):
 
 def periodic_model(params, kmax, lmax):
     """The odometer truncation certified to carry every equivariant quotient
-    up to (kmax, lmax) for these parameters."""
-    size = params.d0 * abs(params.p0) ** kmax * abs(params.q0) ** lmax
-    return ZCycleModel(size, 1)
+    up to (kmax, lmax) for these parameters; a negative level raises
+    InvalidLevel."""
+    return ZCycleModel(params.level_modulus(kmax, lmax), 1)

@@ -56,10 +56,6 @@ class NotNormal(BsmgError):
     """Quotient construction failed a normality requirement."""
 
 
-class NotQuasiNormal(BsmgError):
-    """A witness family for quasi-normality was required and not available."""
-
-
 class NotMeasurePreserving(BsmgError):
     """Operation requires a measure-preserving groupoid."""
 

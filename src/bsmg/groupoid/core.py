@@ -77,13 +77,15 @@ def _doc_id(value, bound, what):
 
 
 def _doc_fraction(value, what, at):
-    """Fraction(value) when value is a rational number, as an int or a string
-    such as "3/4"; InvalidDocument naming what and at otherwise."""
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise InvalidDocument(
-            f"{what} {at} is {value!r}, not a rational number") from None
+    """Fraction(value) when value is an int (not a bool) or a string such as
+    "3/4"; InvalidDocument naming what and at otherwise, a float included
+    (its binary expansion is not the number it was written as)."""
+    if type(value) is int or isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InvalidDocument(f"{what} {at} is {value!r}, not a rational number")
 
 
 def _doc_list(doc, key, fields=()):
@@ -438,7 +440,7 @@ class FiniteMeasuredGroupoid:
 
     # -- serialization -----------------------------------------------------
 
-    def to_doc(self, *, include_products=True):
+    def to_doc(self):
         """The JSON-ready document from_doc reads back. The products table
         lists [g, h, g.h] for every defined composable pair, in the order of
         composable_pairs."""
@@ -454,10 +456,9 @@ class FiniteMeasuredGroupoid:
                 for g in range(self.n_arrows)
             ],
             "product_complete": self.product_complete,
+            "products": [[g, h, k] for g, h, k in composable_pairs(self)
+                         if k is not None],
         }
-        if include_products:
-            doc["products"] = [[g, h, k] for g, h, k in composable_pairs(self)
-                                if k is not None]
         if self.rn_values is not None:
             doc["rn"] = [str(v) for v in self.rn_values]
         return doc
@@ -516,40 +517,29 @@ class FiniteMeasuredGroupoid:
                    product_complete=bool(doc.get("product_complete")),
                    rn_values=rn)
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_doc(**kw), sort_keys=True, separators=(",", ":"))
+    def to_json(self):
+        return json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))
 
 
 class Subgroupoid:
     """A wide subgroupoid: an arrow subset containing the units and closed
-    under inverse and products. Shares units and masses with the parent."""
+    under inverse and products, sharing units and masses with the parent.
+    An id that is not a parent arrow raises UnknownArrow; with check, an
+    open set raises ValueError naming its first failure (closure_failure)."""
 
     def __init__(self, parent, arrow_ids, check=True):
         self.parent = parent
         ids = set(arrow_ids)
         ids.update(range(parent.n_units))
+        require_arrows(parent, ids)
         self.ids = frozenset(ids)
         self._by_src = None
         # [parent : self] at every unit when the parent is a certified pair
         # groupoid and this arrow set is closed under inverse; see index
         self._indices = _UNCHECKED
-        if check:
-            self._check()
-
-    def _check(self):
-        """Closure under inverse, then under the product of every composable
-        pair of this arrow set (composable_pairs); ValueError at the first
-        failure."""
-        G = self.parent
-        for g in self.ids:
-            if G.inv[g] not in self.ids:
-                raise ValueError(f"subgroupoid not closed under inverse at {g}")
-        for g, h, k in composable_pairs(G, self.ids):
-            if k is None:
-                raise ValueError("subgroupoid needs a complete ambient product")
-            if k not in self.ids:
-                raise ValueError(
-                    f"subgroupoid not closed under product ({g},{h})")
+        failure = closure_failure(parent, self.ids) if check else None
+        if failure is not None:
+            raise ValueError(failure)
 
     @property
     def by_src(self):
@@ -562,6 +552,8 @@ class Subgroupoid:
     @classmethod
     def generated_by(cls, parent, arrow_ids):
         """Closure of the given arrows inside the parent."""
+        arrow_ids = list(arrow_ids)
+        require_arrows(parent, arrow_ids)
         ids = set(range(parent.n_units))
         work = []
 
@@ -571,10 +563,6 @@ class Subgroupoid:
                 work.append(k)
 
         for g in arrow_ids:
-            if not 0 <= g < parent.n_arrows:
-                raise UnknownArrow(
-                    f"arrow {g} is not one of the {parent.n_arrows} arrows "
-                    f"of the groupoid")
             add(g)
             add(parent.inv[g])
         cursor = 0
@@ -600,6 +588,30 @@ class Subgroupoid:
 
     def full(self):
         return len(self.ids) == self.parent.n_arrows
+
+
+def require_arrows(G, ids):
+    """Raise UnknownArrow, naming the first of ids outside [0, n_arrows),
+    unless every one is an arrow id of G."""
+    if ids and (min(ids) < 0 or max(ids) >= G.n_arrows):
+        g = next(g for g in ids if not 0 <= g < G.n_arrows)
+        raise UnknownArrow(f"arrow {g} is not one of the {G.n_arrows} "
+                           "arrows of the groupoid")
+
+
+def closure_failure(G, ids):
+    """None when the set ids of arrows of G is closed under inverse and under
+    the product of every composable pair in it (composable_pairs); otherwise
+    Subgroupoid's message for the first failure, inverse before product."""
+    for g in ids:
+        if G.inv[g] not in ids:
+            return f"subgroupoid not closed under inverse at {g}"
+    for g, h, k in composable_pairs(G, ids):
+        if k is None:
+            return "subgroupoid needs a complete ambient product"
+        if k not in ids:
+            return f"subgroupoid not closed under product ({g},{h})"
+    return None
 
 
 def id_set(S):
@@ -824,8 +836,7 @@ class PairCertificate:
     def _count_indices(self, H):
         G = H.parent
         ids = H.ids
-        if min(ids) < 0 or max(ids) >= G.n_arrows \
-                or any(G.inv[g] not in ids for g in ids):
+        if any(G.inv[g] not in ids for g in ids):
             return None
         h_labels = component_labels(G.n_units, [G.src[g] for g in ids],
                                     [G.rng[g] for g in ids])

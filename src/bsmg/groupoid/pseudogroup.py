@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..errors import NotInFullGroup, NotQuasiNormal
+from ..errors import NotInFullGroup
 from .core import (Subgroupoid, arrows_by, id_set, index_of_pair,
                    left_classes, require_unit)
 
@@ -158,33 +158,28 @@ def coset_classes(G, S, x):
         G, G.source_fiber(x), S, "coset classes need a complete product")]
 
 
-def witness_family(G, S, *, max_rounds=None):
+def witness_family(G, S):
     """A covering family of witnesses for S inside G.
 
     Returns a list of WitnessReports whose partial isomorphisms jointly cover
     every left S-class of every source fiber (each class contains phi(x) for
     some witness phi and unit x). Witnesses are assembled greedily: each round
     walks the uncovered classes in (unit, class representative) order and
-    picks the lowest-id arrow whose range is still free in that round. Every
-    round covers at least its first pending class, so the loop terminates.
+    picks the lowest-id arrow whose range is still free in that round. At the
+    start of a round its unit and every range are free, so each round covers
+    its first pending class and the loop ends.
     """
     pending = []
     for x in range(G.n_units):
         for cls_arrows in coset_classes(G, S, x):
             pending.append((x, cls_arrows))
     reports = []
-    limit = max_rounds if max_rounds is not None else len(pending) + 1
-    rounds = 0
     while pending:
-        rounds += 1
-        if rounds > limit:
-            raise NotQuasiNormal("witness assembly did not converge")
         chosen = {}
         used_ranges = set()
-        used_sources = set()
         still = []
         for x, cls_arrows in pending:
-            if x in used_sources:
+            if x in chosen:
                 still.append((x, cls_arrows))
                 continue
             pick = None
@@ -196,12 +191,8 @@ def witness_family(G, S, *, max_rounds=None):
                 still.append((x, cls_arrows))
                 continue
             chosen[x] = pick
-            used_sources.add(x)
             used_ranges.add(G.rng[pick])
-        if not chosen:
-            raise NotQuasiNormal("no witness can cover the remaining classes")
         phi = PartialIso(G, chosen)
         reports.append(qn_membership(G, S, phi))
         pending = still
     return reports
-

@@ -3,9 +3,15 @@
 The quotient of G by a subgroupoid S collapses each two-sided class S.g.S to
 one arrow over the S-components of the unit space. The construction never
 assumes S sits normally: it builds the classes first and then checks, in
-order, that the unit classes recover exactly S (kernel), that the class
-product is well defined, and that every quotient arrow lifts from every fiber
-point of its source component. Any failure raises NotNormal with a witness.
+order, that the unit classes recover exactly S (kernel), that every quotient
+arrow lifts from every fiber point of its source component, and that the
+class product is well defined. Any failure raises NotNormal with a witness.
+
+Class endpoints need no check: a class joins g only to s.g and g.s for s in
+S, which keep the S-components of both ends of g. So the unit loops of one
+S-component share a class (s = s.1_x = 1_y.s) and those of two do not; as
+classes are numbered by their first arrow and arrows 0..n_units-1 are the
+unit loops, the unit class at x is numbered as x's S-component is.
 
 The second half realizes cocycle-invariant assignments into the acting tree
 of a two-generator one-relator presentation: equivariant vertex maps found by
@@ -58,12 +64,13 @@ def quotient(G, S):
     """
     s_ids = id_set(S)
     dec = ErgodicDecomposition(G, sorted(s_ids))
-    labels, classes = _class_partition(G, s_ids)
+    # the unit classes come first, in component order (see above)
+    theta, classes = _class_partition(G, s_ids)
 
     # kernel: the classes of the unit arrows must union to exactly S
     kernel = set()
     for x in range(G.n_units):
-        kernel.update(classes[labels[G.unit_arrow(x)]])
+        kernel.update(classes[theta[G.unit_arrow(x)]])
     if kernel != s_ids:
         extra = sorted(kernel - s_ids)[:4]
         missing = sorted(s_ids - kernel)[:4]
@@ -71,29 +78,13 @@ def quotient(G, S):
             "unit classes do not recover the subgroupoid "
             f"(extra arrows {extra}, unreached {missing})")
 
-    # endpoints must be constant on classes
-    for c, members in enumerate(classes):
-        ends = {(dec.component_of[G.src[g]], dec.component_of[G.rng[g]])
-                for g in members}
-        if len(ends) != 1:
-            raise NotNormal(f"class {c} has mixed component endpoints")
-
     n_comp = dec.n_components
-    # reorder classes so the unit classes come first, one per component
-    unit_class_of_comp = {dec.component_of[x]: labels[G.unit_arrow(x)]
-                          for x in range(G.n_units)}
-    units_first = [unit_class_of_comp[z] for z in range(n_comp)]
-    order = list(dict.fromkeys(units_first + list(range(len(classes)))))
-    new_id = {c: i for i, c in enumerate(order)}
-    theta = [new_id[labels[g]] for g in range(G.n_arrows)]
-    q_classes = [classes[c] for c in order]
-
-    q_src = [dec.component_of[G.src[members[0]]] for members in q_classes]
-    q_rng = [dec.component_of[G.rng[members[0]]] for members in q_classes]
-    q_inv = [theta[G.inv[members[0]]] for members in q_classes]
+    q_src = [dec.component_of[G.src[members[0]]] for members in classes]
+    q_rng = [dec.component_of[G.rng[members[0]]] for members in classes]
+    q_inv = [theta[G.inv[members[0]]] for members in classes]
 
     # lifting: every class must contain an arrow out of every source point
-    for c, members in enumerate(q_classes):
+    for c, members in enumerate(classes):
         sources = {G.src[g] for g in members}
         needed = set(dec.components[q_src[c]])
         if sources != needed:
@@ -115,7 +106,7 @@ def quotient(G, S):
                 f"(witness arrows {g},{h})")
 
     q_masses = list(dec.masses)
-    q_labels = ["e"] * n_comp + [f"c{c}" for c in range(n_comp, len(q_classes))]
+    q_labels = ["e"] * n_comp + [f"c{c}" for c in range(n_comp, len(classes))]
     Q = FiniteMeasuredGroupoid(
         [f"z{z}" for z in range(n_comp)], q_masses,
         q_src, q_rng, q_inv, q_labels, table_product(q_prod))

@@ -20,9 +20,9 @@ from ..errors import GroupTooLarge
 from .core import FiniteMeasuredGroupoid, Subgroupoid, certificate
 
 
-def random_masses(rng, n, *, uniform_chance=0.3):
-    """Positive masses summing to 1, sometimes uniform on purpose."""
-    if rng.random() < uniform_chance:
+def random_masses(rng, n):
+    """Positive masses summing to 1, uniform on purpose three times in ten."""
+    if rng.random() < 0.3:
         return [Fraction(1, n)] * n
     weights = [rng.randint(1, 6) for _ in range(n)]
     total = sum(weights)
@@ -189,15 +189,12 @@ def subgroup_closure(G, gen_indices):
     return frozenset(seen)
 
 
-def random_subgroup(rng, G, *, proper_chance=0.0):
-    """Random subgroup as an element-index set; sometimes trivial or full."""
+def random_subgroup(rng, G):
+    """Random subgroup as an element-index set, generated by up to two random
+    elements; sometimes trivial or full."""
     order = len(G.group_elements)
-    n_gens = rng.randint(0, 2)
-    gens = [rng.randrange(order) for _ in range(n_gens)]
-    lam = subgroup_closure(G, gens)
-    if proper_chance and len(lam) == order and rng.random() < proper_chance:
-        return random_subgroup(rng, G, proper_chance=0)
-    return lam
+    gens = [rng.randrange(order) for _ in range(rng.randint(0, 2))]
+    return subgroup_closure(G, gens)
 
 
 def subgroup_arrow_ids(G, elem_indices):
@@ -214,10 +211,9 @@ def is_normal_subgroup(G, elem_indices):
                for gi in range(group.order) for li in members)
 
 
-def random_wide_subgroupoid(rng, G, *, max_seeds=4):
-    """Wide subgroupoid generated by a few random arrows."""
-    n_seeds = rng.randint(0, max_seeds)
-    seeds = [rng.randrange(G.n_arrows) for _ in range(n_seeds)]
+def random_wide_subgroupoid(rng, G):
+    """Wide subgroupoid generated by up to four random arrows."""
+    seeds = [rng.randrange(G.n_arrows) for _ in range(rng.randint(0, 4))]
     return Subgroupoid.generated_by(G, seeds)
 
 

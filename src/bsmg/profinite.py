@@ -27,9 +27,8 @@ from .errors import (
 
 
 def level_modulus(params, K, L):
-    if K < 0 or L < 0:
-        raise ValueError("levels must be nonnegative")
-    return params.d0 * abs(params.p0) ** K * abs(params.q0) ** L
+    """params.level_modulus(K, L); every modulus below is read through it."""
+    return params.level_modulus(K, L)
 
 
 class TruncatedProfiniteInt:

@@ -224,8 +224,7 @@ def check_quotient_contract(rng, cases):
 
         for _ in range(40):
             g = rng.randrange(G.n_arrows)
-            h = rng.choice([h for h in range(G.n_arrows)
-                            if G.rng[h] == G.src[g]])
+            h = rng.choice(G.range_fiber(G.src[g]))
             k = G.product(g, h)
             _require(theta[k] == Q.product(theta[g], theta[h]),
                      "projection is not multiplicative", groupoid=G,

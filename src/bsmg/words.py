@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .errors import BoundExceeded, VerificationFailure
+from .errors import BoundExceeded, InvalidLevel, VerificationFailure
 
 _TOKEN = re.compile(r"([aAtT])(?:\^(-?\d+))?")
 
@@ -65,6 +65,13 @@ class BSParams:
 
     def __str__(self):
         return f"BS({self.p},{self.q})"
+
+    def level_modulus(self, k, l):
+        """d0 |p0|^k |q0|^l, the modulus of every model at level (k, l); a
+        negative k or l raises InvalidLevel."""
+        if k < 0 or l < 0:
+            raise InvalidLevel("levels must be nonnegative")
+        return self.d0 * abs(self.p0) ** k * abs(self.q0) ** l
 
 
 class GroupWord:

@@ -505,6 +505,16 @@ class TestBadInputs:
         (VALIDATE + (Edited(lambda doc: {
             **doc, "rn": ["1"] * 7 + ["1/0"] + ["1"] * 42}),),
          "the RN value of arrow 7 is '1/0', not a rational number"),
+        # a float once read as its binary expansion, a boolean as 0 or 1
+        (VALIDATE + (unit_mass(2, 0.1),),
+         "the mass of unit 2 is 0.1, not a rational number"),
+        (INDEX + (unit_mass(0, True),),
+         "the mass of unit 0 is True, not a rational number"),
+        (VALIDATE + (Edited(lambda doc: {**doc, "rn": [1.0] * 50}),),
+         "the RN value of arrow 0 is 1.0, not a rational number"),
+        (MODULAR_PAIR + (Edited(lambda doc: {
+            **doc, "rn": ["1"] * 3 + [False] + ["1"] * 46}),),
+         "the RN value of arrow 3 is False, not a rational number"),
     ])
     def test_usage_error(self, capsys, tmp_path, argv, message):
         argv = [arg.write(capsys, tmp_path) if isinstance(arg, Edited)

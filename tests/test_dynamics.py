@@ -37,6 +37,7 @@ from bsmg.dynamics import (
     rotation_model_orbit,
 )
 from bsmg.errors import (
+    InvalidLevel,
     LevelBudgetExceeded,
     NotAnInteger,
     NotErgodic,
@@ -715,3 +716,9 @@ class TestCycleModels:
         assert model == ZCycleModel(12, 1)
         assert periodicity_check(model, 1, 2, 3, 2, 1) is True
         assert periodic_model(BSParams(4, 6), 1, 1) == ZCycleModel(12, 1)
+
+    @pytest.mark.parametrize("level", [(-1, 0), (0, -1), (-2, 3)])
+    def test_periodic_model_refuses_a_negative_level(self, level):
+        # (-1, 0) once built a cycle of size 1/2
+        with pytest.raises(InvalidLevel, match="^levels must be nonnegative$"):
+            periodic_model(P23, *level)

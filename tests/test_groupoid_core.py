@@ -323,6 +323,23 @@ class TestSubgroupoid:
             Subgroupoid.generated_by(G, [0, bad])
         assert isinstance(exc.value, BsmgError)
 
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("bad", [18, 100, -1])
+    def test_ids_outside_the_arrows_are_refused(self, bad, check):
+        G = s3_action()
+        with pytest.raises(UnknownArrow, match=rf"^arrow {bad} is not one of "
+                           r"the 18 arrows of the groupoid$"):
+            Subgroupoid(G, [3, bad], check=check)
+
+    def test_a_negative_id_is_not_read_as_the_last_arrow(self):
+        # -1 once named arrow 5, the swap's loop at unit 2, and the index
+        # read [2, 2, 1]
+        G = FiniteMeasuredGroupoid.from_group_action([(1, 0, 2)])
+        with pytest.raises(UnknownArrow, match="^arrow -1 "):
+            Subgroupoid(G, [-1], check=False)
+        units = Subgroupoid(G, [], check=False)
+        assert [index(G, units, x) for x in range(G.n_units)] == [2, 2, 2]
+
     def test_check_rejects_open_sets(self):
         G = s3_action()
         swap = G.action_perms.index((1, 0, 2))

@@ -6,7 +6,10 @@ import random
 import pytest
 
 import bsmg.profinite as profinite
+from bsmg.cocycle.levelmodel import level_sizes
+from bsmg.dynamics import periodic_model
 from bsmg.errors import (
+    InvalidLevel,
     LevelBudgetExceeded,
     NotAUnit,
     ParamMismatch,
@@ -42,6 +45,23 @@ class TestLevels:
         assert level_modulus(P2M3, 3, 2) == 72
         with pytest.raises(ValueError):
             level_modulus(P23, -1, 0)
+
+    def test_one_modulus_for_every_model(self):
+        # the profinite ring, the two floors of a level model and the
+        # periodic model all read BSParams.level_modulus
+        for params in (P23, P46, P2M3, P49):
+            for k in range(4):
+                for l in range(3):
+                    want = params.d0 * abs(params.p0) ** k \
+                        * abs(params.q0) ** l
+                    assert params.level_modulus(k, l) == want
+                    assert level_modulus(params, k, l) == want
+                    assert periodic_model(params, k, l).size == want
+                    if k:
+                        assert level_sizes(params, k, l) == (
+                            want, params.level_modulus(k - 1, l + 1))
+        with pytest.raises(InvalidLevel, match="^levels must be nonnegative$"):
+            P23.level_modulus(0, -1)
 
     def test_enumerate_sorted_by_modulus(self):
         got = enumerate_levels(P23, 12)

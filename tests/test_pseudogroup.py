@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bsmg.errors import NotInFullGroup
@@ -10,6 +12,8 @@ from bsmg.groupoid.pseudogroup import (
     qn_membership,
     witness_family,
 )
+from bsmg.groupoid.randomgen import (random_action_instance, random_groupoid,
+                                     random_wide_subgroupoid)
 from oracles import iso_preserves_masses, partial_iso_from_arrows, preimage
 from test_groupoid_core import element_arrows, s3_action
 
@@ -169,3 +173,23 @@ class TestWitnessFamily:
         assert reports
         for report in reports:
             assert report.qn_class in (QNClass.NORMALIZING, QNClass.QUASI_NORMALIZING)
+
+    def test_every_round_covers_its_first_pending_class(self):
+        # replays the rounds: each witness covers, among the classes still
+        # pending, the first one and one class per unit of its domain
+        rng = random.Random("witness-rounds")
+        for i in range(40):
+            G = (random_groupoid if i % 2 else random_action_instance)(rng)
+            S = random_wide_subgroupoid(rng, G)
+            pending = [(x, cls) for x in range(G.n_units)
+                       for cls in coset_classes(G, S, x)]
+            reports = witness_family(G, S)
+            assert len(reports) <= len(pending)
+            for report in reports:
+                phi = report.phi
+                covered = [(x, cls) for x, cls in pending
+                           if x in phi.arrows and phi.arrow(x) in cls]
+                assert covered[:1] == pending[:1]
+                assert len(covered) == len(phi)
+                pending = [p for p in pending if p not in covered]
+            assert pending == []

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from bsmg.errors import IndexNotConstant, NotACocycle, NotNormal
-from bsmg.groupoid.core import FiniteMeasuredGroupoid, Subgroupoid, validate, whole
+from bsmg.groupoid.core import (ErgodicDecomposition, FiniteMeasuredGroupoid,
+                                Subgroupoid, validate, whole)
 from bsmg.groupoid.quotient import (
     check_group_action_quotient,
     check_word_cocycle,
@@ -19,6 +20,7 @@ from bsmg.groupoid.randomgen import (
     partition_groupoid,
     random_action_instance,
     random_groupoid,
+    random_partition_tower,
     random_subgroup,
     random_wide_subgroupoid,
     relation_arrow_ids,
@@ -83,6 +85,51 @@ class TestQuotient:
         with pytest.raises(NotNormal, match=r"^product of classes \(4,3\) "
                            r"is not well defined \(witness arrows 8,10\)$"):
             quotient(G, S)
+
+
+def normal_pairs(seed, count):
+    """(G, S ids) with S normal in G: count action groupoids with the arrows
+    of a normal subgroup, then count partition groupoids, each with the
+    coarser and the finer relation of its tower (every sub-relation of a
+    partition groupoid is normal)."""
+    rng = random.Random(seed)
+    found = 0
+    while found < count:
+        G = random_action_instance(rng, max_units=8, max_arrows=240)
+        lam = random_subgroup(rng, G)
+        if is_normal_subgroup(G, lam):
+            found += 1
+            yield G, subgroup_arrow_ids(G, lam)
+    for _ in range(count):
+        G, K, H = random_partition_tower(rng)
+        yield G, K
+        yield G, H
+
+
+class TestQuotientInvariants:
+    """The two facts that spare quotient an endpoint check and a relabelling
+    of its classes (the quotient module docstring proves both)."""
+
+    def test_class_endpoints_are_constant(self):
+        for G, s_ids in normal_pairs("quotient-invariants:ends", 40):
+            comp = ErgodicDecomposition(G, sorted(s_ids)).component_of
+            _, classes = _class_partition(G, s_ids)
+            for members in classes:
+                assert len({(comp[G.src[g]], comp[G.rng[g]])
+                            for g in members}) == 1
+
+    def test_unit_classes_carry_the_component_labels(self):
+        for G, s_ids in normal_pairs("quotient-invariants:units", 40):
+            comp = ErgodicDecomposition(G, sorted(s_ids)).component_of
+            labels, _ = _class_partition(G, s_ids)
+            assert [labels[G.unit_arrow(x)]
+                    for x in range(G.n_units)] == list(comp)
+            Q, theta, pi = quotient(G, s_ids)
+            assert pi == list(comp)
+            assert [theta[G.unit_arrow(x)] for x in range(G.n_units)] == pi
+            assert all(Q.src[theta[g]] == pi[G.src[g]]
+                       and Q.rng[theta[g]] == pi[G.rng[g]]
+                       for g in range(G.n_arrows))
 
 
 class TestClassPartition:
