@@ -26,10 +26,14 @@ from .words import (BSParams, GroupWord, classify_isomorphism,
 
 
 def _fraction(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+    # exponent notation is refused: Fraction would expand "1e100000" into
+    # the whole integer
+    if "e" not in text and "E" not in text:
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not a rational number: {text!r}")
 
 
 def _theta(text):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import NotACocycle, TargetMismatch
-from ..groupoid.core import all_exact, certificate, composable_pairs
+from ..groupoid.core import certificate, composable_pairs, law_holds
 
 
 class QPos:
@@ -27,7 +27,8 @@ class QPos:
 
     @staticmethod
     def inverse(a):
-        return 1 / a
+        # exact for an int value too, where 1 / a would be a float
+        return Fraction(1) / a
 
     @staticmethod
     def coerce(v):
@@ -111,26 +112,20 @@ class GroupoidCocycle:
         failure.
 
         For exact values (ints or Fractions) in one of the three abelian
-        targets, a certified groupoid (certificate) is tested first:
-        - a pair groupoid in O(arrows): the values must be psi(r(g))
-          psi(s(g))^-1 for the potential psi along the spanning star of each
-          component (PairCertificate.potential_holds), which on a pair
-          groupoid is exactly the cocycle condition;
-        - an action groupoid in |group| x |generators| x |units| steps: the
-          values must send the unit arrows to the identity and multiply on
-          the pairs (g, h) whose right factor h is a generator arrow,
-          c(es, x) = c(e, s.x) c(s, x)
-          (ActionCertificate.generator_pairs), which by induction on word
-          length is the cocycle condition on every composable pair.
-        When that test fails, or there is no certificate, the fiber scan
-        walks every composable pair (composable_pairs), so a failure names
-        the same unit, inverse or pair whether or not G is certified."""
+        targets, a certified groupoid (certificate) is tested first: the
+        values must send the unit arrows to the identity and multiply on the
+        certificate's pairs(G) (law_holds), on which multiplicativity is the
+        cocycle law of an abelian target. That is O(arrows) on a pair
+        groupoid and |group| x |generators| x |units| steps on an action
+        groupoid. When that test fails, or there is no certificate, the
+        fiber scan walks every composable pair (composable_pairs), so a
+        failure names the same unit, inverse or pair whether or not G is
+        certified."""
         G, t, values = self.G, self.target, self.values
         cert = certificate(G)
         if cert is not None and (t is QPos or t is ZAdd or type(t) is ZModAdd) \
-                and (cert.potential_holds(G, values, t.op, t.inverse)
-                     if cert.kind == "pair"
-                     else _generator_law(G, cert, values, t)):
+                and law_holds(G, values, cert.pairs(G),
+                              None if t is QPos else t.op, t.identity):
             return self
         for x in range(G.n_units):
             if values[G.unit_arrow(x)] != t.identity:
@@ -145,27 +140,6 @@ class GroupoidCocycle:
 
     def is_identity(self):
         return all(v == self.target.identity for v in self.values)
-
-
-def _generator_law(G, cert, values, t):
-    """True when values, one exact value per arrow of a certified action
-    groupoid, send every unit arrow to the identity and multiply on the
-    composable pairs of cert.generator_pairs(). Q+ values are compared by
-    integer cross-multiplication, which for fractions in lowest terms is
-    equality with the product. A value that is not exact, or a value count
-    other than n_arrows, counts as a failure."""
-    if len(values) != G.n_arrows or not all_exact(values) \
-            or any(values[G.unit_arrow(x)] != t.identity
-                   for x in range(G.n_units)):
-        return False
-    if t is QPos:
-        nums = [v.numerator for v in values]
-        dens = [v.denominator for v in values]
-        return all(nums[k] * dens[g] * dens[h] == nums[g] * nums[h] * dens[k]
-                   for g, h, k in cert.generator_pairs())
-    op = t.op
-    return all(values[k] == op(values[g], values[h])
-               for g, h, k in cert.generator_pairs())
 
 
 def coboundary(G, target, psi):

@@ -372,9 +372,6 @@ class LTheta:
     breakdown: tuple
     in_hom_domain: bool
 
-    def value(self, theta):
-        return _theta_times(theta, 1).scale(self.coefficient)
-
 
 def l_theta(word, params):
     """Line coordinate of the embedded word, as a multiple of theta.
@@ -765,16 +762,10 @@ def cesaro_mixing_test(base, theta, A1, B1, A2, B2, horizon, *,
                         below = True
                         below_p += hi_p - lo_p
                         below_q += hi_q - lo_q
-                    elif sign(theta, cut_p - lo_p, cut_q - lo_q) <= 0:
+                    else:
                         above = True
                         above_p += hi_p - lo_p
                         above_q += hi_q - lo_q
-                    else:
-                        below = above = True
-                        below_p += cut_p - lo_p
-                        below_q += cut_q - lo_q
-                        above_p += hi_p - cut_p
-                        above_q += hi_q - cut_q
         all_factors_product = True
         for used, m, add_p, add_q in ((below, m0, below_p, below_q),
                                       (above, m0 + 1, above_p, above_q)):

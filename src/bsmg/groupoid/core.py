@@ -17,7 +17,6 @@ deterministic. Arrows 0..n_units-1 are always the unit loops.
 from __future__ import annotations
 
 import json
-import operator
 from fractions import Fraction
 
 from .._kernels import component_labels, perm_closure
@@ -79,8 +78,11 @@ def _doc_id(value, bound, what):
 def _doc_fraction(value, what, at):
     """Fraction(value) when value is an int (not a bool) or a string such as
     "3/4"; InvalidDocument naming what and at otherwise, a float included
-    (its binary expansion is not the number it was written as)."""
-    if type(value) is int or isinstance(value, str):
+    (its binary expansion is not the number it was written as) and a string
+    in exponent notation (Fraction would expand "1e999999999" digit by
+    digit)."""
+    if type(value) is int or isinstance(value, str) and not (
+            "e" in value or "E" in value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -189,11 +191,12 @@ class FiniteMeasuredGroupoid:
 
     @property
     def measure_preserving(self):
+        """The masses agree at both ends of every arrow of the certificate's
+        spanning set (certificate), or of every arrow without one."""
         cert = certificate(self)
-        if cert is not None:
-            return cert.preserves_masses(self)
-        return all(self.masses[self.src[g]] == self.masses[self.rng[g]]
-                   for g in range(self.n_arrows))
+        masses, src, rng = self.masses, self.src, self.rng
+        return all(masses[src[g]] == masses[rng[g]] for g in (
+            cert.spanning if cert is not None else range(self.n_arrows)))
 
     def mass_of(self, units):
         return sum((self.masses[x] for x in units), Fraction(0))
@@ -370,8 +373,8 @@ class FiniteMeasuredGroupoid:
         return G
 
     @classmethod
-    def window(cls, masses, arrows, inverse_pairs, *, unit_names=None,
-               products=None, rn_values=None):
+    def window(cls, masses, arrows, inverse_pairs, *, products=None,
+               rn_values=None):
         """A finite window with explicit arrows and a possibly partial product.
 
         arrows: list of (source, range, label_text) for the non-unit arrows.
@@ -383,7 +386,6 @@ class FiniteMeasuredGroupoid:
         Radon-Nikodym value of each arrows[i]; inverses get reciprocals.
         """
         n = len(masses)
-        names = tuple(unit_names) if unit_names else tuple(range(n))
         src = list(range(n))
         rng = list(range(n))
         labs = ["e"] * n
@@ -435,7 +437,7 @@ class FiniteMeasuredGroupoid:
                 rn[partner] = 1 / value
             if None in rn:
                 raise ValueError("rn_values must cover every arrow")
-        return cls(names, masses, src, rng, inv, labs, table_product(prod),
+        return cls(range(n), masses, src, rng, inv, labs, table_product(prod),
                    product_complete=False, rn_values=rn)
 
     # -- serialization -----------------------------------------------------
@@ -626,16 +628,18 @@ def whole(G):
 
 class ErgodicDecomposition:
     """Partition of the units into the components of a groupoid, a
-    subgroupoid, or an explicit arrow subset."""
+    subgroupoid, or an explicit arrow subset, whose ids must be arrows of
+    the groupoid (UnknownArrow)."""
 
     def __init__(self, G, arrow_ids=None):
         if isinstance(G, Subgroupoid):
             parent = G.parent
             ids = G.sorted_ids()
         else:
-            parent = G
-            ids = list(arrow_ids) if arrow_ids is not None else list(
-                range(G.n_arrows))
+            parent, ids = G, range(G.n_arrows)
+            if arrow_ids is not None:
+                ids = list(arrow_ids)
+                require_arrows(G, ids)
         self.parent = parent
         labels = component_labels(
             parent.n_units,
@@ -752,9 +756,12 @@ def certificate(G):
       finite permutation group, the group object from_group_action built G
       from and composes G's products with.
 
-    Each kind answers, in O(arrows) per generator or less: are the masses
-    preserved, do the groupoid axioms hold, and is a value list a cocycle;
-    the pair kind also gives the index of a subgroupoid at every unit. A
+    Each kind states two facts, read by code shared by both kinds: spanning,
+    arrow ids along which equal masses make every arrow preserve them
+    (measure_preserving), and pairs(G), composable pairs (g, h, g.h) on
+    which multiplicativity implies the cocycle law (law_holds, asked of RN
+    values by validate and of a value list by GroupoidCocycle.check).
+    The pair kind also gives the index of a subgroupoid at every unit. A
     restriction of an action groupoid, a groupoid read back from JSON and a
     hand-built window get no certificate. No certificate changes a product.
     Without one, or when a fast test fails, every caller runs its fiber
@@ -772,53 +779,63 @@ def products_defined(G):
     return G._closed or certificate(G) is not None
 
 
+def law_holds(G, values, pairs, op=None, identity=1):
+    """True when values holds one exact value (an int or a Fraction) per
+    arrow of G, sends every unit arrow to identity, and has values[k] ==
+    op(values[g], values[h]) on every (g, h, k) of pairs; False otherwise,
+    and the caller's fiber scan then explains the failure.
+
+    op None stands for the positive rationals under multiplication: a value
+    that is not positive fails, and a product is compared by integer
+    cross-multiplication, which for fractions in lowest terms is equality.
+    On a certificate's pairs(G), and for an abelian target, the law is the
+    cocycle law on every composable pair of G.
+    """
+    if len(values) != G.n_arrows or not all(
+            type(v) is int or type(v) is Fraction for v in values) or any(
+            values[G.unit_arrow(x)] != identity for x in range(G.n_units)):
+        return False
+    if op is not None:
+        return all(values[k] == op(values[g], values[h]) for g, h, k in pairs)
+    nums = [v.numerator for v in values]
+    if any(a <= 0 for a in nums):
+        return False
+    dens = [v.denominator for v in values]
+    return all(nums[k] * dens[g] * dens[h] == nums[g] * nums[h] * dens[k]
+               for g, h, k in pairs)
+
+
 class PairCertificate:
     """G is exactly the pair groupoid of its components: component_of is
     ErgodicDecomposition(G).component_of, and every unit pair of a component
     carries exactly one arrow, principal_map(source, range). The product of
     a composable pair is the arrow between its outer endpoints, so the
-    groupoid axioms hold and every product on G is forced."""
+    groupoid axioms hold and every product on G is forced. spanning[x] is
+    h_x, the arrow from the lowest unit of x's component to x."""
 
     kind = "pair"
 
-    def __init__(self, component_of):
+    def __init__(self, component_of, spanning):
         self.component_of = component_of
+        self.spanning = spanning
 
-    def preserves_masses(self, G):
-        # every unit pair of a component carries an arrow, so the masses are
-        # preserved iff they are constant on each component
-        first = {}
-        return all(first.setdefault(c, m) == m
-                   for c, m in zip(self.component_of, G.masses))
+    def pairs(self, G):
+        """(h_r, h_s^-1, g) for every arrow g, with s = s(g) and r = r(g):
+        both factors pass through the lowest unit of the component, and
+        their product is g, the one arrow s -> r.
 
-    def axioms_hold(self, G):
-        return G.rn_values is None or self.potential_holds(
-            G, G.rn_values, operator.mul, _reciprocal)
-
-    def potential_holds(self, G, values, op, inverse):
-        """True when every values[g] is op(psi(r(g)), inverse(psi(s(g))))
-        for the potential psi(x) = values[arrow from the lowest unit of x's
-        component to x], that is along the spanning star of each component.
-
-        For values in an abelian group (exact ints or Fractions) that is
-        exactly the cocycle condition on every composable pair. A potential
-        with no inverse, a value that is not exact, or a value count other
-        than n_arrows counts as a failure.
+        The law on these pairs is the cocycle law. With the unit arrows sent
+        to the identity, the pair of g = 1_x gives c(h_x^-1) = c(h_x)^-1, so
+        every c(g) is psi(r(g)) psi(s(g))^-1 with psi = c o h: a coboundary,
+        so a cocycle in any abelian target. Conversely every cocycle obeys
+        the law on every composable pair. Each arrow is the product of one
+        pair, so every value is compared with a product, as in the scan: a
+        Z/n value outside [0, n) fails both.
         """
-        if len(values) != G.n_arrows or not all_exact(values):
-            return False
-        pmap = G._principal
-        roots = {}
-        psi = [values[pmap(roots.setdefault(c, x), x)]
-               for x, c in enumerate(self.component_of)]
-        try:
-            psi_inv = [inverse(v) for v in psi]
-        except ZeroDivisionError:
-            return False
-        if not all_exact(psi_inv):
-            return False
-        return all(v == op(psi[r], psi_inv[s])
-                   for v, s, r in zip(values, G.src, G.rng))
+        star, inv = self.spanning, G.inv
+        back = [inv[h] for h in star]
+        return zip(map(star.__getitem__, G.rng), map(back.__getitem__, G.src),
+                   range(G.n_arrows))
 
     def indices(self, H):
         """[H.parent : H]_x for every unit x, or None unless H is closed
@@ -852,7 +869,9 @@ class ActionCertificate:
     and each is a positive word in the generators (element indices). layout
     is the (src, rng, inv, labels) of arrow(e, x) = e.n + x, element e at
     unit x with label ("g", e): every product is defined, the arrow
-    arrow(multiply(e_g, e_h), s(h)), and the axioms hold."""
+    arrow(multiply(e_g, e_h), s(h)), and the axioms hold. spanning holds
+    each generator acting at each unit, generator by generator: a mass
+    invariant under every generator is invariant under the group."""
 
     kind = "action"
 
@@ -862,6 +881,8 @@ class ActionCertificate:
         n = self.n = len(self.elements[0])
         index_of = self._index_of = {e: i for i, e in enumerate(self.elements)}
         self.generators = tuple(index_of[g] for g in generators)
+        self.spanning = tuple(s * n + x for s in self.generators
+                              for x in range(n))
         # i * order + j -> the index of elements[i] o elements[j], filled on
         # first use: at most one int per element pair
         self._products = {}
@@ -897,16 +918,7 @@ class ActionCertificate:
         """The element index of arrow g."""
         return g // self.n
 
-    def preserves_masses(self, G):
-        # invariant under every generator means invariant under the group
-        masses, elements = G.masses, self.elements
-        return all(masses[elements[s][x]] == m for s in self.generators
-                   for x, m in enumerate(masses))
-
-    def axioms_hold(self, G):
-        return G.rn_values is None
-
-    def generator_pairs(self):
+    def pairs(self, G):
         """Yield (g, h, g . h) for every composable pair whose right factor
         h is a generator acting at some unit: |group| x |generators| x
         |units| pairs, generator by generator, then element by element.
@@ -915,7 +927,8 @@ class ActionCertificate:
         abelian group and multiplies on these pairs, c(es, x) = c(e, s.x)
         c(s, x), multiplies on every composable pair: every element d is a
         positive word in the generators, and induction on its length gives
-        c(ed, x) = c(e, d.x) c(d, x).
+        c(ed, x) = c(e, d.x) c(d, x). Each arrow is the product of a pair
+        for every generator.
         """
         n = self.n
         for s in self.generators:
@@ -933,7 +946,8 @@ def _certify_pair(G):
     endpoints, so it is principal_map(r(g), s(g)); and the units grouped by
     the lowest unit an arrow from them reaches form blocks B that no arrow
     leaves, with sum |B|^2 == n_arrows, so the blocks are the components and
-    every unit pair of a component carries an arrow."""
+    every unit pair of a component carries an arrow. The spanning arrows
+    are then principal_map(root, x), n more calls."""
     pmap = G._principal
     n, m = G.n_units, G.n_arrows
     src, rng, inv = G.src, G.rng, G.inv
@@ -966,16 +980,7 @@ def _certify_pair(G):
         sizes[c] += 1
     if sum(k * k for k in sizes) != m:
         return None
-    return PairCertificate(labels)
-
-
-def _reciprocal(v):
-    return 1 / Fraction(v)
-
-
-def all_exact(values):
-    """True when every value is an int or a Fraction."""
-    return all(type(v) is int or type(v) is Fraction for v in values)
+    return PairCertificate(labels, tuple(map(pmap, root, range(n))))
 
 
 def restrict(G, units):
@@ -1040,12 +1045,13 @@ def left_classes(G, fiber, sub_ids, incomplete):
     coset_classes, which sorts them.
 
     sub_ids may be a Subgroupoid of G, whose cached arrows-by-source map is
-    then used instead of one built for this call. A missing product raises
-    ValueError(incomplete).
+    then used instead of one built for this call; plain ids are checked
+    first (UnknownArrow). A missing product raises ValueError(incomplete).
     """
     if isinstance(sub_ids, Subgroupoid):
         sub_by_src = sub_ids.by_src
     else:
+        require_arrows(G, sub_ids)
         sub_by_src = arrows_by(G.src, sub_ids)
     unseen = set(fiber)
     for g in fiber:
@@ -1146,17 +1152,18 @@ def validate(G):
     """Axiom check; returns a list of human-readable violations.
 
     [] at once, when every mass is positive, on a certified groupoid
-    (certificate) whose attached RN values pass its test: a pair groupoid
-    with no RN values or with RN values psi(r)/psi(s) for a potential psi
-    (O(arrows)), or an action groupoid with no RN values (O(units)).
-    Otherwise, and so to explain any defect, the fiber scan is exhaustive
+    (certificate) with no RN values, or whose RN values obey law_holds on
+    the certificate's pairs(G): O(arrows) on a pair groupoid, |group| x
+    |generators| x |units| steps on an action groupoid. Otherwise, and so
+    to explain any defect, the fiber scan is exhaustive
     over the composable pairs (g, h) of composable_pairs and over the
     triples (g, h, f) with (g, h) defined and f in r^-1(s(h)): a principal
     groupoid on n units costs n^3 pairs and n^4 triples, an action groupoid
     of a group of order m on n units m^2 n pairs and m^3 n triples."""
     cert = certificate(G)
-    if cert is not None and all(m > 0 for m in G.masses) \
-            and cert.axioms_hold(G):
+    if cert is not None and all(m > 0 for m in G.masses) and (
+            G.rn_values is None
+            or law_holds(G, G.rn_values, cert.pairs(G))):
         return []
     problems = []
     for x in range(G.n_units):

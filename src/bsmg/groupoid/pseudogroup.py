@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from ..errors import NotInFullGroup
 from .core import (Subgroupoid, arrows_by, id_set, index_of_pair,
-                   left_classes, require_unit)
+                   left_classes, require_arrows, require_unit)
 
 
 class QNClass(enum.Enum):
@@ -105,10 +105,15 @@ class PartialIso:
 
 def arrows_within(G, arrow_ids, units):
     """The arrows among arrow_ids with both endpoints in units. A
-    Subgroupoid of G is read through its cached arrows-by-source map."""
+    Subgroupoid of G is read through its cached arrows-by-source map; other
+    ids must be arrows of G (UnknownArrow)."""
     inside = set(units)
-    own = isinstance(arrow_ids, Subgroupoid) and arrow_ids.parent is G
-    by_src = arrow_ids.by_src if own else arrows_by(G.src, id_set(arrow_ids))
+    if isinstance(arrow_ids, Subgroupoid) and arrow_ids.parent is G:
+        by_src = arrow_ids.by_src
+    else:
+        ids = id_set(arrow_ids)
+        require_arrows(G, ids)
+        by_src = arrows_by(G.src, ids)
     return frozenset(g for x in inside for g in by_src.get(x, ())
                      if G.rng[g] in inside)
 

@@ -515,12 +515,31 @@ class TestBadInputs:
         (MODULAR_PAIR + (Edited(lambda doc: {
             **doc, "rn": ["1"] * 3 + [False] + ["1"] * 46}),),
          "the RN value of arrow 3 is False, not a rational number"),
+        # Fraction expands exponent notation into the whole integer: the
+        # first ran past 40 s, the masses would build a billion digits
+        (("cocycle", "flow-type", "--loops", "1e100000"),
+         "not a rational number: '1e100000'"),
+        (("dynamics", "beta", "--theta", "5E-1", "--n", "3", "--x", "1/2"),
+         "not a rational number: '5E-1'"),
+        (VALIDATE + (unit_mass(2, "1e999999999"),),
+         "the mass of unit 2 is '1e999999999', not a rational number"),
+        (MODULAR_PAIR + (Edited(lambda doc: {
+            **doc, "rn": ["1"] * 7 + ["1E999999999"] + ["1"] * 42}),),
+         "the RN value of arrow 7 is '1E999999999', not a rational number"),
     ])
     def test_usage_error(self, capsys, tmp_path, argv, message):
         argv = [arg.write(capsys, tmp_path) if isinstance(arg, Edited)
                 else arg for arg in argv]
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+
+class TestSearchBounds:
+    def test_conjugation_past_its_radius_fails_verification(self, capsys):
+        code, out, err = run(capsys, "bs", "conjugation", "--p", "2", "--q",
+                             "3", "--g", "t", "--x", "t a T", "--bound", "0")
+        assert (code, out) == (1, "")
+        assert err == "verification failure: distance 2 exceeds radius 0\n"
 
 
 class TestConfigAndSuite:

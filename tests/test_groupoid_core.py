@@ -31,7 +31,7 @@ from bsmg.groupoid.core import (
     validate,
     whole,
 )
-from bsmg.groupoid.pseudogroup import coset_classes
+from bsmg.groupoid.pseudogroup import arrows_within, coset_classes
 from bsmg.groupoid.quotient import quotient
 from bsmg.groupoid.randomgen import (identity_index, random_action_instance,
                                      random_groupoid, random_partition_tower,
@@ -339,6 +339,24 @@ class TestSubgroupoid:
             Subgroupoid(G, [-1], check=False)
         units = Subgroupoid(G, [], check=False)
         assert [index(G, units, x) for x in range(G.n_units)] == [2, 2, 2]
+
+    # a plain id collection once read -1 as arrow 5 ([2, 2, 1], [(2, 5)],
+    # {-1}) and ended in an untyped IndexError at 6
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_plain_ids_outside_the_arrows_are_refused(self, bad):
+        G = FiniteMeasuredGroupoid.from_group_action([(1, 0, 2)])
+        assert G.n_arrows == 6
+        refusal = rf"^arrow {bad} is not one of the 6 arrows of the groupoid$"
+        for call in (lambda: index(G, [bad], 2),
+                     lambda: index_of_pair(G, range(6), [bad], 2),
+                     lambda: coset_classes(G, [bad], 2),
+                     lambda: arrows_within(G, [bad], [0, 1, 2]),
+                     lambda: ErgodicDecomposition(G, [0, bad])):
+            with pytest.raises(UnknownArrow, match=refusal):
+                call()
+        assert [index(G, [], x) for x in range(3)] == [2, 2, 2]
+        assert coset_classes(G, [], 2) == [(2,), (5,)]
+        assert arrows_within(G, [0, 5], [0, 1, 2]) == {0, 5}
 
     def test_check_rejects_open_sets(self):
         G = s3_action()

@@ -304,3 +304,13 @@ class TestInducedSet:
         broken[1] = tree.canonical_vertex(GroupWord.t(3), params)
         with pytest.raises(ValueError):
             induce_finite_invariant_set(G, H, rho, broken, params)
+
+
+def test_a_kernel_that_is_no_subgroupoid_is_refused():
+    # {3}, the swap's arrow 0 -> 1 alone, is no subgroupoid: the unit
+    # classes of its partition also hold the unit loops and the inverse 4
+    G = FiniteMeasuredGroupoid.from_group_action([(1, 0, 2)])
+    with pytest.raises(NotNormal, match=r"^unit classes do not recover the "
+                       r"subgroupoid \(extra arrows \[0, 1, 2, 4\], "
+                       r"unreached \[\]\)$"):
+        quotient(G, [3])
