@@ -2,7 +2,9 @@
 
 This is their only implementation. Every union-find in the package is
 component_labels (ergodic decompositions, pair-groupoid indices, the
-two-sided classes of a quotient), and every permutation group closure is
+two-sided classes of a quotient, the skew-product components of a Mackey
+range and the cycles of its translation, and the orbit counts of
+dynamics.component_counts), and every permutation group closure is
 perm_closure.
 """
 

@@ -122,13 +122,11 @@ def _witness_walk(G, S, s_ids, dec, witnesses):
     Each witness phi conjugates the S arrows inside its domain once (two
     products each) and writes its values at x on the left S-class of
     g0 = phi(x), cross-checked against every earlier value; a clash names
-    the lowest arrow, D before K. The class is {s . g0 : s in S leaving
-    r(g0)} when every product is defined (products_defined). Otherwise it
-    is read off a scan of s^-1(x) computing g g0^-1 for every g, which
-    refuses a missing product. The local indices are counted by
-    local_counts.
+    the lowest arrow, D before K. The class is read off a scan of s^-1(x):
+    the arrows g with g g0^-1 in S, a missing product refused. Where every
+    product is defined this is {s . g0 : s in S leaving r(g0)}, as
+    g = (g g0^-1) . g0. The local indices are counted by local_counts.
     """
-    walk = products_defined(G)
     cond = dec.conditional_masses
 
     if witnesses is None:
@@ -184,20 +182,18 @@ def _witness_walk(G, S, s_ids, dec, witnesses):
             # every arrow in the left S-class of g0 carries the same values;
             # a hole is the first arrow of s^-1(x) whose g g0^-1 is undefined
             hole = None
-            if walk:
-                members = [G.product(s, g0) for s in S.by_src.get(y, ())]
-            else:
-                members = []
-                g0_inv = G.inv[g0]
-                for g in G.source_fiber(x):
-                    w = G.product(g, g0_inv)
-                    if w is None:
-                        hole = g
-                        break
-                    if w in s_ids:
-                        members.append(g)
-            # ascending, so a clash names the lowest arrow, D before K
-            for g in sorted(members):
+            members = []
+            g0_inv = G.inv[g0]
+            for g in G.source_fiber(x):
+                w = G.product(g, g0_inv)
+                if w is None:
+                    hole = g
+                    break
+                if w in s_ids:
+                    members.append(g)
+            # ascending (source_fiber is), so a clash names the lowest
+            # arrow, D before K
+            for g in members:
                 if d_values[g] is None:
                     d_values[g] = d_val
                     k_values[g] = k_val

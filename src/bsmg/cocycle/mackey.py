@@ -14,6 +14,7 @@ until they stabilize and cross-checked against the defect subgroup.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -21,6 +22,7 @@ from math import gcd
 from .._kernels import component_labels
 from ..errors import InfiniteComponents, NotPowerValued, VerificationFailure
 from ..groupoid.core import forest_potential
+from ..words import generalized_valuation
 from .core import radon_nikodym
 from .values import GroupoidCocycle, QPos, ZAdd, ZModAdd
 
@@ -36,23 +38,31 @@ class TypeLabel:
         return self.kind.replace("_", "-") if self.kind == "III_1" else self.kind
 
 
-def _factor(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _coprime_base(numbers):
+    """Sorted pairwise coprime integers > 1 whose powers multiply to each
+    given positive integer, by gcds alone: a number a joins the base, or,
+    sharing g > 1 with a member b, b is replaced by g, a/g and b/g (1s
+    dropped) on the work list. Each split divides the product of all
+    numbers held by g, so the loop ends; nothing is factored into primes."""
+    base = []
+    work = [a for a in numbers if a > 1]
+    while work:
+        a = work.pop()
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                work.extend(c for c in (g, a // g, b // g) if c > 1)
+                break
+        else:
+            base.append(a)
+    return sorted(base)
 
 
-def _exponent_vector(value, primes):
-    num = _factor(value.numerator)
-    den = _factor(value.denominator)
-    return tuple(num.get(p, 0) - den.get(p, 0) for p in primes)
+def _exponent_vector(value, base):
+    """Exponents of a positive rational over a coprime base of its parts."""
+    return tuple(generalized_valuation(value.numerator, b)
+                 - generalized_valuation(value.denominator, b) for b in base)
 
 
 def _defects(G, rn_values):
@@ -71,15 +81,17 @@ def classify_type(G):
     defects = _defects(G, rn)
     if not defects:
         return TypeLabel("II")
-    primes = sorted({p for d in defects
-                     for p in list(_factor(d.numerator)) +
-                     list(_factor(d.denominator))})
-    vectors = [_exponent_vector(d, primes) for d in defects]
+    # coprime members are multiplicatively independent, so rank and
+    # generator read the same over them as over the primes
+    coprime = _coprime_base([n for d in defects
+                            for n in (d.numerator, d.denominator)])
+    vectors = [_exponent_vector(d, coprime) for d in defects]
     base = vectors[0]
     for v in vectors[1:]:
         # parallel iff all 2x2 minors with the base vanish
         if any(base[i] * v[j] - base[j] * v[i]
-               for i in range(len(primes)) for j in range(i + 1, len(primes))):
+               for i in range(len(coprime))
+               for j in range(i + 1, len(coprime))):
             return TypeLabel("III_1")
     content = gcd(*base) if len(base) > 1 else abs(base[0])
     direction = tuple(c // content for c in base)
@@ -90,7 +102,7 @@ def classify_type(G):
         g0 = gcd(g0, m)
     gen = [g0 * c for c in direction]
     lam = Fraction(1)
-    for p, e in zip(primes, gen):
+    for p, e in zip(coprime, gen):
         lam *= Fraction(p) ** e
     if lam > 1:
         lam = 1 / lam
@@ -131,19 +143,11 @@ def mackey_range(G, tau, m):
             elif action[c1] != c2:
                 raise VerificationFailure(
                     f"translation is not well defined at ({x},{h})")
-    seen = [False] * n_comp
-    orbits = []
-    for c in range(n_comp):
-        if seen[c]:
-            continue
-        size = 0
-        cur = c
-        while not seen[cur]:
-            seen[cur] = True
-            size += 1
-            cur = action[cur]
-        orbits.append(size)
-    return MackeyRange(n_comp, comp_of, tuple(action), tuple(sorted(orbits)), m)
+    # m steps of the translation return every (x, h), so action is a
+    # permutation and its cycles are the components of c -- action[c]
+    orbits = Counter(component_labels(n_comp, range(n_comp), action))
+    return MackeyRange(n_comp, comp_of, tuple(action),
+                       tuple(sorted(orbits.values())), m)
 
 
 def ranges_isomorphic(r1, r2):
@@ -246,21 +250,12 @@ def power_exponents(values, base):
         v = Fraction(v)
         if v <= 0:
             raise NotPowerValued(f"{v} is not positive")
-        k = sign * (_multiplicity(v.numerator, n)
-                    - _multiplicity(v.denominator, n))
+        k = sign * (generalized_valuation(v.numerator, n)
+                    - generalized_valuation(v.denominator, n))
         if base ** k != v:
             raise NotPowerValued(f"{v} is not a power of {base}")
         out.append(k)
     return out
-
-
-def _multiplicity(n, m):
-    """The largest k with m^k dividing the positive integer n (m >= 2)."""
-    k = 0
-    while n % m == 0:
-        n //= m
-        k += 1
-    return k
 
 
 def flow_type(G, base):
@@ -305,10 +300,11 @@ def one_loop_model(loop_values):
         [1], arrows, pairs, rn_values=rn)
 
 
-def scaled_product_model(ratio, n, *, masses=None):
-    """An n-cycle window whose single defect is ratio**n: arrows i -> i+1
-    each carrying Radon-Nikodym value ratio. Its type is III_{ratio**n}
-    (mapped below 1) and the exponent flow has translation period n.
+def scaled_product_model(ratio, n):
+    """An n-cycle window of masses 1/n whose single defect is ratio**n:
+    arrows i -> i+1 each carry Radon-Nikodym value ratio. Its type is
+    III_{ratio**n} (mapped below 1) and the exponent flow has translation
+    period n.
     ratio must be positive and n at least 1 (ValueError otherwise)."""
     from ..groupoid.core import FiniteMeasuredGroupoid
 
@@ -317,8 +313,6 @@ def scaled_product_model(ratio, n, *, masses=None):
         raise ValueError(f"the cycle needs n >= 1 units, got {n}")
     if ratio <= 0:
         raise ValueError("Radon-Nikodym values must be positive")
-    if masses is None:
-        masses = [Fraction(1, n)] * n
     arrows = []
     pairs = []
     rn = []
@@ -327,4 +321,5 @@ def scaled_product_model(ratio, n, *, masses=None):
         arrows.append(((i + 1) % n, i, f"s{i}'"))
         pairs.append((2 * i, 2 * i + 1))
         rn.extend([ratio, 1 / ratio])
-    return FiniteMeasuredGroupoid.window(masses, arrows, pairs, rn_values=rn)
+    return FiniteMeasuredGroupoid.window([Fraction(1, n)] * n, arrows, pairs,
+                                         rn_values=rn)

@@ -13,9 +13,9 @@ are fully decidable (golden sign tests reduce to comparing u^2 against
 rational ends agree on (_at_both_ends) and raises PrecisionError otherwise.
 
 An affine value is three integers (p, q, d) meaning (p + q*theta)/d, in
-lowest terms with d > 0. For rational theta = u/v its sign is the sign of
-p*v + q*u and its floor (p*v + q*u) // (d*v); for the golden ratio both come
-from 2p + q and q*sqrt(5) through math.isqrt. Sums, scalings and the
+lowest terms with d > 0. An exact theta is (u + w*sqrt(5))/v, w = 0 for a
+rational, so one formula serves both: the sign and the floor come from
+A = p*v + q*u and B = q*w through math.isqrt. Sums, scalings and the
 products the Cesaro average needs stay on integers with one gcd per result;
 a Fraction is built only where a caller reads a or b. The Cesaro step loop
 goes one level lower still, and so does beta_cocycle: bare integers over
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._kernels import component_labels
 from .errors import (
     LevelBudgetExceeded,
     NotAnInteger,
@@ -45,15 +46,19 @@ from .words import GroupWord, commutator, is_identity, modular_hom, same_element
 # -- theta ------------------------------------------------------------------
 
 class ThetaValue:
-    """A nonzero translation length: rational, golden ratio, or interval."""
+    """A nonzero translation length: rational, golden ratio, or interval.
+    An exact theta is (u + w*sqrt(5))/v, v > 0, held as u, w, v."""
 
-    __slots__ = ("kind", "frac", "lo", "hi")
+    __slots__ = ("kind", "frac", "lo", "hi", "u", "w", "v")
 
     def __init__(self, kind, frac=None, lo=None, hi=None):
         self.kind = kind
         self.frac = frac
         self.lo = lo
         self.hi = hi
+        self.u, self.w, self.v = ((1, 1, 2) if kind == "golden" else
+                                  (frac.numerator, 0, frac.denominator)
+                                  if kind == "rational" else (None,) * 3)
 
     @classmethod
     def from_rational(cls, value):
@@ -192,41 +197,24 @@ def as_affine(x):
 
 def _pair_sign(theta, p, q):
     """Exact sign of p + q*theta for a rational or golden theta: -1, 0, +1.
-    (p + q*theta)/d has the same sign for any d > 0."""
-    if theta.kind == "rational":
-        # the denominator of theta = u/v is positive
-        frac = theta.frac
-        v = p * frac.denominator + q * frac.numerator
-        return (v > 0) - (v < 0)
-    # 2(p + q*phi) = (2p + q) + q*sqrt(5)
-    u = 2 * p + q
-    if q == 0:
-        return (u > 0) - (u < 0)
-    if u == 0:
-        return 1 if q > 0 else -1
-    if u > 0 and q > 0:
-        return 1
-    if u < 0 and q < 0:
-        return -1
-    big = u * u > 5 * q * q
-    if u > 0:
-        return 1 if big else -1
-    return -1 if big else 1
+    (p + q*theta)/d has the same sign for any d > 0, and v*(p + q*theta) =
+    A + B*sqrt(5) for A = p*v + q*u, B = q*w, the sign of A|A| + 5B|B|:
+    A and B agree, or A^2 != 5B^2 decides (5 is not a square)."""
+    A = p * theta.v + q * theta.u
+    B = q * theta.w
+    t = A * abs(A) + 5 * B * abs(B)
+    return (t > 0) - (t < 0)
 
 
 def _pair_floor(theta, p, q, d):
     """Largest integer n with n <= (p + q*theta)/d, d > 0, for a rational
-    or golden theta."""
-    if theta.kind == "rational":
-        frac = theta.frac
-        return (p * frac.denominator + q * frac.numerator) // (
-            d * frac.denominator)
-    # (p + q*phi)/d = (U + q sqrt5) / (2d) with U = 2p + q.
-    # floor(q sqrt5) is isqrt(5 q^2), or -isqrt(5 q^2) - 1 for q < 0
-    # (5 q^2 is a square only at q = 0), and the integer floor commutes
-    # with flooring by the positive 2d.
-    root = math.isqrt(5 * q * q)
-    return (2 * p + q + (root if q >= 0 else -root - 1)) // (2 * d)
+    or golden theta: (A + floor(B*sqrt(5))) // (d*v), A and B as in
+    _pair_sign. floor(B*sqrt(5)) is isqrt(5 B^2), or -isqrt(5 B^2) - 1 for
+    B < 0 (5 B^2 is a square only at B = 0)."""
+    A = p * theta.v + q * theta.u
+    B = q * theta.w
+    root = math.isqrt(5 * B * B)
+    return (A + (root if B >= 0 else -root - 1)) // (d * theta.v)
 
 
 def _at_both_ends(theta, decide, *args):
@@ -813,29 +801,27 @@ def _to_float(theta, value):
 
 def component_counts(c, n, r, s, kmax, lmax):
     """|W_{k,l}| = orbit count of the subgroup step r^k s^l c on Z/n,
-    computed by orbit enumeration and cross-checked against the gcd closed
-    form; the two ladder divisibility laws are asserted over the table. A
-    step c that is not a unit mod n raises NotErgodic (a ValueError) before
-    any orbit is walked."""
+    0 <= k <= kmax, 0 <= l <= lmax: the components of x -- x + step
+    (component_labels), cross-checked against the gcd closed form; the two
+    ladder divisibility laws are asserted over the table. A negative bound
+    raises ValueError and a step c that is not a unit mod n NotErgodic (a
+    ValueError), before any orbit is counted."""
     if n < 1 or r < 1 or s < 1:
         raise ValueError("moduli and scaling steps must be positive")
+    if kmax < 0 or lmax < 0:
+        raise ValueError(
+            f"need kmax >= 0 and lmax >= 0, got ({kmax},{lmax})")
     if gcd(c, n) != 1:
         raise NotErgodic(
             f"the step must be a unit mod {n}, got {c} (gcd {gcd(c, n)})")
     table = {}
+    units = range(n)
     for k in range(kmax + 1):
         for l in range(lmax + 1):
             step = (r ** k * s ** l * c) % n
-            seen = [False] * n
-            orbits = 0
-            for x0 in range(n):
-                if seen[x0]:
-                    continue
-                orbits += 1
-                x = x0
-                while not seen[x]:
-                    seen[x] = True
-                    x = (x + step) % n
+            labels = component_labels(n, units,
+                                      [(x + step) % n for x in units])
+            orbits = max(labels) + 1
             if orbits != gcd(r ** k * s ** l * c, n):
                 raise VerificationFailure(
                     f"orbit count at ({k},{l}) disagrees with the gcd form")

@@ -686,7 +686,8 @@ class ErgodicDecomposition:
 
 
 def spanning_forest(G):
-    """Breadth-first spanning forest of the arrow-connected components.
+    """Breadth-first spanning forest of the arrow-connected components of a
+    groupoid or, for a Subgroupoid, of the components of its arrows alone.
 
     Returns (dec, steps): dec is the ErgodicDecomposition of G and steps
     lists (x, g, backwards) for every unit in the order it is reached. Each
@@ -697,6 +698,13 @@ def spanning_forest(G):
     G and the arrow values.
     """
     dec = ErgodicDecomposition(G)
+    if isinstance(G, Subgroupoid):
+        leaving, entering = G.by_src, arrows_by(G.parent.rng, G.sorted_ids())
+        G = G.parent
+        source_fiber = lambda x: leaving.get(x, ())
+        range_fiber = lambda x: entering.get(x, ())
+    else:
+        source_fiber, range_fiber = G.source_fiber, G.range_fiber
     steps = []
     reached = set()
     for comp in dec.components:
@@ -707,8 +715,8 @@ def spanning_forest(G):
         while frontier:
             nxt = []
             for u in frontier:
-                edges = sorted([(g, False) for g in G.source_fiber(u)]
-                               + [(g, True) for g in G.range_fiber(u)])
+                edges = sorted([(g, False) for g in source_fiber(u)]
+                               + [(g, True) for g in range_fiber(u)])
                 for g, backwards in edges:
                     other = G.src[g] if backwards else G.rng[g]
                     if other not in reached:

@@ -26,8 +26,9 @@ from .._kernels import component_labels
 from ..errors import IndexNotConstant, NotACocycle, NotNormal, VerificationFailure
 from ..tree import base_vertex, canonical_vertex, neighbors
 from ..words import GroupWord, same_element
-from .core import (ErgodicDecomposition, FiniteMeasuredGroupoid, arrows_by,
-                   certificate, composable_pairs, id_set, table_product)
+from .core import (ErgodicDecomposition, FiniteMeasuredGroupoid, Subgroupoid,
+                   arrows_by, certificate, composable_pairs, id_set,
+                   spanning_forest, table_product)
 
 
 def _class_partition(G, s_ids):
@@ -224,46 +225,46 @@ def find_invariant_vertex_map(G, S, rho, params, *, radius=3):
     rho(g) . psi(s(g)) == psi(r(g)) for every arrow g of S.
 
     rho is a dict {arrow id: GroupWord} and is validated as a cocycle first.
-    Candidate base vertices are drawn from the ball of the given radius
+    Candidate base vertices v are drawn from the ball of the given radius
     around the standard base vertex, per S-component; returns the assignment
     dict or None when no candidate in the ball works.
+
+    A candidate v at the lowest unit x0 of a component is spread along the
+    spanning_forest of S (a backward step through g applies rho(g)^-1) and
+    passes when every arrow of S inside the component then holds. After
+    check_word_cocycle, two paths from x0 to a unit differ by an S-loop l at
+    x0, so v passes on one tree exactly when every rho(l) fixes v, and then
+    every tree gives the same map: an invariant map is fixed along any tree
+    by its value at x0.
     """
     s_ids = sorted(id_set(S))
     check_word_cocycle(G, s_ids, rho, params)
-    dec = ErgodicDecomposition(G, s_ids)
-    by_src = arrows_by(G.src, s_ids)
+    if not isinstance(S, Subgroupoid):
+        S = Subgroupoid(G, s_ids, check=False)
+    _, steps = spanning_forest(S)
+    trees = []
+    for x, g, backwards in steps:
+        if g is None:
+            trees.append((x, []))
+        else:
+            trees[-1][1].append((g, backwards))
     ball = _vertex_ball(params, radius)
     psi = {}
-    for comp in dec.components:
-        x0 = min(comp)
-        # spanning tree of the component along lowest-id arrows
-        tree_arrows = []
-        seen = {x0}
-        frontier = [x0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for g in by_src.get(u, ()):
-                    w = G.rng[g]
-                    if w not in seen:
-                        seen.add(w)
-                        tree_arrows.append(g)
-                        nxt.append(w)
-            frontier = nxt
-        assigned = None
+    for x0, tree_steps in trees:
         for cand in ball:
             trial = {x0: cand}
-            for g in tree_arrows:
-                trial[G.rng[g]] = _translate(rho[g], trial[G.src[g]])
-            ok = all(
-                _translate(rho[g], trial[G.src[g]]) == trial[G.rng[g]]
-                for g in s_ids if G.src[g] in trial and G.rng[g] in trial)
-            if ok:
-                assigned = trial
+            for g, backwards in tree_steps:
+                if backwards:
+                    trial[G.src[g]] = _translate(rho[g].inverse(),
+                                                 trial[G.rng[g]])
+                else:
+                    trial[G.rng[g]] = _translate(rho[g], trial[G.src[g]])
+            if all(_translate(rho[g], trial[G.src[g]]) == trial[G.rng[g]]
+                   for g in s_ids if G.src[g] in trial and G.rng[g] in trial):
+                psi.update(trial)
                 break
-        if assigned is None:
+        else:
             return None
-        psi.update(assigned)
     return psi
 
 

@@ -24,6 +24,7 @@ from .errors import (
     ParamMismatch,
     VerificationFailure,
 )
+from .words import generalized_valuation
 
 
 def level_modulus(params, K, L):
@@ -181,21 +182,6 @@ def u0_membership(r):
     the base submodule."""
     _require_unit(r)
     return (r.params.d0 * (r.residue - 1)) % r.modulus == 0
-
-
-def generalized_valuation(m, b):
-    """Largest e >= 0 with b^e dividing m. Needs |b| >= 2 and m != 0."""
-    if m == 0:
-        raise ValueError("valuation of zero")
-    b = abs(b)
-    if b < 2:
-        raise ValueError("valuation base must have absolute value >= 2")
-    e = 0
-    m = abs(m)
-    while m % b == 0:
-        m //= b
-        e += 1
-    return e
 
 
 def torsion_vanishing_modulus(x, m):

@@ -334,8 +334,8 @@ def check_modular_identity(rng, cases):
 # -- Mackey ranges and flow types -----------------------------------------------
 
 
-def _cyclic_instance(rng, *, max_units=8):
-    n = rng.randint(2, max_units)
+def _cyclic_instance(rng):
+    n = rng.randint(2, 8)
     pts = list(range(n))
     rng.shuffle(pts)
     gen = tuple(cycle_on(pts, n))

@@ -74,6 +74,22 @@ class BSParams:
         return self.d0 * abs(self.p0) ** k * abs(self.q0) ** l
 
 
+def generalized_valuation(m, b):
+    """Largest e >= 0 with b^e dividing m. Needs |b| >= 2 and m != 0.
+    The package's one valuation loop; profinite re-exports it."""
+    if m == 0:
+        raise ValueError("valuation of zero")
+    b = abs(b)
+    if b < 2:
+        raise ValueError("valuation base must have absolute value >= 2")
+    e = 0
+    m = abs(m)
+    while m % b == 0:
+        m //= b
+        e += 1
+    return e
+
+
 class GroupWord:
     """A word over {a, t}, stored run-length and freely reduced as written.
 

@@ -1,12 +1,13 @@
 """Independent slow-path oracles the tests compare the library against.
 
 Everything here is written for obviousness, not speed: whole-word rescans,
-breadth-first walks, smallest-power searches, whole-word tree steps, a
-Cesaro loop on ThetaAffine values, bound arithmetic on interval thetas,
-groupoid products composed from the arrow labels, and the small readers of
-thetas, partial isomorphisms and components that only tests need. None of
-it shares code with the implementations under test beyond the public data
-types and the exact ThetaAffine sign, floor and division.
+breadth-first walks, smallest-power searches, whole-word tree steps, orbit
+and cycle walks, trial-division factoring, a Cesaro loop on ThetaAffine
+values, bound arithmetic on interval thetas, groupoid products composed
+from the arrow labels, and the small readers of thetas, partial
+isomorphisms and components that only tests need. None of it shares code
+with the implementations under test beyond the public data types and the
+exact ThetaAffine sign, floor and division.
 """
 
 import math
@@ -164,6 +165,107 @@ def orbit_count(step, modulus):
             seen[x] = True
             x = (x + step) % modulus
     return count
+
+
+def cycle_lengths(perm):
+    """Sorted cycle lengths of a permutation given as a list, by walking
+    each cycle from its lowest point."""
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        size = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            size += 1
+            x = perm[x]
+        lengths.append(size)
+    return sorted(lengths)
+
+
+def trial_division_type(loop_values):
+    """(kind, lambda) of the one-unit model with these loop values: the
+    defects are the values other than 1, factored into primes by trial
+    division; rank 0 is II, rank 1 III_lambda with its generator mapped
+    below 1, rank 2 or more III_1. Slow on a long prime."""
+    defects = [Fraction(v) for v in loop_values if Fraction(v) != 1]
+    if not defects:
+        return "II", None
+
+    def factor(n):
+        out = {}
+        d = 2
+        while d * d <= n:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            d += 1
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+
+    def exponents(v):
+        num, den = factor(v.numerator), factor(v.denominator)
+        return [num.get(p, 0) - den.get(p, 0) for p in primes]
+
+    primes = sorted({p for v in defects
+                     for n in (v.numerator, v.denominator) for p in factor(n)})
+    vectors = [exponents(v) for v in defects]
+    first = vectors[0]
+    for v in vectors[1:]:
+        if any(first[i] * v[j] != first[j] * v[i]
+               for i in range(len(primes)) for j in range(len(primes))):
+            return "III_1", None
+    content = math.gcd(*first)
+    direction = [c // content for c in first]
+    j0 = next(i for i, c in enumerate(direction) if c)
+    g0 = math.gcd(*(v[j0] // direction[j0] for v in vectors))
+    lam = Fraction(1)
+    for p, c in zip(primes, direction):
+        lam *= Fraction(p) ** (g0 * c)
+    return "III_lambda", min(lam, 1 / lam)
+
+
+def bfs_vertex_map(G, s_ids, rho, params, radius=3):
+    """A vertex map x -> psi(x) with rho(g) . psi(s(g)) == psi(r(g)) on every
+    arrow g of s_ids (closed under inverse), or None: per component, from
+    its lowest unit, a breadth-first tree along outgoing arrows in id
+    order, and the first vertex of the radius ball, taken in (syllable
+    count, text) order, that the tree spreads to an invariant map."""
+    def act(word, vertex):
+        return tree.canonical_vertex(word * vertex.rep_word(), params)
+
+    candidates = sorted(ball(params, radius),
+                        key=lambda v: (len(v.form.syllables), str(v)))
+    psi = {}
+    for x0 in range(G.n_units):
+        if x0 in psi:
+            continue
+        tree_arrows = []
+        seen = {x0}
+        frontier = [x0]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for g in sorted(s_ids):
+                    if G.src[g] == u and G.rng[g] not in seen:
+                        seen.add(G.rng[g])
+                        tree_arrows.append(g)
+                        nxt.append(G.rng[g])
+            frontier = nxt
+        for cand in candidates:
+            trial = {x0: cand}
+            for g in tree_arrows:
+                trial[G.rng[g]] = act(rho[g], trial[G.src[g]])
+            if all(act(rho[g], trial[G.src[g]]) == trial[G.rng[g]]
+                   for g in s_ids if G.src[g] in seen):
+                psi.update(trial)
+                break
+        else:
+            return None
+    return psi
 
 
 def iso_orbit(p, q):

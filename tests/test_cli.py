@@ -578,3 +578,39 @@ class TestConfigAndSuite:
         assert sum(line.startswith("PASS") for line in lines) == 9
         summary = json.loads(lines[-1])
         assert summary["passed"] == 9 and summary["failed"] == 0
+
+
+class TestLongRatiosAndBounds:
+    @pytest.mark.parametrize("loops, want", [
+        ("1000000000000037/3", "3/1000000000000037"),
+        ("10000000000000000000000013/7", "7/10000000000000000000000013"),
+    ])
+    def test_flow_type_of_a_long_prime_ratio_returns_at_once(
+            self, loops, want):
+        # long primes, which trial division up to their square root cannot
+        # finish; timed inside a child process, so a hang cannot stall
+        script = textwrap.dedent(f"""
+            import sys, time
+            from bsmg.cli import main
+            start = time.perf_counter()
+            code = main(["cocycle", "flow-type", "--loops", "{loops}"])
+            print(code, time.perf_counter() - start, file=sys.stderr)
+        """)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ,
+                     PYTHONPATH=os.path.dirname(os.path.dirname(
+                         bsmg.__file__))),
+            capture_output=True, text=True, timeout=30)
+        code, seconds = done.stderr.split()
+        assert done.stdout == f'{{"kind":"III_lambda","lambda":"{want}"}}\n'
+        assert code == "0" and float(seconds) < 1.0
+
+    @pytest.mark.parametrize("kmax, lmax", [("-1", "1"), ("1", "-1")])
+    def test_components_refuses_negative_bounds(self, capsys, kmax, lmax):
+        code, out, err = run(capsys, "dynamics", "components", "--c", "1",
+                             "--n", "12", "--r", "2", "--s", "3",
+                             "--kmax", kmax, "--lmax", lmax)
+        assert (code, out) == (2, "")
+        assert err == (f"usage error: need kmax >= 0 and lmax >= 0, got "
+                       f"({kmax},{lmax})\n")

@@ -89,3 +89,22 @@ def test_suite_choices_are_the_bundles():
     name = next(action for action in groups.choices["suite"]._actions
                 if action.dest == "name")
     assert list(name.choices) == sorted(suite.BUNDLES)
+
+
+# the modules the parent tree loaded for each command, pinned
+FLOW_TYPE = BASE | {"bsmg._kernels", "bsmg.cocycle", "bsmg.cocycle.core",
+                    "bsmg.cocycle.mackey", "bsmg.cocycle.values",
+                    "bsmg.groupoid", "bsmg.groupoid.core",
+                    "bsmg.groupoid.pseudogroup"}
+COMPONENTS = BASE | {"bsmg.dynamics", "bsmg.profinite"}
+
+
+def test_flow_type_loads_its_eleven_modules():
+    modules = command("cocycle", "flow-type", "--loops", "3/2")
+    assert modules == FLOW_TYPE and len(modules) == 11
+
+
+def test_components_adds_at_most_the_kernels():
+    modules = command("dynamics", "components", "--c", "1", "--n", "12",
+                      "--r", "2", "--s", "3", "--kmax", "1", "--lmax", "1")
+    assert COMPONENTS <= modules <= COMPONENTS | {"bsmg._kernels"}
