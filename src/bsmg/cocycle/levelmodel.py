@@ -27,6 +27,9 @@ from ..groupoid.core import FiniteMeasuredGroupoid, Subgroupoid
 from ..groupoid.pseudogroup import PartialIso
 from .core import modular_pair
 
+# the most arrows, (N + N')^2, a model may have; checked before allocating
+MAX_ARROWS = 2 ** 20
+
 
 def level_sizes(params, k, l):
     if k < 1 or l < 0:
@@ -41,6 +44,10 @@ class BSLevelModel:
         self.params = params
         self.k = k
         self.l = l
+        # N >= 2^k if |p0| > 1 and N' >= 2^l if |q0| > 1: refused before powers
+        over = k > 20 and abs(params.p0) > 1 or l > 20 and abs(params.q0) > 1
+        if over and k >= 1 and l >= 0:
+            raise InvalidLevel(f"level ({k},{l}) has over {MAX_ARROWS} arrows")
         self.N, self.Nprime = level_sizes(params, k, l)
         p, q = params.p, params.q
         N, Np = self.N, self.Nprime
@@ -61,6 +68,9 @@ class BSLevelModel:
         base_t = base1 + Np * (Np - 1)
         base_tt = base_t + N * Np
         n_arrows = base_tt + N * Np
+        if n_arrows > MAX_ARROWS:
+            raise InvalidLevel(f"level ({k},{l}) has {n_arrows} arrows, over "
+                               f"the cap of {MAX_ARROWS}")
 
         def pair_to_id(s, r):
             if s == r:

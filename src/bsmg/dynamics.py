@@ -451,7 +451,7 @@ def _wrap_x(theta, x):
     return x - j, j
 
 
-def coupling_action(word, pt, theta, params=None, *, budget=None):
+def coupling_action(word, pt, theta, params=None):
     """Image of pt under the embedded word, reduced to [0,1) x ring.
 
     The rightmost letter acts first. The translation letter adds theta to x
@@ -459,15 +459,10 @@ def coupling_action(word, pt, theta, params=None, *, budget=None):
     The scaling letter divides kappa by p with remainder r (consuming one
     p0-level, gaining one q0-level), sends x to (q/p)(x - r), multiplies
     the quotient by q, and wraps; its inverse mirrors with p and q swapped.
-    budget, if given, caps the total number of scaling letters applied.
     """
     params = params or pt.kappa.params
     if pt.kappa.params != params:
         raise ParamMismatch(f"{pt.kappa.params} vs {params}")
-    if budget is not None:
-        spent = sum(abs(e) for letter, e in word.runs if letter == "t")
-        if spent > budget:
-            raise LevelBudgetExceeded(f"{spent} scaling letters, budget {budget}")
     x = as_affine(pt.x)
     if affine_sign(theta, x) < 0 or \
             affine_sign(theta, as_affine(1) - x) <= 0:

@@ -32,7 +32,6 @@ _SOURCE = {
     "find_invariant_vertex_map": "quotient",
     "induce_finite_invariant_set": "quotient",
     "quotient": "quotient",
-    "quotient_modulus": "quotient",
 }
 
 __all__ = list(_SOURCE)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import NamedTuple
 
 from .._kernels import component_labels, perm_closure
 from ..errors import (ClosureTooLarge, EmptySet, GroupTooLarge,
@@ -991,25 +992,42 @@ def _certify_pair(G):
     return PairCertificate(labels, tuple(map(pmap, root, range(n))))
 
 
-def restrict(G, units):
-    """(G)_A: the restriction to a nonempty unit subset.
+class GroupoidMap(NamedTuple):
+    """A homomorphism source -> target: units[x] is the target unit of the
+    source unit x and arrows[g] the target arrow of the source arrow g."""
 
-    Returns (restricted groupoid, unit_map, arrow_map) where unit_map sends a
-    parent unit index to its restricted index and arrow_map likewise for the
-    surviving arrows. Masses are restricted, not renormalized. The product
-    is G's through arrow_map, and a principal map of G is kept, restricted.
-    """
+    source: FiniteMeasuredGroupoid
+    target: FiniteMeasuredGroupoid
+    units: tuple
+    arrows: tuple
+
+    def pull(self, values):
+        """Values indexed by target arrow, read back onto the source."""
+        return [values[a] for a in self.arrows]
+
+    def preimage(self, ids):
+        """The source arrows sent into ids (a Subgroupoid of the target or
+        target arrow ids), a frozenset."""
+        inside = id_set(ids)
+        return frozenset(g for g, a in enumerate(self.arrows) if a in inside)
+
+
+def restrict(G, units):
+    """(G)_A as the inclusion GroupoidMap G_A -> G, A a nonempty unit set:
+    unit i is A[i], A sorted, and the kept arrows are A's unit loops, then
+    G's other arrows with both ends in A, ascending. Masses are restricted,
+    not renormalized; the product is G's mapped back to the kept ids, and a
+    principal map of G is kept, restricted."""
     A = sorted(set(units))
     if not A:
         raise EmptySet("restriction to the empty set")
     if isinstance(G, Subgroupoid):
         raise TypeError("restrict expects a groupoid; restrict the parent")
-    inside = set(A)
     unit_map = {x: i for i, x in enumerate(A)}
     kept = [G.unit_arrow(x) for x in A]
     kept += [g for g in range(G.n_arrows)
              if not G.is_unit_arrow(g)
-             and G.src[g] in inside and G.rng[g] in inside]
+             and G.src[g] in unit_map and G.rng[g] in unit_map]
     arrow_map = {g: i for i, g in enumerate(kept)}
     parent_compose, local = G._compose, arrow_map.get
 
@@ -1027,7 +1045,7 @@ def restrict(G, units):
     pmap = G._principal
     if pmap is not None:
         sub._principal = lambda i, j: arrow_map[pmap(A[i], A[j])]
-    return sub, unit_map, arrow_map
+    return GroupoidMap(sub, G, tuple(A), tuple(kept))
 
 
 def require_unit(G, x):

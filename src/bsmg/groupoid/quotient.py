@@ -26,9 +26,9 @@ from .._kernels import component_labels
 from ..errors import IndexNotConstant, NotACocycle, NotNormal, VerificationFailure
 from ..tree import base_vertex, canonical_vertex, neighbors
 from ..words import GroupWord, same_element
-from .core import (ErgodicDecomposition, FiniteMeasuredGroupoid, Subgroupoid,
-                   arrows_by, certificate, composable_pairs, id_set,
-                   spanning_forest, table_product)
+from .core import (ErgodicDecomposition, FiniteMeasuredGroupoid, GroupoidMap,
+                   Subgroupoid, arrows_by, certificate, composable_pairs,
+                   id_set, spanning_forest, table_product)
 
 
 def _class_partition(G, s_ids):
@@ -57,11 +57,9 @@ def _class_partition(G, s_ids):
 
 
 def quotient(G, S):
-    """Quotient groupoid and projection map.
-
-    Returns (Q, theta, pi) where theta maps each arrow id of G to its class
-    id in Q and pi maps each unit of G to its component index. Raises
-    NotNormal when S does not sit normally enough for the quotient to exist.
+    """The projection GroupoidMap G -> Q onto the quotient groupoid: units[x]
+    is the S-component of x and arrows[g] the class of g. Raises NotNormal
+    when S does not sit normally enough for the quotient to exist.
     """
     s_ids = id_set(S)
     dec = ErgodicDecomposition(G, sorted(s_ids))
@@ -106,26 +104,19 @@ def quotient(G, S):
                 f"product of classes ({a},{b}) is not well defined "
                 f"(witness arrows {g},{h})")
 
-    q_masses = list(dec.masses)
     q_labels = ["e"] * n_comp + [f"c{c}" for c in range(n_comp, len(classes))]
     Q = FiniteMeasuredGroupoid(
-        [f"z{z}" for z in range(n_comp)], q_masses,
+        [f"z{z}" for z in range(n_comp)], dec.masses,
         q_src, q_rng, q_inv, q_labels, table_product(q_prod))
-    Q.base_components = dec.components
-    pi = list(dec.component_of)
-    return Q, theta, pi
+    return GroupoidMap(G, Q, dec.component_of, tuple(theta))
 
 
-def quotient_modulus(Q, alpha):
-    """Mass ratio range over source of a quotient arrow."""
-    return Q.masses[Q.rng[alpha]] / Q.masses[Q.src[alpha]]
-
-
-def check_group_action_quotient(G, S, Q, theta):
-    """For an action groupoid G and the subgroupoid S of a normal subgroup's
-    arrows, verify that Q is the action groupoid of the quotient group: the
-    map (coset, component) -> class is well defined, bijective on fibers, and
-    multiplicative. Raises VerificationFailure with the first discrepancy."""
+def check_group_action_quotient(S, proj):
+    """For an action groupoid G, S the arrows of a normal subgroup and proj
+    = quotient(G, S), verify that Q is the action groupoid of the quotient
+    group: (coset, component) -> class is well defined, bijective on fibers
+    and multiplicative. Raises VerificationFailure at the first discrepancy."""
+    G, Q, comp_of, theta = proj
     group = certificate(G)
     multiply, arrow_id = group.multiply, group.arrow
     lam = sorted({group.element(g) for g in id_set(S)})
@@ -140,23 +131,19 @@ def check_group_action_quotient(G, S, Q, theta):
         cosets.append(members)
         for m in members:
             coset_of[m] = cid
-    dec_components = Q.base_components
-    comp_of = {}
-    for z, comp in enumerate(dec_components):
-        for x in comp:
-            comp_of[x] = z
+    components = arrows_by(comp_of, range(G.n_units))
 
     # well defined: theta constant over the coset and over the component
     table = {}
     for cid, members in enumerate(cosets):
-        for z, comp in enumerate(dec_components):
+        for z, comp in sorted(components.items()):
             seen = {theta[arrow_id(ei, x)] for ei in members for x in comp}
             if len(seen) != 1:
                 raise VerificationFailure(
                     f"coset {cid} over component {z} maps to classes {sorted(seen)}")
             table[(cid, z)] = seen.pop()
     # bijective on each fiber
-    for z in range(len(dec_components)):
+    for z in range(Q.n_units):
         image = {table[(cid, z)] for cid in range(len(cosets))}
         fiber = {alpha for alpha in range(Q.n_arrows) if Q.src[alpha] == z}
         if image != fiber:
@@ -167,12 +154,11 @@ def check_group_action_quotient(G, S, Q, theta):
         for cid2 in range(len(cosets)):
             e1 = min(cosets[cid1])
             e2 = min(cosets[cid2])
-            for z in range(len(dec_components)):
-                x = min(dec_components[z])
+            for z in range(Q.n_units):
+                x = components[z][0]
                 mid = comp_of[G.rng[arrow_id(e2, x)]]
                 left = Q.product(table[(cid1, mid)], table[(cid2, z)])
-                e12 = multiply(e1, e2)
-                right = table[(coset_of[e12], z)]
+                right = table[(coset_of[multiply(e1, e2)], z)]
                 if left != right:
                     raise VerificationFailure(
                         f"coset map not multiplicative at ({cid1},{cid2},{z})")

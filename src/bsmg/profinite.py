@@ -27,11 +27,6 @@ from .errors import (
 from .words import generalized_valuation
 
 
-def level_modulus(params, K, L):
-    """params.level_modulus(K, L); every modulus below is read through it."""
-    return params.level_modulus(K, L)
-
-
 class TruncatedProfiniteInt:
     """A residue at an explicit level (K, L), modulus d0 |p0|^K |q0|^L."""
 
@@ -41,11 +36,11 @@ class TruncatedProfiniteInt:
         K, L = level
         self.params = params
         self.level = (int(K), int(L))
-        self.residue = int(residue) % level_modulus(params, K, L)
+        self.residue = int(residue) % params.level_modulus(K, L)
 
     @property
     def modulus(self):
-        return level_modulus(self.params, *self.level)
+        return self.params.level_modulus(*self.level)
 
     def reduce(self, K, L):
         """The image at a coarser level (componentwise smaller or equal)."""
@@ -217,7 +212,7 @@ def torsion_shadow_valuation(x, m):
     K, L = x.level
     vp = min(generalized_valuation(m, x.params.p0), K)
     vq = min(generalized_valuation(m, x.params.q0), L)
-    target = level_modulus(x.params, K - vp, L - vq)
+    target = x.params.level_modulus(K - vp, L - vq)
     return x.residue % target == 0
 
 
@@ -228,13 +223,13 @@ def enumerate_levels(params, max_modulus):
         raise ValueError("level enumeration needs |p0|, |q0| >= 2")
     out = []
     K = 0
-    while level_modulus(params, K, 0) <= max_modulus:
+    while params.level_modulus(K, 0) <= max_modulus:
         L = 0
-        while level_modulus(params, K, L) <= max_modulus:
+        while params.level_modulus(K, L) <= max_modulus:
             out.append((K, L))
             L += 1
         K += 1
-    return sorted(out, key=lambda kl: level_modulus(params, *kl))
+    return sorted(out, key=lambda kl: params.level_modulus(*kl))
 
 
 def verify_limit_shadow(params, K, L, *, rng=None):
@@ -261,7 +256,7 @@ def verify_limit_shadow(params, K, L, *, rng=None):
     import random
 
     rng = rng or random.Random(0)
-    M = level_modulus(params, K, L)
+    M = params.level_modulus(K, L)
     d0 = params.d0
     # per (k, l): f = p0^k q0^l, the submodule step d0 |f| and the
     # reduced modulus
@@ -270,7 +265,7 @@ def verify_limit_shadow(params, K, L, *, rng=None):
         for l in range(L + 1):
             f = params.p0 ** k * params.q0 ** l
             scalings.append((k, l, f, d0 * abs(f),
-                             level_modulus(params, K - k, L - l)))
+                             params.level_modulus(K - k, L - l)))
     # raw-integer sweeps for the exhaustive part; the object API is
     # exercised on samples below so both paths stay honest
     submodule = range(0, M, d0)

@@ -62,10 +62,6 @@ def _with_units(G, ids):
     return frozenset(ids) | frozenset(range(G.n_units))
 
 
-def _restrict_ids(amap, ids):
-    return {amap[g] for g in ids if g in amap}
-
-
 # -- index laws ----------------------------------------------------------------
 
 
@@ -92,10 +88,11 @@ def check_index_laws(rng, cases):
                      unit=comp[0])
 
         A = sorted(rng.sample(range(G.n_units), rng.randint(1, G.n_units)))
-        GA, umap, amap = restrict(G, A)
-        HA = Subgroupoid(GA, _restrict_ids(amap, H.ids), check=False)
+        inc = restrict(G, A)
+        GA = inc.source
+        HA = Subgroupoid(GA, inc.preimage(H), check=False)
         for x in _sample(rng, A, 3):
-            ia = index(GA, HA, umap[x])
+            ia = index(GA, HA, A.index(x))
             _require(ia <= idx[x], "restriction raised the index",
                      groupoid=G, unit=x, subset=A)
             if dec_h.is_ergodic():
@@ -137,9 +134,9 @@ def check_index_laws(rng, cases):
                 got = index_of_pair(G, range(G.n_arrows), hl_ids, x)
                 _require(got == want, "group index value broke",
                          groupoid=G, unit=x)
-            cut = _with_units(GA, _restrict_ids(amap, hl_ids))
+            cut = _with_units(GA, inc.preimage(hl_ids))
             for x in _sample(rng, A, 2):
-                got = index_of_pair(GA, range(GA.n_arrows), cut, umap[x])
+                got = index_of_pair(GA, range(GA.n_arrows), cut, A.index(x))
                 _require(got <= want, "labeled quotient bound broke",
                          groupoid=G, unit=x, subset=A)
     return cases, f"{cases} instances, {towers} ergodic towers"
@@ -167,9 +164,10 @@ def check_local_index_laws(rng, cases):
 
             A = set(rng.sample(range(G.n_units), rng.randint(1, G.n_units)))
             A.add(x)
-            GA, umap, amap = restrict(G, sorted(A))
-            ha = _with_units(GA, _restrict_ids(amap, h_ids))
-            got = local_index_of_pair(GA, range(GA.n_arrows), ha, umap[x])
+            inc = restrict(G, A)
+            ha = _with_units(inc.source, inc.preimage(h_ids))
+            got = local_index_of_pair(inc.source, range(len(inc.arrows)), ha,
+                                      inc.units.index(x))
             _require(got == li_gh, "local index moved under restriction",
                      groupoid=G, unit=x, subset=sorted(A))
     return cases, f"{cases} towers"
@@ -207,7 +205,8 @@ def check_quotient_contract(rng, cases):
         if not is_normal_subgroup(G, lam):
             continue
         S = Subgroupoid(G, subgroup_arrow_ids(G, lam), check=False)
-        Q, theta, pi = quotient(G, S)
+        proj = quotient(G, S)
+        Q, theta = proj.target, proj.arrows
 
         kernel = {g for g in range(G.n_arrows) if theta[g] < Q.n_units}
         _require(kernel == S.ids, "projection kernel is not the subgroupoid",
@@ -217,7 +216,7 @@ def check_quotient_contract(rng, cases):
         for g in range(G.n_arrows):
             fibers.setdefault(theta[g], set()).add(G.src[g])
         for alpha, sources in fibers.items():
-            needed = set(Q.base_components[Q.src[alpha]])
+            needed = {x for x, z in enumerate(proj.units) if z == Q.src[alpha]}
             _require(sources == needed,
                      "class does not lift from every point", groupoid=G,
                      quotient_arrow=alpha)
@@ -232,9 +231,9 @@ def check_quotient_contract(rng, cases):
 
         _require(validate(Q) == [], "quotient fails the axiom check",
                  groupoid=G)
-        check_group_action_quotient(G, S, Q, theta)
-        _require(pi == [Q.src[theta[G.unit_arrow(x)]]
-                        for x in range(G.n_units)],
+        check_group_action_quotient(S, proj)
+        _require(list(proj.units) == [Q.src[theta[G.unit_arrow(x)]]
+                                      for x in range(G.n_units)],
                  "unit projection mismatch", groupoid=G)
         done += 1
     return cases, f"{cases} normal pairs"
@@ -261,8 +260,9 @@ def check_modular_transfers(rng, cases):
         if mode == 0:
             A = sorted(rng.sample(range(G.n_units),
                                   rng.randint(1, G.n_units)))
-            GA, umap, amap = restrict(G, A)
-            SA = Subgroupoid(GA, _restrict_ids(amap, s_ids), check=False)
+            inc = restrict(G, A)
+            GA = inc.source
+            SA = Subgroupoid(GA, inc.preimage(s_ids), check=False)
             D_A, _ = modular_pair(GA, SA)
             dec = ErgodicDecomposition(G, sorted(s_ids))
             in_a = set(A)
@@ -272,9 +272,8 @@ def check_modular_transfers(rng, cases):
                 cut = sum((G.masses[u] for u in comp if u in in_a),
                           Fraction(0))
                 psi[x] = cut / dec.masses[dec.component_of[x]]
-            c1 = [None] * GA.n_arrows
-            for g, ga in amap.items():
-                c1[ga] = D_S(g)
+            c1 = inc.pull(D_S.values)
+            for ga, g in enumerate(inc.arrows):
                 want = psi[G.rng[g]] * D_S(g) / psi[G.src[g]]
                 _require(D_A(ga) == want, "restriction transfer broke",
                          groupoid=G, arrow=g, subset=A)
@@ -387,11 +386,9 @@ def check_mackey_laws(rng, cases):
         for comp in dec.components:
             if not A & set(comp):
                 A.add(comp[0])
-        GA, umap, amap = restrict(G, sorted(A))
-        tau_a = [None] * GA.n_arrows
-        for g, ga in amap.items():
-            tau_a[ga] = tau[g]
-        _require(ranges_isomorphic(base, mackey_range(GA, tau_a, m)),
+        inc = restrict(G, A)
+        _require(ranges_isomorphic(base, mackey_range(inc.source,
+                                                      inc.pull(tau), m)),
                  "saturating restriction changed the Mackey range",
                  groupoid=G, modulus=m, subset=sorted(A))
     return cases, f"{cases} cocycles"
@@ -438,9 +435,9 @@ def check_qn_stability(rng, cases):
                      witness=composed)
 
         A = sorted(rng.sample(range(G.n_units), rng.randint(1, G.n_units)))
-        GA, umap, amap = restrict(G, A)
-        SA = Subgroupoid(GA, _restrict_ids(amap, S.ids), check=False)
-        for rep in witness_family(GA, SA):
+        inc = restrict(G, A)
+        SA = Subgroupoid(inc.source, inc.preimage(S), check=False)
+        for rep in witness_family(inc.source, SA):
             _require(rep.qn_class in QN_CLASSES,
                      "restriction broke the witness family", groupoid=G,
                      subset=A)

@@ -4,10 +4,11 @@ Everything here is written for obviousness, not speed: whole-word rescans,
 breadth-first walks, smallest-power searches, whole-word tree steps, orbit
 and cycle walks, trial-division factoring, a Cesaro loop on ThetaAffine
 values, bound arithmetic on interval thetas, groupoid products composed
-from the arrow labels, and the small readers of thetas, partial
-isomorphisms and components that only tests need. None of it shares code
-with the implementations under test beyond the public data types and the
-exact ThetaAffine sign, floor and division.
+from the arrow labels, a scan of the laws a groupoid map must keep, and
+the small readers of thetas, partial isomorphisms, restrictions and
+components that only tests need. None of it shares code with the
+implementations under test beyond the public data types, the exact
+ThetaAffine sign, floor and division, and the composable-pairs walk.
 """
 
 import math
@@ -27,6 +28,7 @@ from bsmg.dynamics import (
     div_by_theta,
 )
 from bsmg.errors import PrecisionError
+from bsmg.groupoid.core import composable_pairs
 from bsmg.groupoid.pseudogroup import PartialIso
 from bsmg.words import GroupWord, normalize
 
@@ -503,6 +505,50 @@ def product_violations(G):
         for (g, h), k in prod.items():
             if k is not None and rn[g] * rn[h] != rn[k]:
                 lines.append(f"attached RN values not multiplicative at ({g},{h})")
+    return lines
+
+
+def restricted_ids(inc, ids):
+    """The ids of a restriction kept from ids of its parent, in the dict form
+    callers wrote out before restrict returned a map: {amap[g] for g in ids
+    if g in amap}, amap the parent id -> restricted id dict of the inclusion
+    inc."""
+    amap = {g: i for i, g in enumerate(inc.arrows)}
+    return {amap[g] for g in ids if g in amap}
+
+
+def restricted_values(inc, values):
+    """A parent's per-arrow values copied onto a restriction one arrow at a
+    time through the same dict, as the value-copy loops did."""
+    amap = {g: i for i, g in enumerate(inc.arrows)}
+    out = [None] * inc.source.n_arrows
+    for g, i in amap.items():
+        out[i] = values[g]
+    return out
+
+
+def map_violations(m):
+    """What keeps the GroupoidMap m from being a homomorphism: an arrow whose
+    image has the wrong ends, an inverse not sent to the inverse, a unit
+    arrow not sent to a unit arrow, and a composable pair of the source
+    whose product is not sent to the product of the images."""
+    G, H, units, arrows = m.source, m.target, m.units, m.arrows
+    lines = []
+    if (len(units), len(arrows)) != (G.n_units, G.n_arrows):
+        return [f"map sizes {len(units)},{len(arrows)} for "
+                f"{G.n_units},{G.n_arrows}"]
+    for g in range(G.n_arrows):
+        a = arrows[g]
+        if (H.src[a], H.rng[a]) != (units[G.src[g]], units[G.rng[g]]):
+            lines.append(f"arrow {g} has the wrong ends")
+        if arrows[G.inv[g]] != H.inv[a]:
+            lines.append(f"inverse of arrow {g} is not kept")
+    for x in range(G.n_units):
+        if arrows[G.unit_arrow(x)] != H.unit_arrow(units[x]):
+            lines.append(f"unit arrow {x} does not go to a unit arrow")
+    for g, h, k in composable_pairs(G):
+        if k is not None and H.product(arrows[g], arrows[h]) != arrows[k]:
+            lines.append(f"product ({g},{h}) is not kept")
     return lines
 
 

@@ -614,3 +614,53 @@ class TestLongRatiosAndBounds:
         assert (code, out) == (2, "")
         assert err == (f"usage error: need kmax >= 0 and lmax >= 0, got "
                        f"({kmax},{lmax})\n")
+
+
+class TestLevelModelCap:
+    @pytest.mark.parametrize("k, l, count", [
+        ("9", "9", "634749729177600 arrows, over the cap of 1048576"),
+        ("4", "3", "1166400 arrows, over the cap of 1048576"),
+        # past the exponents where N or N' alone is over the cap, the
+        # powers are not taken
+        ("1000000", "1000000", "over 1048576 arrows")])
+    def test_a_model_over_the_cap_is_refused_at_once(self, k, l, count):
+        # refused before its arrow lists are allocated; timed inside a child
+        # process with its address space capped, so a regression fails
+        # there instead of taking this process's memory
+        script = textwrap.dedent(f"""
+            import resource, sys, time
+            resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+            from bsmg.cli import main
+            start = time.perf_counter()
+            code = main(["cocycle", "level-model", "--p", "2", "--q", "3",
+                         "--k", "{k}", "--l", "{l}"])
+            print(code, time.perf_counter() - start)
+        """)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ,
+                     PYTHONPATH=os.path.dirname(os.path.dirname(
+                         bsmg.__file__))),
+            capture_output=True, text=True, timeout=30)
+        code, seconds = done.stdout.split()
+        assert done.stderr == f"usage error: level ({k},{l}) has {count}\n"
+        assert code == "2" and float(seconds) < 1.0
+
+    def test_the_largest_benchmark_rung_is_under_the_cap(self, capsys):
+        doc = run_json(capsys, "cocycle", "level-model", "--p", "2", "--q",
+                       "3", "--k", "3", "--l", "2")
+        assert doc["floors"] == [72, 108] and (72 + 108) ** 2 <= 2 ** 20
+
+    @pytest.mark.parametrize("k, l", [("30", "-1"), ("0", "30")])
+    def test_a_level_below_the_first_is_named_as_such(self, capsys, k, l):
+        # the range check comes first, even where the cap would also refuse
+        code, out, err = run(capsys, "cocycle", "level-model", "--p", "2",
+                             "--q", "3", "--k", k, "--l", l)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: need k >= 1 and l >= 0, got ({k},{l})\n"
+
+    def test_a_level_whose_floors_do_not_grow_is_built(self, capsys):
+        # p0 = 1 in BS(2, 4): N and N' do not depend on k
+        doc = run_json(capsys, "cocycle", "level-model", "--p", "2", "--q",
+                       "4", "--k", "1000000000", "--l", "3")
+        assert doc["floors"] == [16, 32]

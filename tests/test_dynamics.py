@@ -386,8 +386,6 @@ class TestCouplingAction:
         pt = coupling_point(P23, Fraction(0), 0, (2, 0))
         with pytest.raises(LevelBudgetExceeded):
             coupling_action(GroupWord.t(-1), pt, THETA32)
-        with pytest.raises(LevelBudgetExceeded):
-            coupling_action(GroupWord.t(2), pt, THETA32, budget=1)
 
     def test_domain_and_params(self):
         bad = coupling_point(P23, Fraction(3, 2), 0, (1, 1))

@@ -24,7 +24,7 @@ EXPORTS = {
         "coset_classes", "find_invariant_vertex_map",
         "index", "index_of_pair", "induce_finite_invariant_set",
         "local_index", "local_index_of_pair", "qn_membership", "quotient",
-        "quotient_modulus", "restrict", "validate", "whole",
+        "restrict", "validate", "whole",
         "witness_family",
     ],
     "bsmg.cocycle": [

@@ -46,6 +46,7 @@ from oracles import (
     left_class_count,
     mass_transport_sum,
     product_violations,
+    restricted_ids,
 )
 
 HALF = Fraction(1, 2)
@@ -443,7 +444,7 @@ class TestIndex:
 
     def test_indices_refuse_a_subgroupoid_of_another_groupoid(self):
         m = BSLevelModel(BSParams(2, 3), 1, 0)
-        GA, _, _ = restrict(m.groupoid, [0, 1])
+        GA = restrict(m.groupoid, [0, 1]).source
         with pytest.raises(ParamMismatch):
             index(GA, m.S, 4)
         with pytest.raises(ParamMismatch):
@@ -456,18 +457,19 @@ class TestIndex:
 class TestRestrict:
     def test_basic(self):
         G = s3_action()
-        sub, unit_map, arrow_map = restrict(G, [0, 1])
+        inc = restrict(G, [0, 1])
+        sub = inc.source
         assert sub.n_units == 2
-        assert unit_map == {0: 0, 1: 1}
+        assert inc.target is G and inc.units == (0, 1)
         assert validate(sub) == []
         assert sub.masses == (THIRD, THIRD)
         # six group elements, each contributing the arrows staying in {0,1}
         assert sub.n_arrows == sum(
             1 for g in range(G.n_arrows) if G.src[g] in (0, 1) and G.rng[g] in (0, 1)
         )
-        for g, image in arrow_map.items():
-            assert unit_map[G.src[g]] == sub.src[image]
-            assert unit_map[G.rng[g]] == sub.rng[image]
+        for image, g in enumerate(inc.arrows):
+            assert G.src[g] == inc.units[sub.src[image]]
+            assert G.rng[g] == inc.units[sub.rng[image]]
 
     def test_empty_rejected(self):
         G = z3_action()
@@ -523,7 +525,7 @@ def sampled_groupoids(count):
     out = []
     for i in range(count):
         G = random_groupoid(random.Random(f"fiber-walk:{i}"))
-        R, _, _ = restrict(G, range(0, G.n_units, 2))
+        R = restrict(G, range(0, G.n_units, 2)).source
         E = FiniteMeasuredGroupoid.from_doc(G.to_doc())
         out += [G, R, E, restrict(E, range(0, G.n_units, 2))[0]]
     return out
@@ -907,10 +909,11 @@ class TestLocalIndexAgainstTheRestriction:
                              (range(G.n_arrows), k_ids), (k_ids, h_ids)):
                 amb, sub = set(amb) | units, set(sub) | units
                 for x in range(G.n_units):
-                    GA, umap, amap = restrict(G, sub_component(G, sub, x))
+                    inc = restrict(G, sub_component(G, sub, x))
                     want = left_class_count(
-                        GA, {amap[g] for g in sub if g in amap}, umap[x],
-                        ambient_ids={amap[g] for g in amb if g in amap})
+                        inc.source, restricted_ids(inc, sub),
+                        inc.units.index(x),
+                        ambient_ids=restricted_ids(inc, amb))
                     assert local_index_of_pair(G, amb, sub, x) == want
                     values[want] += 1
         assert sum(values.values()) > 400 and len(values) > 3

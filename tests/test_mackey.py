@@ -20,7 +20,7 @@ from bsmg.cocycle import (
     scaled_product_model,
 )
 from bsmg.cocycle.mackey import _int_defect_period
-from bsmg.errors import NotPowerValued
+from bsmg.errors import InfiniteComponents, NotPowerValued
 from bsmg.groupoid.core import forest_potential, validate
 from bsmg.groupoid.randomgen import partition_groupoid
 from test_groupoid_core import sampled_groupoids
@@ -204,3 +204,24 @@ class TestIntegerRange:
     def test_flow_type_preserved_case(self):
         G = partition_groupoid([HALF, HALF], [(0, 1)])
         assert flow_type(G, Fraction(3, 2)) == [TypeLabel("II")]
+
+
+class TestIntegerRangeCap:
+    """The partition must read the same on two doubled windows after the
+    first (4, 8, 16): a cap below that refuses instead of answering."""
+
+    @pytest.mark.parametrize("cap", [4, 8, 15])
+    def test_a_cap_below_two_stable_windows_refuses(self, cap):
+        cycle = scaled_product_model(Fraction(2), 3)
+        pair = partition_groupoid([HALF, HALF], [(0, 1)])
+        for G, tau in ((cycle, [0, 0, 0, 1, -1, 1, -1, 1, -1]),
+                       (pair, [0, 0, 1, -1])):
+            with pytest.raises(InfiniteComponents,
+                               match=f"^no stabilization within window "
+                                     f"{cap}$"):
+                mackey_range_int(G, tau, cap=cap)
+
+    def test_the_smallest_cap_that_answers(self):
+        cycle = scaled_product_model(Fraction(2), 3)
+        assert mackey_range_int(
+            cycle, [0, 0, 0, 1, -1, 1, -1, 1, -1], cap=16) == [3]

@@ -21,6 +21,7 @@ from bsmg.groupoid.randomgen import (
     subgroup_arrow_ids,
 )
 from bsmg.words import BSParams
+from oracles import restricted_ids
 from test_modular_pair import (LEVELS, corrupted_subs, outcome, uniform,
                                with_units)
 
@@ -62,9 +63,9 @@ def action_pairs(cases):
         s_ids = with_units(G, subgroup_arrow_ids(G, random_subgroup(rng, G)))
         yield G, Subgroupoid(G, s_ids, check=False)
         A = sorted(rng.sample(range(G.n_units), rng.randint(1, G.n_units)))
-        GA, _, amap = restrict(G, A)
-        yield GA, Subgroupoid(GA, {amap[g] for g in s_ids if g in amap},
-                              check=False)
+        inc = restrict(G, A)
+        yield inc.source, Subgroupoid(inc.source, restricted_ids(inc, s_ids),
+                                      check=False)
         yield G, random_wide_subgroupoid(rng, G)
         outside = [g for g in range(G.n_arrows) if g not in s_ids]
         if outside:

@@ -24,7 +24,7 @@ from bsmg.groupoid.randomgen import (
     subgroup_closure,
 )
 from bsmg.words import BSParams
-from oracles import label_product
+from oracles import label_product, restricted_ids
 from test_groupoid_core import pair_window, scanned
 
 THIRD = Fraction(1, 3)
@@ -97,9 +97,9 @@ def action_outcomes(cases=12):
         s_ids = with_units(G, subgroup_arrow_ids(G, lam))
         yield outcome(G, Subgroupoid(G, s_ids, check=False))
         A = sorted(rng.sample(range(G.n_units), rng.randint(1, G.n_units)))
-        GA, _, amap = restrict(G, A)
-        yield outcome(GA, Subgroupoid(
-            GA, {amap[g] for g in s_ids if g in amap}, check=False))
+        inc = restrict(G, A)
+        yield outcome(inc.source, Subgroupoid(
+            inc.source, restricted_ids(inc, s_ids), check=False))
         mid = subgroup_closure(
             G, sorted(lam) + [rng.randrange(len(G.group_elements))])
         yield outcome(G, Subgroupoid(
@@ -128,9 +128,9 @@ def random_outcomes(cases=16):
         G = uniform(random_groupoid(rng))
         H = random_wide_subgroupoid(rng, G)
         yield outcome(G, H)
-        R, _, amap = restrict(G, range(0, G.n_units, 2))
-        yield outcome(R, Subgroupoid(
-            R, {amap[g] for g in H.ids if g in amap}, check=False))
+        inc = restrict(G, range(0, G.n_units, 2))
+        yield outcome(inc.source, Subgroupoid(
+            inc.source, restricted_ids(inc, H.ids), check=False))
         E = FiniteMeasuredGroupoid.from_doc(G.to_doc())
         yield outcome(E, Subgroupoid(E, H.ids, check=False))
 

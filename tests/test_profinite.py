@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-import bsmg.profinite as profinite
 from bsmg.cocycle.levelmodel import level_sizes
 from bsmg.dynamics import periodic_model
 from bsmg.errors import (
@@ -20,7 +19,6 @@ from bsmg.profinite import (
     check_unit_fixes_level,
     enumerate_levels,
     generalized_valuation,
-    level_modulus,
     sigma_inverse,
     sigma_map,
     torsion_shadow_valuation,
@@ -40,11 +38,11 @@ T = TruncatedProfiniteInt
 
 class TestLevels:
     def test_modulus(self):
-        assert level_modulus(P23, 2, 1) == 12
-        assert level_modulus(P46, 1, 1) == 12
-        assert level_modulus(P2M3, 3, 2) == 72
+        assert P23.level_modulus(2, 1) == 12
+        assert P46.level_modulus(1, 1) == 12
+        assert P2M3.level_modulus(3, 2) == 72
         with pytest.raises(ValueError):
-            level_modulus(P23, -1, 0)
+            P23.level_modulus(-1, 0)
 
     def test_one_modulus_for_every_model(self):
         # the profinite ring, the two floors of a level model and the
@@ -55,7 +53,6 @@ class TestLevels:
                     want = params.d0 * abs(params.p0) ** k \
                         * abs(params.q0) ** l
                     assert params.level_modulus(k, l) == want
-                    assert level_modulus(params, k, l) == want
                     assert periodic_model(params, k, l).size == want
                     if k:
                         assert level_sizes(params, k, l) == (
@@ -67,7 +64,7 @@ class TestLevels:
         got = enumerate_levels(P23, 12)
         assert got == [(0, 0), (1, 0), (0, 1), (2, 0),
                        (1, 1), (3, 0), (0, 2), (2, 1)]
-        assert all(level_modulus(P23, *kl) <= 12 for kl in got)
+        assert all(P23.level_modulus(*kl) <= 12 for kl in got)
 
     def test_enumerate_needs_growing_factors(self):
         # p0 collapses to 1 when p divides q
@@ -269,12 +266,12 @@ class TestLimitShadow:
         # one reduced modulus doubled: the sweep fails at the first residue
         # it reaches there, with the message recorded before the sweeps
         # were hoisted
-        real = profinite.level_modulus
+        real = BSParams.level_modulus
 
         def doubled(params, K, L):
             return real(params, K, L) * (2 if (K, L) == bad else 1)
 
-        monkeypatch.setattr(profinite, "level_modulus", doubled)
+        monkeypatch.setattr(BSParams, "level_modulus", doubled)
         with pytest.raises(VerificationFailure) as info:
             verify_limit_shadow(BSParams(*pq), 2, 2)
         assert str(info.value) == message

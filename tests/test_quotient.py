@@ -13,7 +13,6 @@ from bsmg.groupoid.quotient import (
     induce_finite_invariant_set,
     _class_partition,
     quotient,
-    quotient_modulus,
 )
 from bsmg.groupoid.randomgen import (
     is_normal_subgroup,
@@ -41,22 +40,23 @@ class TestQuotient:
         G = z4_action()
         square = G.action_perms.index((2, 3, 0, 1))
         S = Subgroupoid(G, element_arrows(G, [0, square]))
-        Q, theta, pi = quotient(G, S)
+        proj = quotient(G, S)
+        _, Q, pi, theta = proj
         assert Q.n_units == 2
         assert Q.n_arrows == 4
         assert Q.masses == (Fraction(1, 2), Fraction(1, 2))
         assert validate(Q) == []
-        assert pi == [0, 1, 0, 1]
+        assert pi == (0, 1, 0, 1)
         assert {g for g in range(G.n_arrows) if theta[g] < Q.n_units} == set(S.ids)
-        assert check_group_action_quotient(G, S, Q, theta)
+        assert check_group_action_quotient(S, proj)
         for alpha in range(Q.n_arrows):
-            assert quotient_modulus(Q, alpha) == 1
+            assert Q.masses[Q.rng[alpha]] / Q.masses[Q.src[alpha]] == 1
 
     def test_theta_multiplicative(self):
         G = z4_action()
         square = G.action_perms.index((2, 3, 0, 1))
         S = Subgroupoid(G, element_arrows(G, [0, square]))
-        Q, theta, _ = quotient(G, S)
+        _, Q, _, theta = quotient(G, S)
         for g in range(G.n_arrows):
             for h in range(G.n_arrows):
                 if G.src[g] == G.rng[h]:
@@ -64,15 +64,15 @@ class TestQuotient:
 
     def test_by_trivial_subgroupoid(self):
         G = z3_action()
-        Q, theta, pi = quotient(G, range(G.n_units))
+        _, Q, pi, theta = quotient(G, range(G.n_units))
         assert Q.n_units == G.n_units
         assert Q.n_arrows == G.n_arrows
-        assert pi == [0, 1, 2]
+        assert pi == (0, 1, 2)
         assert validate(Q) == []
 
     def test_by_whole(self):
         G = s3_action()
-        Q, theta, pi = quotient(G, whole(G))
+        _, Q, pi, theta = quotient(G, whole(G))
         assert Q.n_units == 1
         assert Q.n_arrows == 1
         assert set(theta) == {0}
@@ -124,9 +124,10 @@ class TestQuotientInvariants:
             labels, _ = _class_partition(G, s_ids)
             assert [labels[G.unit_arrow(x)]
                     for x in range(G.n_units)] == list(comp)
-            Q, theta, pi = quotient(G, s_ids)
-            assert pi == list(comp)
-            assert [theta[G.unit_arrow(x)] for x in range(G.n_units)] == pi
+            _, Q, pi, theta = quotient(G, s_ids)
+            assert pi == comp
+            assert [theta[G.unit_arrow(x)] for x in range(G.n_units)] == \
+                list(pi)
             assert all(Q.src[theta[g]] == pi[G.src[g]]
                        and Q.rng[theta[g]] == pi[G.rng[g]]
                        for g in range(G.n_arrows))
@@ -151,7 +152,7 @@ class TestClassPartition:
             if not is_normal_subgroup(G, lam):
                 continue
             s_ids = subgroup_arrow_ids(G, lam)
-            _, theta, _ = quotient(G, Subgroupoid(G, s_ids, check=False))
+            theta = quotient(G, Subgroupoid(G, s_ids, check=False)).arrows
             _, classes = two_sided_classes(G, s_ids)
             assert sorted(classes) == sorted(
                 tuple(g for g in range(G.n_arrows) if theta[g] == c)
