@@ -13,9 +13,7 @@ _SOURCE = {
     "radon_nikodym": "core",
     "transfer_matches": "core",
     "BSLevelModel": "levelmodel",
-    "level_label_normalizer": "levelmodel",
     "level_sizes": "levelmodel",
-    "seed_maps": "levelmodel",
     "MackeyRange": "mackey",
     "TypeLabel": "mackey",
     "classify_type": "mackey",

@@ -107,7 +107,7 @@ def modular_pair(G, S, *, witnesses=None):
             "the unit arrow of every unit")
     if not (isinstance(S, Subgroupoid) and S.parent is G):
         S = Subgroupoid(G, s_ids, check=False)
-    dec = ErgodicDecomposition(G, s_ids)
+    dec = ErgodicDecomposition(S)
     values = None if witnesses is not None else _closed_form(G, s_ids, dec)
     if values is None:
         values = _witness_walk(G, S, s_ids, dec, witnesses)
@@ -148,10 +148,11 @@ def _witness_walk(G, S, s_ids, dec, witnesses):
                 s_minus.add(g)
                 s_plus.add(k)
         # both lie in S, so one as large as S is S, whose components are known
-        minus_dec, plus_dec = (
-            dec if len(sub) == len(s_ids)
-            else ErgodicDecomposition(G, sorted(sub))
-            for sub in (s_minus, s_plus))
+        minus, plus = (S if len(sub) == len(s_ids)
+                       else Subgroupoid(G, sub, check=False)
+                       for sub in (s_minus, s_plus))
+        minus_dec, plus_dec = (dec if H is S else ErgodicDecomposition(H)
+                               for H in (minus, plus))
 
         # pushforward scalar per s_minus component, constant by the measure
         # preserving assumption; asserted because it is the defining identity
@@ -169,10 +170,8 @@ def _witness_walk(G, S, s_ids, dec, witnesses):
             else:
                 scalar_of[c] = val
 
-        li_minus = local_counts(G, s_dom, Subgroupoid(G, s_minus, check=False),
-                                minus_dec.component_of, dom)
-        li_plus = local_counts(G, s_rng, Subgroupoid(G, s_plus, check=False),
-                               plus_dec.component_of, phi.range)
+        li_minus = local_counts(G, s_dom, minus, dom)
+        li_plus = local_counts(G, s_rng, plus, phi.range)
 
         for x in sorted(dom):
             g0 = phi.arrow(x)

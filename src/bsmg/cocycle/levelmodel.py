@@ -13,9 +13,12 @@ every raise arrow.
 
 Arrow labels name the partial map whose germ the arrow is: ("a", m) for a
 rotation within a floor, ("t", j, i) for the raise a^j t a^i with
-0 <= i < |p|, and ("T", j, i) for its inverse. A matching label normalizer
-is provided so the same model can be grown generically from seed maps; the
-direct construction is the fast path.
+0 <= i < |p|, and ("T", j, i) for its inverse.
+
+The model is the pair groupoid on its units by construction: its id layout
+is a bijection onto the unit pairs, which pair_to_id inverts. So the arrays
+are written block by block along that layout, and the groupoid carries its
+PairCertificate from the start (one component) instead of rediscovering it.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ class BSLevelModel:
         self.params = params
         self.k = k
         self.l = l
+        too_many = f"level ({k},{l}) has over {MAX_ARROWS} arrows"
         # N >= 2^k if |p0| > 1 and N' >= 2^l if |q0| > 1: refused before powers
         over = k > 20 and abs(params.p0) > 1 or l > 20 and abs(params.q0) > 1
         if over and k >= 1 and l >= 0:
-            raise InvalidLevel(f"level ({k},{l}) has over {MAX_ARROWS} arrows")
+            raise InvalidLevel(too_many)
         self.N, self.Nprime = level_sizes(params, k, l)
         p, q = params.p, params.q
         N, Np = self.N, self.Nprime
@@ -69,7 +73,10 @@ class BSLevelModel:
         base_tt = base_t + N * Np
         n_arrows = base_tt + N * Np
         if n_arrows > MAX_ARROWS:
-            raise InvalidLevel(f"level ({k},{l}) has {n_arrows} arrows, over "
+            # a count past 64 bits is not printed: str refuses ints of over
+            # 4300 digits, and such a count says no more than "over"
+            raise InvalidLevel(too_many if n_arrows >> 64 else
+                               f"level ({k},{l}) has {n_arrows} arrows, over "
                                f"the cap of {MAX_ARROWS}")
 
         def pair_to_id(s, r):
@@ -85,47 +92,57 @@ class BSLevelModel:
             return base_tt + (s - N) * N + r
 
         self.pair_to_id = pair_to_id
-        src = [0] * n_arrows
-        rng = [0] * n_arrows
-        inv = [0] * n_arrows
-        labels = [None] * n_arrows
-        for x in range(total):
-            src[x] = rng[x] = inv[x] = x
-            labels[x] = ("a", 0)
-        for x in range(N):
-            for y in range(N):
-                if x == y:
-                    continue
-                gid = pair_to_id(x, y)
-                src[gid], rng[gid] = x, y
-                inv[gid] = pair_to_id(y, x)
-                labels[gid] = ("a", (y - x) % N)
-        for xj in range(Np):
-            for yj in range(Np):
-                if xj == yj:
-                    continue
-                gid = pair_to_id(N + xj, N + yj)
-                src[gid], rng[gid] = N + xj, N + yj
-                inv[gid] = pair_to_id(N + yj, N + xj)
-                labels[gid] = ("a", (yj - xj) % Np)
+        # the arrays follow the id layout block by block: arrow ids ascend
+        # along each row of a block, so every row is a run of ranges that
+        # pair_to_id inverts; a label is read off a table of shared tuples
+        # (one for the rotations of both floors: N <= N' as |p| <= |q|)
+        turns = [("a", d) for d in range(Np)]
+        src = list(range(total))
+        rng = list(range(total))
+        inv = list(range(total))
+        labels = turns[:1] * total
+        for base, off, size in ((base0, 0, N), (base1, N, Np)):
+            # the arrow s -> r within a floor, s != r, and its inverse
+            # r -> s, whose id is base + r (size - 1) + s - (s > r)
+            for s in range(size):
+                src += [off + s] * (size - 1)
+                rng += range(off, off + s)
+                rng += range(off + s + 1, off + size)
+                inv += range(base + s - 1, base + s * size - 1, size - 1)
+                inv += range(base + (s + 1) * (size - 1) + s,
+                             base + size * (size - 1), size - 1)
+                labels += turns[size - s:size]
+                labels += turns[1:size - s]
+        # the raise x -> N + y is a^j t a^i with i = -x mod |p| and
+        # j = y - phi_t(x + i) mod N'; its inverse N + y -> x is labelled
+        # ("T", j, i)
+        tables = {}
+        lower_rows = []  # the "T" table of each x and its shift, j - y
         for x in range(N):
             i = (-x) % ap
-            fx = phi_t((x + i) % N)
-            for yj in range(Np):
-                j = (yj - fx) % Np
-                gid = pair_to_id(x, N + yj)
-                src[gid], rng[gid] = x, N + yj
-                inv[gid] = pair_to_id(N + yj, x)
-                labels[gid] = ("t", j, i)
-                tid = inv[gid]
-                src[tid], rng[tid] = N + yj, x
-                inv[tid] = gid
-                labels[tid] = ("T", j, i)
+            if i not in tables:
+                tables[i] = ([("t", j, i) for j in range(Np)],
+                             [("T", j, i) for j in range(Np)])
+            raises, lowers = tables[i]
+            shift = (-phi_t((x + i) % N)) % Np
+            lower_rows.append((lowers, shift))
+            src += [x] * Np
+            rng += range(N, total)
+            inv += range(base_tt + x, n_arrows, N)
+            labels += raises[shift:]
+            labels += raises[:shift]
+        for y in range(Np):
+            src += [N + y] * N
+            rng += range(N)
+            inv += range(base_t + y, base_tt, Np)
+            labels += [lowers[(y + shift) % Np] for lowers, shift in lower_rows]
 
         masses = [Fraction(1, total)] * total
         names = [f"0:{x}" for x in range(N)] + [f"1:{j}" for j in range(Np)]
+        # every unit pair carries one arrow: one component
         self.groupoid = FiniteMeasuredGroupoid.principal(
-            names, masses, src, rng, inv, labels, pair_to_id)
+            names, masses, src, rng, inv, labels, pair_to_id,
+            components=(0,) * total)
         self.S = Subgroupoid(self.groupoid, range(base_t), check=False)
         self.t_arrow_ids = range(base_t, base_tt)
         self.lower_arrow_ids = range(base_tt, n_arrows)
@@ -183,97 +200,3 @@ class BSLevelModel:
             checked += 1
         return checked
 
-
-def level_label_normalizer(params, k, l):
-    """Word normalizer for growing the same model from seed maps.
-
-    Seed alphabet: 1 = floor-0 rotation, 2 = floor-1 rotation, 3 = floor
-    raise; negatives are inverses. Words are read left to right with the
-    rightmost letter acting first. The normal form keeps rotation runs
-    reduced modulo the floor size, the run to the right of a raise reduced
-    into [0, |p|) with the carry pushed left across it as a floor-1 rotation
-    (and symmetrically for lowers, modulo |q| with a floor-0 carry), and
-    cancels adjacent raise/lower pairs. Maintaining those run bounds makes
-    every pinch surface as a bare cancellation, so no other rule is needed.
-    """
-    N, Np = level_sizes(params, k, l)
-    p, q = params.p, params.q
-    ap, aq = abs(p), abs(q)
-
-    def normalize(word):
-        out = []  # syllables ("a", floor, exp in [1, size)) and ("t", +-1)
-
-        def push_a(floor, delta):
-            size = N if floor == 0 else Np
-            if out and out[-1][0] == "a" and out[-1][1] == floor:
-                delta = (out[-1][2] + delta) % size
-                out.pop()
-            else:
-                delta %= size
-            if delta == 0:
-                return
-            out.append(("a", floor, delta))
-            if len(out) < 2 or out[-2][0] != "t":
-                return
-            e = out[-2][1]
-            if e == 1 and floor == 0 and delta >= ap:
-                r = delta % ap
-                s = (delta - r) // p  # exact: |p| divides delta - r
-                carry = (q * s) % Np
-                out.pop()
-                out.pop()
-                push_a(1, carry)
-                push_t(1)
-                if r:
-                    # through push_a: the re-pushed raise may have canceled,
-                    # leaving a floor-0 run to merge with
-                    push_a(0, r)
-            elif e == -1 and floor == 1 and delta >= aq:
-                r = delta % aq
-                s = (delta - r) // q
-                carry = (p * s) % N
-                out.pop()
-                out.pop()
-                push_a(0, carry)
-                push_t(-1)
-                if r:
-                    push_a(1, r)
-
-        def push_t(e):
-            if out and out[-1] == ("t", -e):
-                out.pop()
-            else:
-                out.append(("t", e))
-
-        for sym in word:
-            if sym in (1, -1):
-                push_a(0, 1 if sym > 0 else -1)
-            elif sym in (2, -2):
-                push_a(1, 1 if sym > 0 else -1)
-            elif sym == 3:
-                push_t(1)
-            elif sym == -3:
-                push_t(-1)
-            else:
-                raise ValueError(f"unknown letter {sym}")
-        flat = []
-        for syll in out:
-            if syll[0] == "a":
-                flat.extend([1 if syll[1] == 0 else 2] * syll[2])
-            else:
-                flat.append(3 * syll[1])
-        return tuple(flat)
-
-    return normalize
-
-
-def seed_maps(params, k, l):
-    """The three partial maps that generate the level model generically:
-    the two floor rotations and the floor raise, on global unit indices."""
-    N, Np = level_sizes(params, k, l)
-    p, q = params.p, params.q
-    ap = abs(p)
-    rot0 = {x: (x + 1) % N for x in range(N)}
-    rot1 = {N + j: N + (j + 1) % Np for j in range(Np)}
-    raise_map = {z: N + (q * (z // p)) % Np for z in range(0, N, ap)}
-    return [rot0, rot1, raise_map]

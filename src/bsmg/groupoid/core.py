@@ -145,7 +145,8 @@ class FiniteMeasuredGroupoid:
         # 3.11.
         self._src_fibers = None
         self._rng_fibers = None
-        # certificate(G): set by from_group_action, else computed on first use
+        # certificate(G): set by from_group_action and principal(components=),
+        # else computed on first use
         self._certificate = _UNCHECKED
         self.product_complete = product_complete
         self.rn_values = tuple(rn_values) if rn_values is not None else None
@@ -218,14 +219,26 @@ class FiniteMeasuredGroupoid:
 
     @classmethod
     def principal(cls, unit_names, masses, src, rng, inv, labels, pair_map, *,
-                  rn_values=None):
+                  rn_values=None, components=None):
         """A principal groupoid: at most one arrow per (source, range) pair,
         pair_map(s, r) its id (None where there is none), and g . h is
-        pair_map(s(h), r(g)). The pair certificate is tried on first use."""
+        pair_map(s(h), r(g)).
+
+        components, when given, labels each unit with its component,
+        numbered by lowest unit as component_labels numbers them, and the
+        caller vouches that the arrows are exactly the unit pairs of each
+        component: the PairCertificate is then stated at once, its spanning
+        arrows pair_map(root, x), n calls. Otherwise the certificate is
+        tried on first use (_certify_pair)."""
         src, rng = tuple(src), tuple(rng)
         G = cls(unit_names, masses, src, rng, inv, labels,
                 lambda g, h: pair_map(src[h], rng[g]), rn_values=rn_values)
         G._principal = pair_map
+        if components is not None:
+            roots = {}
+            G._certificate = PairCertificate(tuple(components), tuple(
+                pair_map(roots.setdefault(c, x), x)
+                for x, c in enumerate(components)))
         return G
 
     @classmethod
@@ -537,6 +550,7 @@ class Subgroupoid:
         require_arrows(parent, ids)
         self.ids = frozenset(ids)
         self._by_src = None
+        self._component_of = None
         # [parent : self] at every unit when the parent is a certified pair
         # groupoid and this arrow set is closed under inverse; see index
         self._indices = _UNCHECKED
@@ -551,6 +565,18 @@ class Subgroupoid:
         if self._by_src is None:
             self._by_src = arrows_by(self.parent.src, sorted(self.ids))
         return self._by_src
+
+    @property
+    def component_of(self):
+        """The component label of every unit under this subgroupoid's
+        arrows (component_labels: numbered by lowest unit), a tuple; the
+        one union-find of a subgroupoid, run once, on first use."""
+        if self._component_of is None:
+            src, rng = self.parent.src, self.parent.rng
+            self._component_of = tuple(component_labels(
+                self.parent.n_units, [src[g] for g in self.ids],
+                [rng[g] for g in self.ids]))
+        return self._component_of
 
     @classmethod
     def generated_by(cls, parent, arrow_ids):
@@ -634,19 +660,15 @@ class ErgodicDecomposition:
 
     def __init__(self, G, arrow_ids=None):
         if isinstance(G, Subgroupoid):
-            parent = G.parent
-            ids = G.sorted_ids()
+            self.parent = G.parent
+            labels = G.component_of
         else:
-            parent, ids = G, range(G.n_arrows)
+            self.parent, ids = G, range(G.n_arrows)
             if arrow_ids is not None:
                 ids = list(arrow_ids)
                 require_arrows(G, ids)
-        self.parent = parent
-        labels = component_labels(
-            parent.n_units,
-            [parent.src[g] for g in ids],
-            [parent.rng[g] for g in ids],
-        )
+            labels = component_labels(G.n_units, [G.src[g] for g in ids],
+                                      [G.rng[g] for g in ids])
         self.component_of = tuple(labels)
         n_comp = max(labels) + 1 if labels else 0
         comps = [[] for _ in range(n_comp)]
@@ -759,8 +781,9 @@ def certificate(G):
     """What G is known to be exactly, or None. Cached on G.
 
     - A PairCertificate (kind "pair"): G is the pair groupoid of its
-      components. Computed on first use for a groupoid with a principal map
-      (level models, partition groupoids and their restrictions).
+      components. Stated at construction by principal(components=...)
+      (level models, partition groupoids); computed on first use for any
+      other groupoid with a principal map (their restrictions).
     - An ActionCertificate (kind "action"): G is the action groupoid of a
       finite permutation group, the group object from_group_action built G
       from and composes G's products with.
@@ -864,10 +887,8 @@ class PairCertificate:
         ids = H.ids
         if any(G.inv[g] not in ids for g in ids):
             return None
-        h_labels = component_labels(G.n_units, [G.src[g] for g in ids],
-                                    [G.rng[g] for g in ids])
         inner = {}
-        for c, h in zip(self.component_of, h_labels):
+        for c, h in zip(self.component_of, H.component_of):
             inner.setdefault(c, set()).add(h)
         return tuple(len(inner[c]) for c in self.component_of)
 
@@ -1154,16 +1175,16 @@ def local_index_of_pair(G, ambient_ids, sub_ids, x):
     local_counts. Raises UnknownUnit when x is not a unit of G."""
     require_unit(G, x)
     sub = Subgroupoid(G, sub_ids, check=False)
-    labels = ErgodicDecomposition(sub).component_of
-    return local_counts(G, set(ambient_ids), sub, labels, [x])[x]
+    return local_counts(G, set(ambient_ids), sub, [x])[x]
 
 
-def local_counts(G, ambient_ids, sub, component_of, units):
+def local_counts(G, ambient_ids, sub, units):
     """{x: [[ambient : sub]]_x as a Fraction} for x in units, counted once
-    per component of the Subgroupoid sub (labelled by component_of): the
-    count in G's restriction to it is index_of_pair over the ambient arrows
-    of s^-1(x) ending in it, since s.h ends where s ends. ambient_ids is
+    per component of the Subgroupoid sub (sub.component_of): the count in
+    G's restriction to it is index_of_pair over the ambient arrows of
+    s^-1(x) ending in it, since s.h ends where s ends. ambient_ids is
     tested for membership: pass a set or a range."""
+    component_of = sub.component_of
     per_comp = {}
     for x in units:
         c = component_of[x]

@@ -51,8 +51,19 @@ def refine_blocks(rng, blocks):
 
 
 def partition_groupoid(masses, blocks):
-    """Principal groupoid whose classes are the given partition blocks."""
+    """Principal groupoid whose classes are the given partition blocks,
+    which must be disjoint (ValueError); a unit in no block is a class of
+    its own. The classes are the components, so the pair certificate is
+    stated with the groupoid."""
     n = len(masses)
+    block_of = {x: i for i, block in enumerate(blocks) for x in block}
+    if len(block_of) != sum(map(len, blocks)):
+        raise ValueError("partition blocks must be disjoint")
+    # classes numbered by lowest unit; -1 - x keys the class of a unit x in
+    # no block
+    numbered = {}
+    components = [numbered.setdefault(block_of.get(x, -1 - x), len(numbered))
+                  for x in range(n)]
     names = [f"x{i}" for i in range(n)]
     src = list(range(n))
     rng_ = list(range(n))
@@ -74,7 +85,7 @@ def partition_groupoid(masses, blocks):
         return s if s == r else pair_id.get((s, r))
 
     return FiniteMeasuredGroupoid.principal(names, masses, src, rng_, inv,
-                                            labels, pmap)
+                                            labels, pmap, components=components)
 
 
 def relation_arrow_ids(G, blocks):

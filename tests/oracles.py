@@ -6,7 +6,8 @@ and cycle walks, trial-division factoring, a Cesaro loop on ThetaAffine
 values, bound arithmetic on interval thetas, groupoid products composed
 from the arrow labels, a scan of the laws a groupoid map must keep, and
 the small readers of thetas, partial isomorphisms, restrictions and
-components that only tests need. None of it shares code with the
+components that only tests need, and the level model grown from its seed
+maps or written one arrow at a time. None of it shares code with the
 implementations under test beyond the public data types, the exact
 ThetaAffine sign, floor and division, and the composable-pairs walk.
 """
@@ -15,6 +16,7 @@ import math
 from fractions import Fraction
 
 from bsmg import tree
+from bsmg.cocycle.levelmodel import level_sizes
 from bsmg.dynamics import (
     _ZERO,
     CesaroReport,
@@ -683,3 +685,156 @@ def cesaro_reference(base, theta, A1, B1, A2, B2, horizon, *,
                         _to_float(theta, target_affine),
                         abs(_to_float(theta, gap)), repr(gap), gap,
                         independent_from, samples, burn_in_bound)
+
+
+# -- the level model, grown from seed maps and written arrow by arrow -------
+
+
+def level_label_normalizer(params, k, l):
+    """Word normalizer for growing the same model from seed maps.
+
+    Seed alphabet: 1 = floor-0 rotation, 2 = floor-1 rotation, 3 = floor
+    raise; negatives are inverses. Words are read left to right with the
+    rightmost letter acting first. The normal form keeps rotation runs
+    reduced modulo the floor size, the run to the right of a raise reduced
+    into [0, |p|) with the carry pushed left across it as a floor-1 rotation
+    (and symmetrically for lowers, modulo |q| with a floor-0 carry), and
+    cancels adjacent raise/lower pairs. Maintaining those run bounds makes
+    every pinch surface as a bare cancellation, so no other rule is needed.
+    """
+    N, Np = level_sizes(params, k, l)
+    p, q = params.p, params.q
+    ap, aq = abs(p), abs(q)
+
+    def normalize(word):
+        out = []  # syllables ("a", floor, exp in [1, size)) and ("t", +-1)
+
+        def push_a(floor, delta):
+            size = N if floor == 0 else Np
+            if out and out[-1][0] == "a" and out[-1][1] == floor:
+                delta = (out[-1][2] + delta) % size
+                out.pop()
+            else:
+                delta %= size
+            if delta == 0:
+                return
+            out.append(("a", floor, delta))
+            if len(out) < 2 or out[-2][0] != "t":
+                return
+            e = out[-2][1]
+            if e == 1 and floor == 0 and delta >= ap:
+                r = delta % ap
+                s = (delta - r) // p  # exact: |p| divides delta - r
+                carry = (q * s) % Np
+                out.pop()
+                out.pop()
+                push_a(1, carry)
+                push_t(1)
+                if r:
+                    # through push_a: the re-pushed raise may have canceled,
+                    # leaving a floor-0 run to merge with
+                    push_a(0, r)
+            elif e == -1 and floor == 1 and delta >= aq:
+                r = delta % aq
+                s = (delta - r) // q
+                carry = (p * s) % N
+                out.pop()
+                out.pop()
+                push_a(0, carry)
+                push_t(-1)
+                if r:
+                    push_a(1, r)
+
+        def push_t(e):
+            if out and out[-1] == ("t", -e):
+                out.pop()
+            else:
+                out.append(("t", e))
+
+        for sym in word:
+            if sym in (1, -1):
+                push_a(0, 1 if sym > 0 else -1)
+            elif sym in (2, -2):
+                push_a(1, 1 if sym > 0 else -1)
+            elif sym == 3:
+                push_t(1)
+            elif sym == -3:
+                push_t(-1)
+            else:
+                raise ValueError(f"unknown letter {sym}")
+        flat = []
+        for syll in out:
+            if syll[0] == "a":
+                flat.extend([1 if syll[1] == 0 else 2] * syll[2])
+            else:
+                flat.append(3 * syll[1])
+        return tuple(flat)
+
+    return normalize
+
+
+def seed_maps(params, k, l):
+    """The three partial maps that generate the level model generically:
+    the two floor rotations and the floor raise, on global unit indices."""
+    N, Np = level_sizes(params, k, l)
+    p, q = params.p, params.q
+    ap = abs(p)
+    rot0 = {x: (x + 1) % N for x in range(N)}
+    rot1 = {N + j: N + (j + 1) % Np for j in range(Np)}
+    raise_map = {z: N + (q * (z // p)) % Np for z in range(0, N, ap)}
+    return [rot0, rot1, raise_map]
+
+
+def level_arrays_by_pairs(params, k, l):
+    """(src, rng, inv, labels) of the level model at (k, l), written one
+    arrow at a time through the pair-to-id map of its id layout, with a new
+    label tuple per arrow: the per-arrow construction the floor blocks of
+    BSLevelModel replaced."""
+    N, Np = level_sizes(params, k, l)
+    p, q = params.p, params.q
+    total = N + Np
+    ap = abs(p)
+    base0 = total
+    base1 = base0 + N * (N - 1)
+    base_t = base1 + Np * (Np - 1)
+    base_tt = base_t + N * Np
+    n_arrows = base_tt + N * Np
+
+    def pair_to_id(s, r):
+        if s == r:
+            return s
+        if s < N and r < N:
+            return base0 + s * (N - 1) + (r if r < s else r - 1)
+        if s >= N and r >= N:
+            sj, rj = s - N, r - N
+            return base1 + sj * (Np - 1) + (rj if rj < sj else rj - 1)
+        if s < N:
+            return base_t + s * Np + (r - N)
+        return base_tt + (s - N) * N + r
+
+    src = [0] * n_arrows
+    rng = [0] * n_arrows
+    inv = [0] * n_arrows
+    labels = [None] * n_arrows
+    for x in range(total):
+        src[x] = rng[x] = inv[x] = x
+        labels[x] = ("a", 0)
+    for off, size in ((0, N), (N, Np)):
+        for x in range(size):
+            for y in range(size):
+                if x != y:
+                    gid = pair_to_id(off + x, off + y)
+                    src[gid], rng[gid] = off + x, off + y
+                    inv[gid] = pair_to_id(off + y, off + x)
+                    labels[gid] = ("a", (y - x) % size)
+    for x in range(N):
+        i = (-x) % ap
+        fx = (q * ((x + i) % N // p)) % Np
+        for yj in range(Np):
+            j = (yj - fx) % Np
+            gid = pair_to_id(x, N + yj)
+            tid = pair_to_id(N + yj, x)
+            src[gid], rng[gid], inv[gid] = x, N + yj, tid
+            src[tid], rng[tid], inv[tid] = N + yj, x, gid
+            labels[gid], labels[tid] = ("t", j, i), ("T", j, i)
+    return src, rng, inv, labels

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 
 import pytest
@@ -664,3 +665,17 @@ class TestLevelModelCap:
         doc = run_json(capsys, "cocycle", "level-model", "--p", "2", "--q",
                        "4", "--k", "1000000000", "--l", "3")
         assert doc["floors"] == [16, 32]
+
+    @pytest.mark.parametrize("p, q, k, l", [
+        (10 ** 2200, 10 ** 2200 + 1, 1, 0),
+        (2, 3, 20, 20)], ids=["p=10^2200", "level-20-20"])
+    def test_a_count_past_64_bits_is_not_printed(self, capsys, p, q, k, l):
+        # (N + N')^2 of BS(10^2200, 10^2200 + 1) has 4401 digits, past the
+        # 4300 that str converts; p and q are written out in full
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cocycle", "level-model", "--p", str(p),
+                             "--q", str(q), "--k", str(k), "--l", str(l))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (f"usage error: level ({k},{l}) has over 1048576 "
+                       "arrows\n")

@@ -14,12 +14,10 @@ from bsmg.cocycle import (
     ZModAdd,
     coboundary,
     cohomologous,
-    level_label_normalizer,
     level_sizes,
     modular_pair,
     one_loop_model,
     radon_nikodym,
-    seed_maps,
     transfer_matches,
 )
 from bsmg.errors import (
@@ -39,7 +37,7 @@ from bsmg.groupoid.core import (
 from bsmg.groupoid.pseudogroup import PartialIso
 from bsmg.groupoid.randomgen import partition_groupoid, random_action_instance
 from bsmg.words import BSParams
-from oracles import label_product
+from oracles import label_product, level_label_normalizer, seed_maps
 from test_groupoid_core import (element_arrows, s3_action, scanned,
                                 swap_window, z3_action)
 

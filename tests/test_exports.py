@@ -30,10 +30,10 @@ EXPORTS = {
     "bsmg.cocycle": [
         "BSLevelModel", "GroupoidCocycle", "MackeyRange", "QPos",
         "TypeLabel", "ZAdd", "ZModAdd", "classify_type", "coboundary",
-        "cohomologous", "flow_type", "level_label_normalizer", "level_sizes",
+        "cohomologous", "flow_type", "level_sizes",
         "mackey_range", "mackey_range_int", "modular_pair", "one_loop_model",
         "power_exponents", "radon_nikodym", "ranges_isomorphic",
-        "scaled_product_model", "seed_maps", "transfer_matches",
+        "scaled_product_model", "transfer_matches",
     ],
 }
 

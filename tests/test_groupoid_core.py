@@ -9,9 +9,7 @@ import pytest
 
 from bsmg.cocycle.levelmodel import (
     BSLevelModel,
-    level_label_normalizer,
     level_sizes,
-    seed_maps,
 )
 from bsmg.cocycle.mackey import scaled_product_model
 from bsmg.cocycle.values import GroupoidCocycle, QPos
@@ -44,9 +42,11 @@ from oracles import (
     conditional_mass,
     label_product,
     left_class_count,
+    level_label_normalizer,
     mass_transport_sum,
     product_violations,
     restricted_ids,
+    seed_maps,
 )
 
 HALF = Fraction(1, 2)

@@ -11,8 +11,7 @@ from pathlib import Path
 import pytest
 
 import bsmg
-from bsmg.cocycle.levelmodel import (BSLevelModel, level_label_normalizer,
-                                     level_sizes, seed_maps)
+from bsmg.cocycle.levelmodel import BSLevelModel, level_sizes
 from bsmg.cocycle.mackey import one_loop_model, scaled_product_model
 from bsmg.errors import BsmgError, InvalidDocument
 from bsmg.groupoid.core import (FiniteMeasuredGroupoid, Subgroupoid,
@@ -24,7 +23,8 @@ from bsmg.groupoid.randomgen import (is_normal_subgroup, partition_groupoid,
                                      random_masses, random_partition,
                                      random_subgroup, subgroup_arrow_ids)
 from bsmg.words import BSParams
-from oracles import label_product, product_violations
+from oracles import (label_product, level_label_normalizer,
+                     product_violations, seed_maps)
 from test_cocycles import action_samples
 
 PACKAGE = Path(bsmg.__file__).parent
