@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import InvalidLevel, VerificationFailure
+from ..errors import (InvalidLevel, SizeCapExceeded, VerificationFailure,
+                      require_under_cap)
 from ..groupoid.core import FiniteMeasuredGroupoid, Subgroupoid
 from ..groupoid.pseudogroup import PartialIso
 from .core import modular_pair
@@ -47,11 +48,11 @@ class BSLevelModel:
         self.params = params
         self.k = k
         self.l = l
-        too_many = f"level ({k},{l}) has over {MAX_ARROWS} arrows"
         # N >= 2^k if |p0| > 1 and N' >= 2^l if |q0| > 1: refused before powers
         over = k > 20 and abs(params.p0) > 1 or l > 20 and abs(params.q0) > 1
         if over and k >= 1 and l >= 0:
-            raise InvalidLevel(too_many)
+            raise SizeCapExceeded(
+                f"level ({k},{l}) has over {MAX_ARROWS} arrows")
         self.N, self.Nprime = level_sizes(params, k, l)
         p, q = params.p, params.q
         N, Np = self.N, self.Nprime
@@ -72,12 +73,8 @@ class BSLevelModel:
         base_t = base1 + Np * (Np - 1)
         base_tt = base_t + N * Np
         n_arrows = base_tt + N * Np
-        if n_arrows > MAX_ARROWS:
-            # a count past 64 bits is not printed: str refuses ints of over
-            # 4300 digits, and such a count says no more than "over"
-            raise InvalidLevel(too_many if n_arrows >> 64 else
-                               f"level ({k},{l}) has {n_arrows} arrows, over "
-                               f"the cap of {MAX_ARROWS}")
+        require_under_cap(n_arrows, MAX_ARROWS, f"level ({k},{l}) has",
+                          "arrows")
 
         def pair_to_id(s, r):
             if s == r:

@@ -20,11 +20,15 @@ from fractions import Fraction
 from math import gcd
 
 from .._kernels import component_labels
-from ..errors import InfiniteComponents, NotPowerValued, VerificationFailure
+from ..errors import (InfiniteComponents, NotPowerValued,
+                      VerificationFailure, require_under_cap)
 from ..groupoid.core import forest_potential
 from ..words import generalized_valuation
 from .core import radon_nikodym
 from .values import GroupoidCocycle, QPos, ZAdd, ZModAdd
+
+# the most units scaled_product_model may give its cycle
+MAX_CYCLE = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -305,7 +309,8 @@ def scaled_product_model(ratio, n):
     arrows i -> i+1 each carry Radon-Nikodym value ratio. Its type is
     III_{ratio**n} (mapped below 1) and the exponent flow has translation
     period n.
-    ratio must be positive and n at least 1 (ValueError otherwise)."""
+    ratio must be positive and n at least 1 (ValueError otherwise), and n
+    at most MAX_CYCLE (SizeCapExceeded)."""
     from ..groupoid.core import FiniteMeasuredGroupoid
 
     ratio = Fraction(ratio)
@@ -313,6 +318,7 @@ def scaled_product_model(ratio, n):
         raise ValueError(f"the cycle needs n >= 1 units, got {n}")
     if ratio <= 0:
         raise ValueError("Radon-Nikodym values must be positive")
+    require_under_cap(n, MAX_CYCLE, "the cycle has", "units")
     arrows = []
     pairs = []
     rn = []

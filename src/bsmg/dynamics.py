@@ -38,9 +38,15 @@ from .errors import (
     ParamMismatch,
     PrecisionError,
     VerificationFailure,
+    require_under_cap,
 )
 from .profinite import TruncatedProfiniteInt
 from .words import GroupWord, commutator, is_identity, modular_hom, same_element
+
+# the most orbit points rotation_model_orbit may sort on the golden path
+MAX_STEPS = 2 ** 20
+# the most units component_counts may label, n (kmax + 1)(lmax + 1)
+MAX_TABLE_UNITS = 2 ** 20
 
 
 # -- theta ------------------------------------------------------------------
@@ -524,7 +530,7 @@ def rotation_model_orbit(theta, N, steps=0):
     the circle. The golden ratio returns the exact star discrepancy of the
     first `steps` points, computed on a Fibonacci convergent grid fine
     enough that the convergent and the true orbit cannot differ at the
-    reported scale.
+    reported scale. More than MAX_STEPS steps raise SizeCapExceeded.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -538,6 +544,7 @@ def rotation_model_orbit(theta, N, steps=0):
         raise ValueError("orbit statistics need a rational or golden theta")
     if steps < 1:
         raise ValueError("steps must be positive for the irrational path")
+    require_under_cap(steps, MAX_STEPS, "the orbit has", "steps")
     m = 2
     while _fib(m + 1) < steps * steps:
         m += 1
@@ -799,13 +806,16 @@ def component_counts(c, n, r, s, kmax, lmax):
     0 <= k <= kmax, 0 <= l <= lmax: the components of x -- x + step
     (component_labels), cross-checked against the gcd closed form; the two
     ladder divisibility laws are asserted over the table. A negative bound
-    raises ValueError and a step c that is not a unit mod n NotErgodic (a
-    ValueError), before any orbit is counted."""
+    raises ValueError, a table of over MAX_TABLE_UNITS units SizeCapExceeded
+    and a step c that is not a unit mod n NotErgodic (a ValueError), before
+    any orbit is counted."""
     if n < 1 or r < 1 or s < 1:
         raise ValueError("moduli and scaling steps must be positive")
     if kmax < 0 or lmax < 0:
         raise ValueError(
             f"need kmax >= 0 and lmax >= 0, got ({kmax},{lmax})")
+    require_under_cap(n * (kmax + 1) * (lmax + 1), MAX_TABLE_UNITS,
+                      "the table has", "units")
     if gcd(c, n) != 1:
         raise NotErgodic(
             f"the step must be a unit mod {n}, got {c} (gcd {gcd(c, n)})")
@@ -813,11 +823,12 @@ def component_counts(c, n, r, s, kmax, lmax):
     units = range(n)
     for k in range(kmax + 1):
         for l in range(lmax + 1):
-            step = (r ** k * s ** l * c) % n
+            # r^k reduced as it is raised; gcd(step, n) = gcd(r^k s^l c, n)
+            step = pow(r, k, n) * pow(s, l, n) * c % n
             labels = component_labels(n, units,
                                       [(x + step) % n for x in units])
             orbits = max(labels) + 1
-            if orbits != gcd(r ** k * s ** l * c, n):
+            if orbits != gcd(step, n):
                 raise VerificationFailure(
                     f"orbit count at ({k},{l}) disagrees with the gcd form")
             table[(k, l)] = orbits

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the size-cap refusal."""
 
 
 class BsmgError(Exception):
@@ -82,6 +82,19 @@ class NotPowerValued(BsmgError):
 
 class InvalidLevel(BsmgError, ValueError):
     """Level parameters out of range."""
+
+
+class SizeCapExceeded(BsmgError, ValueError):
+    """An input over its module's size cap, refused before it is allocated."""
+
+
+def require_under_cap(size, cap, what, noun):
+    """Raise SizeCapExceeded, naming what, size and cap, when size > cap. A
+    size past 64 bits reads "over": str refuses ints of over 4300 digits."""
+    if size > cap:
+        raise SizeCapExceeded(
+            f"{what} over {cap} {noun}" if size >> 64
+            else f"{what} {size} {noun}, over the cap of {cap}")
 
 
 class ParamMismatch(BsmgError):

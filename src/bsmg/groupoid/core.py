@@ -26,8 +26,7 @@ from ..errors import (ClosureTooLarge, EmptySet, GroupTooLarge,
                       VerificationFailure)
 
 
-# marks a cached certificate that has not been computed yet (None is a
-# computed "no")
+# marks Subgroupoid._indices not yet counted (None is a counted "no")
 _UNCHECKED = object()
 
 
@@ -132,11 +131,8 @@ class FiniteMeasuredGroupoid:
         self.inv = tuple(inv)
         self.labels = tuple(labels)
         self._compose = compose
-        # (src, rng) -> the arrow id of a principal groupoid, for the pair
-        # certificate; set by principal and restrict
-        self._principal = None
-        # every composable pair has a product by construction; set by
-        # from_group_action and from_partial_isos, inherited by restrict
+        # every composable pair has a product by construction; set by the
+        # closing constructors (products_defined), inherited by restrict
         self._closed = False
         # the fiber index, each half built on first use (src and rng never
         # change). Declared here: writing a new key into the instance dict
@@ -145,9 +141,9 @@ class FiniteMeasuredGroupoid:
         # 3.11.
         self._src_fibers = None
         self._rng_fibers = None
-        # certificate(G): set by from_group_action and principal(components=),
-        # else computed on first use
-        self._certificate = _UNCHECKED
+        # certificate(G): stated by principal, from_group_action and the
+        # restriction of a pair groupoid, else None
+        self._certificate = None
         self.product_complete = product_complete
         self.rn_values = tuple(rn_values) if rn_values is not None else None
         for x in range(self.n_units):
@@ -219,26 +215,23 @@ class FiniteMeasuredGroupoid:
 
     @classmethod
     def principal(cls, unit_names, masses, src, rng, inv, labels, pair_map, *,
-                  rn_values=None, components=None):
-        """A principal groupoid: at most one arrow per (source, range) pair,
-        pair_map(s, r) its id (None where there is none), and g . h is
-        pair_map(s(h), r(g)).
+                  components, rn_values=None):
+        """The pair groupoid of its components: pair_map(s, r) is the id of
+        the one arrow s -> r, and g . h is pair_map(s(h), r(g)).
 
-        components, when given, labels each unit with its component,
-        numbered by lowest unit as component_labels numbers them, and the
-        caller vouches that the arrows are exactly the unit pairs of each
-        component: the PairCertificate is then stated at once, its spanning
-        arrows pair_map(root, x), n calls. Otherwise the certificate is
-        tried on first use (_certify_pair)."""
+        components labels each unit with its component, numbered by lowest
+        unit as component_labels numbers them, and the caller vouches that
+        the arrows are exactly the unit pairs of each component. So the
+        PairCertificate is stated at once, its spanning arrows
+        pair_map(root, x), n calls, and every product is defined."""
         src, rng = tuple(src), tuple(rng)
         G = cls(unit_names, masses, src, rng, inv, labels,
                 lambda g, h: pair_map(src[h], rng[g]), rn_values=rn_values)
-        G._principal = pair_map
-        if components is not None:
-            roots = {}
-            G._certificate = PairCertificate(tuple(components), tuple(
-                pair_map(roots.setdefault(c, x), x)
-                for x, c in enumerate(components)))
+        G._closed = True
+        roots = {}
+        G._certificate = PairCertificate(tuple(components), tuple(
+            pair_map(roots.setdefault(c, x), x)
+            for x, c in enumerate(components)))
         return G
 
     @classmethod
@@ -778,12 +771,11 @@ def forest_potential(G, values, op, inverse, identity):
 
 
 def certificate(G):
-    """What G is known to be exactly, or None. Cached on G.
+    """What G is known to be exactly, or None, as stated when G was built.
 
     - A PairCertificate (kind "pair"): G is the pair groupoid of its
-      components. Stated at construction by principal(components=...)
-      (level models, partition groupoids); computed on first use for any
-      other groupoid with a principal map (their restrictions).
+      components. Stated by principal (level models, partition groupoids)
+      and by restrict on a pair groupoid's restriction, in O(|A|).
     - An ActionCertificate (kind "action"): G is the action groupoid of a
       finite permutation group, the group object from_group_action built G
       from and composes G's products with.
@@ -799,16 +791,14 @@ def certificate(G):
     Without one, or when a fast test fails, every caller runs its fiber
     scan, so messages never depend on the certificate.
     """
-    cert = G._certificate
-    if cert is _UNCHECKED:
-        cert = G._certificate = _certify_pair(G)
-    return cert
+    return G._certificate
 
 
 def products_defined(G):
-    """True when every composable pair of G has a product: G is certified or
-    closed by construction (group actions, partial isomorphism closures)."""
-    return G._closed or certificate(G) is not None
+    """True when every composable pair of G has a product by construction:
+    G is a pair groupoid (principal), a group action, a partial isomorphism
+    closure, or a restriction of one of these."""
+    return G._closed
 
 
 def law_holds(G, values, pairs, op=None, identity=1):
@@ -840,7 +830,7 @@ def law_holds(G, values, pairs, op=None, identity=1):
 class PairCertificate:
     """G is exactly the pair groupoid of its components: component_of is
     ErgodicDecomposition(G).component_of, and every unit pair of a component
-    carries exactly one arrow, principal_map(source, range). The product of
+    carries exactly one arrow. The product of
     a composable pair is the arrow between its outer endpoints, so the
     groupoid axioms hold and every product on G is forced. spanning[x] is
     h_x, the arrow from the lowest unit of x's component to x."""
@@ -969,50 +959,6 @@ class ActionCertificate:
                     yield g0 + perm[x], s * n + x, k0 + x
 
 
-def _certify_pair(G):
-    """A PairCertificate for G, or None, in one arrow pass for a groupoid
-    with a principal map: every arrow g has principal_map(s(g), r(g)) == g,
-    so arrows are determined by their endpoints; inv[g] has the swapped
-    endpoints, so it is principal_map(r(g), s(g)); and the units grouped by
-    the lowest unit an arrow from them reaches form blocks B that no arrow
-    leaves, with sum |B|^2 == n_arrows, so the blocks are the components and
-    every unit pair of a component carries an arrow. The spanning arrows
-    are then principal_map(root, x), n more calls."""
-    pmap = G._principal
-    n, m = G.n_units, G.n_arrows
-    src, rng, inv = G.src, G.rng, G.inv
-    if pmap is None or n == 0 or min(min(src), min(rng)) < 0 \
-            or max(max(src), max(rng)) >= n or min(inv) < 0 or max(inv) >= m:
-        return None
-    # root[x]: the lowest unit an arrow from x reaches, the lowest unit of
-    # x's component once the pass below succeeds
-    root = list(range(n))
-    try:
-        for g, (s, r) in enumerate(zip(src, rng)):
-            if pmap(s, r) != g:
-                return None
-            if r < root[s]:
-                root[s] = r
-    except LookupError:
-        # a map that fails on an arrow's own endpoints certifies nothing;
-        # the fiber scans explain it
-        return None
-    if any(src[i] != r or rng[i] != s for i, s, r in zip(inv, src, rng)) \
-            or any(root[s] != root[r] for s, r in zip(src, rng)):
-        return None
-    # the arrows are distinct unit pairs inside the blocks of equal root, so
-    # sum |block|^2 == n_arrows makes every block one component with every
-    # pair present (a split block would hold fewer arrows)
-    compact = {}
-    labels = tuple(compact.setdefault(v, len(compact)) for v in root)
-    sizes = [0] * len(compact)
-    for c in labels:
-        sizes[c] += 1
-    if sum(k * k for k in sizes) != m:
-        return None
-    return PairCertificate(labels, tuple(map(pmap, root, range(n))))
-
-
 class GroupoidMap(NamedTuple):
     """A homomorphism source -> target: units[x] is the target unit of the
     source unit x and arrows[g] the target arrow of the source arrow g."""
@@ -1037,8 +983,14 @@ def restrict(G, units):
     """(G)_A as the inclusion GroupoidMap G_A -> G, A a nonempty unit set:
     unit i is A[i], A sorted, and the kept arrows are A's unit loops, then
     G's other arrows with both ends in A, ascending. Masses are restricted,
-    not renormalized; the product is G's mapped back to the kept ids, and a
-    principal map of G is kept, restricted."""
+    not renormalized; the product is G's mapped back to the kept ids.
+
+    When G is the pair groupoid of its components (a PairCertificate), so
+    is G_A, of the parts of its components in A: the kept arrows are every
+    unit pair inside each part, and no other. So its certificate is stated,
+    in O(|A|): the label of A[i] is G's label renumbered by lowest unit,
+    and its spanning arrow is h_x . h_r^-1 in G, the one arrow r -> x, with
+    x = A[i] and r the lowest unit of x's part, mapped to the kept ids."""
     A = sorted(set(units))
     if not A:
         raise EmptySet("restriction to the empty set")
@@ -1063,9 +1015,15 @@ def restrict(G, units):
         rn_values=None if G.rn_values is None
         else [G.rn_values[g] for g in kept])
     sub._closed = G._closed
-    pmap = G._principal
-    if pmap is not None:
-        sub._principal = lambda i, j: arrow_map[pmap(A[i], A[j])]
+    cert = G._certificate
+    if cert is not None and cert.kind == "pair":
+        # G's label -> (the part's label, its lowest unit), as A ascends
+        parts, star = {}, cert.spanning
+        own = [parts.setdefault(cert.component_of[x], (len(parts), x))
+               for x in A]
+        sub._certificate = PairCertificate(tuple(c for c, _ in own), tuple(
+            arrow_map[G.product(star[x], G.inv[star[r]])]
+            for x, (_, r) in zip(A, own)))
     return GroupoidMap(sub, G, tuple(A), tuple(kept))
 
 

@@ -22,9 +22,15 @@ from .errors import (
     LevelBudgetExceeded,
     NotAUnit,
     ParamMismatch,
+    SizeCapExceeded,
     VerificationFailure,
+    require_under_cap,
 )
 from .words import generalized_valuation
+
+# the most residues verify_limit_shadow may sweep, (K + 1)(L + 1) M: every
+# scaling (k, l) visits the base submodule and every unit of Z/M
+MAX_RESIDUES = 2 ** 22
 
 
 class TruncatedProfiniteInt:
@@ -251,12 +257,20 @@ def verify_limit_shadow(params, K, L, *, rng=None):
       random units.
 
     Every residue is checked, and a failure is reported at the first
-    residue that breaks a law, in the sweep order above.
+    residue that breaks a law, in the sweep order above; a level that
+    sweeps over MAX_RESIDUES residues raises SizeCapExceeded first.
     """
     import random
 
     rng = rng or random.Random(0)
+    # M >= 2^K if |p0| > 1 and M >= 2^L if |q0| > 1: refused before powers
+    if K >= 0 and L >= 0 and (K >= 22 and abs(params.p0) > 1
+                              or L >= 22 and abs(params.q0) > 1):
+        raise SizeCapExceeded(
+            f"level ({K},{L}) sweeps over {MAX_RESIDUES} residues")
     M = params.level_modulus(K, L)
+    require_under_cap((K + 1) * (L + 1) * M, MAX_RESIDUES,
+                      f"level ({K},{L}) sweeps", "residues")
     d0 = params.d0
     # per (k, l): f = p0^k q0^l, the submodule step d0 |f| and the
     # reduced modulus

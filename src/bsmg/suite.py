@@ -80,7 +80,7 @@ def check_index_laws(rng, cases):
                  arrow=varies)
 
         dec_g = ErgodicDecomposition(G)
-        dec_h = ErgodicDecomposition(G, H.sorted_ids())
+        dec_h = ErgodicDecomposition(H)
         for comp in dec_g.components:
             inner = {dec_h.component_of[x] for x in comp}
             _require(len(inner) <= idx[comp[0]],
@@ -113,7 +113,7 @@ def check_index_laws(rng, cases):
         L = random_wide_subgroupoid(rng, G)
         kl = _with_units(G, K2.ids & L.ids)
         hl = _with_units(G, H2.ids & L.ids)
-        dec_k2 = ErgodicDecomposition(G, K2.sorted_ids())
+        dec_k2 = ErgodicDecomposition(K2)
         for x in _sample(rng, range(G.n_units), 2):
             lhs = index_of_pair(G, kl, hl, x)
             rhs = index_of_pair(G, K2.ids, H2.ids, x)

@@ -4,8 +4,8 @@ Everything here is written for obviousness, not speed: whole-word rescans,
 breadth-first walks, smallest-power searches, whole-word tree steps, orbit
 and cycle walks, trial-division factoring, a Cesaro loop on ThetaAffine
 values, bound arithmetic on interval thetas, groupoid products composed
-from the arrow labels, a scan of the laws a groupoid map must keep, and
-the small readers of thetas, partial isomorphisms, restrictions and
+from the arrow labels, a scan of the laws a groupoid map must keep, the
+pair certificate derived from a principal map, and the small readers of thetas, partial isomorphisms, restrictions and
 components that only tests need, and the level model grown from its seed
 maps or written one arrow at a time. None of it shares code with the
 implementations under test beyond the public data types, the exact
@@ -30,7 +30,7 @@ from bsmg.dynamics import (
     div_by_theta,
 )
 from bsmg.errors import PrecisionError
-from bsmg.groupoid.core import composable_pairs
+from bsmg.groupoid.core import PairCertificate, composable_pairs
 from bsmg.groupoid.pseudogroup import PartialIso
 from bsmg.words import GroupWord, normalize
 
@@ -552,6 +552,61 @@ def map_violations(m):
         if k is not None and H.product(arrows[g], arrows[h]) != arrows[k]:
             lines.append(f"product ({g},{h}) is not kept")
     return lines
+
+
+def certify_pair(G, pair_map):
+    """A PairCertificate for G, or None, derived in one arrow pass from
+    pair_map(s, r), the id of the arrow s -> r (None where there is none):
+    the reference the certificates that principal and restrict state are
+    compared with.
+
+    Every arrow g has pair_map(s(g), r(g)) == g, so arrows are determined by
+    their endpoints; inv[g] has the swapped endpoints, so it is
+    pair_map(r(g), s(g)); and the units grouped by the lowest unit an arrow
+    from them reaches form blocks B that no arrow leaves, with sum |B|^2 ==
+    n_arrows, so the blocks are the components and every unit pair of a
+    component carries an arrow. The spanning arrows are then
+    pair_map(root, x), n more calls."""
+    n, m = G.n_units, G.n_arrows
+    src, rng, inv = G.src, G.rng, G.inv
+    if n == 0 or min(min(src), min(rng)) < 0 or max(max(src), max(rng)) >= n \
+            or min(inv) < 0 or max(inv) >= m:
+        return None
+    # root[x]: the lowest unit an arrow from x reaches, the lowest unit of
+    # x's component once the pass below succeeds
+    root = list(range(n))
+    try:
+        for g, (s, r) in enumerate(zip(src, rng)):
+            if pair_map(s, r) != g:
+                return None
+            if r < root[s]:
+                root[s] = r
+    except LookupError:
+        # a map that fails on an arrow's own endpoints certifies nothing
+        return None
+    if any(src[i] != r or rng[i] != s for i, s, r in zip(inv, src, rng)) \
+            or any(root[s] != root[r] for s, r in zip(src, rng)):
+        return None
+    # the arrows are distinct unit pairs inside the blocks of equal root, so
+    # sum |block|^2 == n_arrows makes every block one component with every
+    # pair present (a split block would hold fewer arrows)
+    compact = {}
+    labels = tuple(compact.setdefault(v, len(compact)) for v in root)
+    sizes = [0] * len(compact)
+    for c in labels:
+        sizes[c] += 1
+    if sum(k * k for k in sizes) != m:
+        return None
+    return PairCertificate(labels, tuple(map(pair_map, root, range(n))))
+
+
+def endpoint_map(G):
+    """pair_map(s, r) of a groupoid with at most one arrow per unit pair:
+    the lowest arrow id s -> r, None where there is none."""
+    ids = {}
+    for g, ends in enumerate(zip(G.src, G.rng)):
+        ids.setdefault(ends, g)
+    return lambda s, r: ids.get((s, r))
 
 
 def scratch_neighbors(vertex):

@@ -679,3 +679,72 @@ class TestLevelModelCap:
         assert (code, out) == (2, "")
         assert err == (f"usage error: level ({k},{l}) has over 1048576 "
                        "arrows\n")
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize("argv, message", [
+        (["profinite", "verify", "--p", "2", "--q", "3", "--K", "40",
+          "--L", "40"], "level (40,40) sweeps over 4194304 residues"),
+        (["profinite", "verify", "--p", "2", "--q", "3", "--K", "7",
+          "--L", "6"],
+         "level (7,6) sweeps 5225472 residues, over the cap of 4194304"),
+        # d0 = 10^9 and M = d0 at level (0, 0): the unit sweep alone is over
+        (["profinite", "verify", "--p", "1000000000", "--q", "1000000000",
+          "--K", "0", "--L", "0"],
+         "level (0,0) sweeps 1000000000 residues, over the cap of 4194304"),
+        # p0 = q0 = 1: the count is past 64 bits and not printed
+        (["profinite", "verify", "--p", "2", "--q", "2", "--K", "10" * 20,
+          "--L", "10" * 20],
+         f"level ({'10' * 20},{'10' * 20}) sweeps over 4194304 residues"),
+        (["cocycle", "scaled-product", "--ratio", "2", "--n", "3000000"],
+         "the cycle has 3000000 units, over the cap of 16384"),
+        (["dynamics", "components", "--c", "1", "--n", "100000000000",
+          "--r", "2", "--s", "3", "--kmax", "0", "--lmax", "0"],
+         "the table has 100000000000 units, over the cap of 1048576"),
+        (["dynamics", "components", "--c", "1", "--n", "2", "--r", "2",
+          "--s", "3", "--kmax", "9" * 20, "--lmax", "9" * 20],
+         "the table has over 1048576 units"),
+        (["dynamics", "rotation", "--theta", "golden", "--steps",
+          "100000000"], "the orbit has 100000000 steps, over the cap of 1048576"),
+    ], ids=["verify-40-40", "verify-7-6", "verify-d0", "verify-64-bits",
+            "scaled-product", "components", "components-64-bits",
+            "rotation"])
+    def test_an_input_over_its_cap_is_refused_at_once(self, argv, message):
+        # refused before anything of its size is allocated; timed inside a
+        # child process with its address space capped, as the level model
+        # cap is
+        script = textwrap.dedent(f"""
+            import resource, sys, time
+            resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+            from bsmg.cli import main
+            start = time.perf_counter()
+            code = main({argv!r})
+            print(code, time.perf_counter() - start)
+        """)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ,
+                     PYTHONPATH=os.path.dirname(os.path.dirname(
+                         bsmg.__file__))),
+            capture_output=True, text=True, timeout=30)
+        code, seconds = done.stdout.split()
+        assert done.stderr == f"usage error: {message}\n"
+        assert code == "2" and float(seconds) < 1.0
+
+    def test_the_sizes_in_use_are_under_the_caps(self, capsys):
+        # the largest residue sweep of the acceptance levels, and the
+        # largest steps and component tables of the suite and benchmark
+        doc = run_json(capsys, "profinite", "verify", "--p", "2", "--q", "3",
+                       "--K", "10", "--L", "2")
+        assert doc["sigma_kernel"] == 33 * 9216
+        doc = run_json(capsys, "dynamics", "rotation", "--theta", "golden",
+                       "--steps", "100000")
+        assert doc["steps"] == 100000
+        doc = run_json(capsys, "dynamics", "components", "--c", "1", "--n",
+                       "80", "--r", "2", "--s", "3", "--kmax", "3",
+                       "--lmax", "3")
+        assert len(doc["rows"]) == 16
+        doc = run_json(capsys, "cocycle", "scaled-product", "--ratio", "3/2",
+                       "--n", "80")
+        assert doc == {"kind": "III_lambda", "lambda": str(
+            Fraction(2, 3) ** 80)}

@@ -37,7 +37,8 @@ from bsmg.groupoid.core import (
 from bsmg.groupoid.pseudogroup import PartialIso
 from bsmg.groupoid.randomgen import partition_groupoid, random_action_instance
 from bsmg.words import BSParams
-from oracles import label_product, level_label_normalizer, seed_maps
+from oracles import (endpoint_map, label_product, level_label_normalizer,
+                     seed_maps)
 from test_groupoid_core import (element_arrows, s3_action, scanned,
                                 swap_window, z3_action)
 
@@ -304,8 +305,8 @@ class TestPairFastPathCheck:
             c = coboundary(G, target, psi)
             assert c.check() is c
             assert scan_error(G, target, c.values) is None
-            for kind, values in corruptions(G, target, c, G._principal(1, 2),
-                                            bump):
+            one_two = endpoint_map(G)(1, 2)
+            for kind, values in corruptions(G, target, c, one_two, bump):
                 want = scan_error(G, target, values)
                 assert kind in want
                 with pytest.raises(NotACocycle) as err:

@@ -39,7 +39,9 @@ from bsmg.words import BSParams
 from oracles import (
     arrows_from,
     arrows_into,
+    certify_pair,
     conditional_mass,
+    endpoint_map,
     label_product,
     left_class_count,
     level_label_normalizer,
@@ -693,32 +695,48 @@ def scanned(G):
     return twin
 
 
-def rebuilt(G, *, masses=None, inv=None, principal_map=None, rn_values=None):
-    """G with some of its data replaced and nothing cached."""
+def rebuilt(G, *, masses=None, rn_values=None):
+    """The pair groupoid G with its masses or RN values replaced, built
+    certified by principal with the components the oracle derives
+    (certify_pair), and nothing cached."""
+    pmap = endpoint_map(G)
     return FiniteMeasuredGroupoid.principal(
-        G.unit_names, masses or G.masses, G.src, G.rng, inv or G.inv,
-        G.labels, principal_map or G._principal, rn_values=rn_values)
+        G.unit_names, masses or G.masses, G.src, G.rng, G.inv, G.labels, pmap,
+        components=certify_pair(G, pmap).component_of, rn_values=rn_values)
+
+
+def uncertified(names, masses, src, rng, inv, labels, pair_map):
+    """The groupoid of these arrays built by the constructor with the pair
+    compose g . h = pair_map(s(h), r(g)): nothing is stated, so validate and
+    the rest take the fiber scan whatever the arrays are."""
+    return FiniteMeasuredGroupoid(names, masses, src, rng, inv, labels,
+                                  lambda g, h: pair_map(src[h], rng[g]))
 
 
 def pair_window(n, pairs):
-    """The principal groupoid on n uniform units with the unit loops and
-    one arrow per listed (source, range) pair, looked up by endpoints."""
+    """The groupoid on n uniform units with the unit loops and one arrow per
+    listed (source, range) pair, composed by endpoints and not certified
+    (uncertified)."""
     ends = [(x, x) for x in range(n)] + list(pairs)
     ids = {e: g for g, e in enumerate(ends)}
-    return FiniteMeasuredGroupoid.principal(
+    return uncertified(
         range(n), [Fraction(1, n)] * n, [s for s, _ in ends],
         [r for _, r in ends], [ids[(r, s)] for s, r in ends],
         [f"{s}>{r}" for s, r in ends], lambda s, r: ids.get((s, r)))
 
 
 def pair_samples():
-    """Level models, their restrictions and random partition groupoids:
-    all principal."""
+    """Level models, their restrictions and random partition groupoids with
+    their restrictions to the even units: all pair groupoids."""
     out = []
     for (p, q), (k, l) in PAIR_LEVELS:
         G = BSLevelModel(BSParams(p, q), k, l).groupoid
         out += [G, restrict(G, range(0, G.n_units, 3))[0]]
-    return out + [G for G in sampled_groupoids(8) if G._principal is not None]
+    for i in range(8):
+        G = random_groupoid(random.Random(f"fiber-walk:{i}"))
+        if not hasattr(G, "group_elements"):
+            out += [G, restrict(G, range(0, G.n_units, 2)).source]
+    return out
 
 
 class TestPairFastPath:
@@ -753,8 +771,9 @@ class TestPairFastPath:
             for x in range(G.n_units)] == [2] * G.n_units
 
     def test_a_sub_that_is_not_inverse_closed_takes_the_scan(self):
-        G = BSLevelModel(BSParams(2, 3), 1, 1).groupoid
-        one_way = Subgroupoid(G, [G._principal(3, 4)], check=False)
+        model = BSLevelModel(BSParams(2, 3), 1, 1)
+        G = model.groupoid
+        one_way = Subgroupoid(G, [model.pair_to_id(3, 4)], check=False)
         counts = [index(G, one_way, x) for x in range(G.n_units)]
         assert counts == [index_of_pair(G, range(G.n_arrows), one_way, x)
                           for x in range(G.n_units)]
@@ -763,25 +782,31 @@ class TestPairFastPath:
         assert counts != [G.n_units - 1] * G.n_units
 
     def test_swapped_inverse_fails_the_certificate(self):
-        G = BSLevelModel(BSParams(2, 3), 1, 1).groupoid
+        model = BSLevelModel(BSParams(2, 3), 1, 1)
+        G = model.groupoid
         inv = list(G.inv)
         a, b = G.n_units, G.n_units + 1
         inv[a], inv[b] = inv[b], inv[a]
-        H = rebuilt(G, inv=inv)
+        H = uncertified(G.unit_names, G.masses, G.src, G.rng, inv, G.labels,
+                        model.pair_to_id)
+        assert certify_pair(H, model.pair_to_id) is None
         assert certificate(H) is None
         problems = validate(H)
         assert f"inverse of arrow {a} is not an involution" in problems
         assert problems == validate(scanned(H))
 
     def test_wrong_principal_arrow_fails_the_certificate(self):
-        G = BSLevelModel(BSParams(2, 3), 1, 1).groupoid
-        pmap = G._principal
+        model = BSLevelModel(BSParams(2, 3), 1, 1)
+        G = model.groupoid
+        pmap = model.pair_to_id
         wrong = pmap(2, 5)
 
         def skewed(s, r):
             return wrong if (s, r) == (1, 6) else pmap(s, r)
 
-        H = rebuilt(G, principal_map=skewed)
+        H = uncertified(G.unit_names, G.masses, G.src, G.rng, G.inv, G.labels,
+                        skewed)
+        assert certify_pair(H, skewed) is None
         assert certificate(H) is None
         problems = validate(H)
         assert any(line.endswith("has wrong endpoints") for line in problems)
@@ -795,9 +820,10 @@ class TestPairFastPath:
         blocks = [[0, 1, 2], [3, 4]]
         pairs = [(s, r) for b in blocks for s in b for r in b if s != r]
         full = pair_window(5, pairs)
-        assert certificate(full) is not None
+        assert certify_pair(full, endpoint_map(full)) is not None
         short = pair_window(5, [e for e in pairs
                                 if e not in (gone, gone[::-1])])
+        assert certify_pair(short, endpoint_map(short)) is None
         assert certificate(short) is None
         problems = validate(short)
         assert any(line.startswith("missing product") for line in problems)
@@ -808,18 +834,20 @@ class TestPairFastPath:
         # 3} and {2} of lowest reachable units hold pairs; the arrow 1 -> 2
         # crosses the blocks
         path = pair_window(4, [(0, 1), (1, 0), (0, 3), (3, 0), (1, 2), (2, 1)])
+        assert certify_pair(path, endpoint_map(path)) is None
         assert certificate(path) is None
         problems = validate(path)
         assert any(line.startswith("missing product") for line in problems)
         assert problems == validate(scanned(path)) == product_violations(path)
 
     def test_rn_values_certify_through_a_potential(self):
-        G = BSLevelModel(BSParams(2, 3), 1, 1).groupoid
+        model = BSLevelModel(BSParams(2, 3), 1, 1)
+        G = model.groupoid
         psi = [Fraction(x + 1, 2 * x + 3) for x in range(G.n_units)]
         rn = [psi[G.rng[g]] / psi[G.src[g]] for g in range(G.n_arrows)]
         assert validate(rebuilt(G, rn_values=rn)) == []
         assert validate(scanned(rebuilt(G, rn_values=rn))) == []
-        g = G._principal(2, 7)
+        g = model.pair_to_id(2, 7)
         rn[g] *= 3
         H = rebuilt(G, rn_values=rn)
         assert certificate(H) is not None
@@ -843,18 +871,19 @@ class TestPairFastPath:
 
     def test_the_fast_path_is_taken_on_a_level_model(self):
         """validate, the D and K checks and the index sweep on BS(2,3) at
-        level (2,1) make O(arrows) principal_map calls and no pair scan."""
+        level (2,1) compose no arrows and make no pair scan: the
+        certificate was stated with the model."""
         D, K = BSLevelModel(BSParams(2, 3), 2, 1).modular_cocycles()
         model = BSLevelModel(BSParams(2, 3), 2, 1)
         G = model.groupoid
         calls = Counter()
-        pmap = G._principal
+        compose = G._compose
 
-        def counted(s, r):
-            calls["principal_map"] += 1
-            return pmap(s, r)
+        def counted(g, h):
+            calls["compose"] += 1
+            return compose(g, h)
 
-        G._principal = counted
+        G._compose = counted
         for name in ("product", "source_fiber", "range_fiber"):
             method = getattr(G, name)
 
@@ -867,7 +896,7 @@ class TestPairFastPath:
         GroupoidCocycle(G, QPos, D.values).check()
         GroupoidCocycle(G, QPos, K.values).check()
         assert [index(G, model.S, x) for x in range(G.n_units)] == [2] * 30
-        assert calls["principal_map"] <= 3 * G.n_arrows
+        assert calls["compose"] == 0
         assert (calls["product"], calls["source_fiber"],
                 calls["range_fiber"]) == (0, 0, 0)
 

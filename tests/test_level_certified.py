@@ -1,15 +1,16 @@
-"""Level models and partition groupoids are built certified.
+"""Level models, partition groupoids and their restrictions are built
+certified.
 
 A level model's id layout is a bijection onto its unit pairs, and a
 partition groupoid's blocks are its components, so both state their
-PairCertificate when they are made instead of rediscovering it. The level
-model writes its arrays block by block along that layout. Here the arrays
-are compared with the per-arrow construction they replaced
-(oracles.level_arrays_by_pairs), the stated certificates with the one
-_certify_pair derives, and every certified answer with a run in which
-_certify_pair may not be called at all. A subgroupoid labels its
-components once (Subgroupoid.component_of), and the decompositions read
-those labels.
+PairCertificate when they are made instead of rediscovering it; restrict
+states the certificate of a pair groupoid's restriction from its parent's.
+The level model writes its arrays block by block along that layout. Here
+the arrays are compared with the per-arrow construction they replaced
+(oracles.level_arrays_by_pairs), and the stated certificates with the one
+oracles.certify_pair derives; no derivation is left under src/bsmg. A
+subgroupoid labels its components once (Subgroupoid.component_of), and the
+decompositions read those labels.
 """
 
 import ast
@@ -25,18 +26,18 @@ from bsmg._kernels import component_labels
 from bsmg.cocycle.levelmodel import BSLevelModel, level_sizes
 from bsmg.groupoid.core import (ErgodicDecomposition, FiniteMeasuredGroupoid,
                                 Subgroupoid, certificate, index,
-                                index_of_pair, validate)
+                                index_of_pair, restrict, validate)
 from bsmg.groupoid.randomgen import (partition_groupoid,
                                      random_action_instance, random_masses,
                                      random_partition, random_subgroup,
                                      random_wide_subgroupoid,
                                      relation_arrow_ids, subgroup_arrow_ids)
 from bsmg.words import BSParams
-from oracles import level_arrays_by_pairs
+from oracles import certify_pair, endpoint_map, level_arrays_by_pairs
 from test_modular_pair import LEVELS
 
-WORKLOADS = (Path(bsmg.__file__).parent.parent.parent / "perfbench"
-             / "workloads.py")
+SRC = Path(bsmg.__file__).parent
+WORKLOADS = SRC.parent.parent / "perfbench" / "workloads.py"
 
 
 def ladder():
@@ -81,8 +82,9 @@ def test_labels_are_shared_tuples():
 
 @pytest.mark.parametrize("pq,kl", ALL_LEVELS)
 def test_the_stated_certificate_is_the_derived_one(pq, kl):
-    G = BSLevelModel(BSParams(*pq), *kl).groupoid
-    stated, derived = certificate(G), gcore._certify_pair(G)
+    model = BSLevelModel(BSParams(*pq), *kl)
+    G = model.groupoid
+    stated, derived = certificate(G), certify_pair(G, model.pair_to_id)
     assert stated.kind == derived.kind == "pair"
     assert stated.component_of == derived.component_of == (0,) * G.n_units
     assert stated.spanning == derived.spanning
@@ -95,7 +97,7 @@ def test_partition_groupoids_state_the_derived_certificate():
         n = rng.randint(1, 12)
         G = partition_groupoid(random_masses(rng, n),
                                random_partition(rng, range(n)))
-        stated, derived = certificate(G), gcore._certify_pair(G)
+        stated, derived = certificate(G), certify_pair(G, endpoint_map(G))
         assert stated.component_of == derived.component_of \
             == ErgodicDecomposition(G).component_of
         assert stated.spanning == derived.spanning
@@ -108,8 +110,9 @@ def test_partition_blocks_in_any_order_and_units_in_none():
     # labels are still numbered by lowest unit
     G = partition_groupoid([1] * 8, [[6, 3], [4, 0, 2], [1]])
     assert certificate(G).component_of == (0, 1, 0, 2, 0, 3, 2, 4)
-    assert certificate(G).component_of == gcore._certify_pair(G).component_of
-    assert certificate(G).spanning == gcore._certify_pair(G).spanning
+    derived = certify_pair(G, endpoint_map(G))
+    assert certificate(G).component_of == derived.component_of
+    assert certificate(G).spanning == derived.spanning
 
 
 def test_overlapping_blocks_are_refused():
@@ -121,11 +124,9 @@ def test_overlapping_blocks_are_refused():
 
 @pytest.mark.parametrize("pq,kl", [((2, 3), (2, 1)), ((4, 6), (2, 0)),
                                    ((2, -3), (2, 2)), ((3, -6), (1, 1))])
-def test_certified_answers_need_no_derivation(monkeypatch, pq, kl):
-    def refused(G):
-        raise AssertionError("_certify_pair was called")
-
-    monkeypatch.setattr(gcore, "_certify_pair", refused)
+def test_certified_answers_need_no_derivation(pq, kl):
+    # the answers of the certificate the model states; no code under src/
+    # can derive one (test_no_pair_derivation_under_src)
     model = BSLevelModel(BSParams(*pq), *kl)
     G = model.groupoid
     D, K = model.modular_cocycles()
@@ -204,3 +205,78 @@ def test_the_components_of_s_are_labelled_once(monkeypatch):
     assert [index(G, S, x) for x in range(G.n_units)] == [
         index_of_pair(G, range(G.n_arrows), S, x) for x in range(G.n_units)]
     assert calls == [G.n_units]
+
+
+# -- stated, never derived ------------------------------------------------
+
+# the derivation of a pair certificate and the principal map it read, gone
+# from src/bsmg; oracles.certify_pair is the reference
+DERIVATION = {"_certify_pair", "_principal"}
+
+
+def derivation_reads(path):
+    """'name:line: identifier' for every definition, name or attribute of
+    DERIVATION in the module at path."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        name = (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                else node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in DERIVATION:
+            found.append((node.lineno, f"{path.name}:{node.lineno}: {name}"))
+    return [line for _, line in sorted(found)]
+
+
+def test_the_guard_finds_a_derivation(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("def _certify_pair(G):\n    return G._principal\n"
+                      "cert = _certify_pair(G)\nG.principal(1)\n")
+    assert derivation_reads(sample) == ["sample.py:1: _certify_pair",
+                                        "sample.py:2: _principal",
+                                        "sample.py:3: _certify_pair"]
+
+
+def test_no_pair_derivation_under_src():
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) > 15
+    assert [line for path in modules for line in derivation_reads(path)] == []
+
+
+def test_principal_requires_its_components():
+    with pytest.raises(TypeError, match="components"):
+        FiniteMeasuredGroupoid.principal(
+            [0, 1], [1, 1], [0, 1], [0, 1], [0, 1], ["e", "e"],
+            lambda s, r: s if s == r else None)
+
+
+def restriction_samples():
+    """Restrictions to random unit sets of the small level models and of
+    300 partition groupoids, and of each such restriction: restrictions of
+    restrictions."""
+    rng = random.Random("stated-restriction")
+    parents = [(BSLevelModel(BSParams(*pq), *kl).groupoid, 12)
+               for pq, kl in SMALL_LEVELS]
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        parents.append((partition_groupoid(random_masses(rng, n),
+                                           random_partition(rng, range(n))), 3))
+    for G, tries in parents:
+        for _ in range(tries):
+            R = restrict(G, rng.sample(range(G.n_units),
+                                       rng.randint(1, G.n_units))).source
+            yield R
+            yield restrict(R, rng.sample(range(R.n_units),
+                                         rng.randint(1, R.n_units))).source
+
+
+def test_stated_restriction_certificates_are_the_derived_ones():
+    count = split = 0
+    for R in restriction_samples():
+        stated, derived = certificate(R), certify_pair(R, endpoint_map(R))
+        assert stated.kind == derived.kind == "pair"
+        assert stated.component_of == derived.component_of \
+            == ErgodicDecomposition(R).component_of
+        assert stated.spanning == derived.spanning
+        count += 1
+        split += max(stated.component_of) > 0
+    assert count >= 2000 and split > 500

@@ -14,7 +14,8 @@ from bsmg.cocycle.core import modular_pair
 from bsmg.cocycle.levelmodel import BSLevelModel
 from bsmg.cocycle.values import GroupoidCocycle, QPos
 from bsmg.errors import BsmgError, MissingUnitArrow, VerificationFailure
-from bsmg.groupoid.core import FiniteMeasuredGroupoid, Subgroupoid, restrict
+from bsmg.groupoid.core import (FiniteMeasuredGroupoid, Subgroupoid,
+                                certificate, restrict)
 from bsmg.groupoid.randomgen import (
     random_action_instance,
     random_groupoid,
@@ -108,13 +109,17 @@ def action_outcomes(cases=12):
 
 def uniform(G):
     """G with uniform masses, which every arrow preserves, and the reference
-    product composed from its labels (label_product). It keeps G's
-    principal map and G's closure, so modular_pair takes the path on it that
-    it takes on G."""
+    product composed from its labels (label_product). It keeps G's closure,
+    and G's certificate when it is of pair kind (an action certificate would
+    also change the product), so modular_pair takes the path on it that it
+    takes on G."""
     H = FiniteMeasuredGroupoid(
         G.unit_names, [Fraction(1, G.n_units)] * G.n_units, G.src, G.rng,
         G.inv, G.labels, label_product(G, getattr(G, "group_elements", None)))
-    H._principal, H._closed = G._principal, G._closed
+    H._closed = G._closed
+    cert = certificate(G)
+    if cert is not None and cert.kind == "pair":
+        H._certificate = cert
     return H
 
 
