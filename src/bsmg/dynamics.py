@@ -41,10 +41,13 @@ from .errors import (
     require_under_cap,
 )
 from .profinite import TruncatedProfiniteInt
-from .words import GroupWord, commutator, is_identity, modular_hom, same_element
+from .words import GroupWord, commutator, is_identity, same_element
 
 # the most orbit points rotation_model_orbit may sort on the golden path
 MAX_STEPS = 2 ** 20
+# the largest circumference of the golden path, whose cost grows with the
+# digits of N at every step
+MAX_CIRCUMFERENCE = 2 ** 64
 # the most units component_counts may label, n (kmax + 1)(lmax + 1)
 MAX_TABLE_UNITS = 2 ** 20
 
@@ -386,8 +389,9 @@ def l_theta(word, params):
     ratio = Fraction(params.q, params.p)
     coefficient = sum((c * ratio ** h for h, c in acc.items()), Fraction(0))
     breakdown = tuple(sorted((h, c) for h, c in acc.items() if c))
+    # the modular value |q/p|^(t-sum) is 1, decided without the power
     return LTheta(coefficient, breakdown,
-                  modular_hom(word, params) == 1)
+                  word.t_exponent_sum() == 0 or abs(ratio) == 1)
 
 
 def n_element_words(params, count=10):
@@ -530,7 +534,9 @@ def rotation_model_orbit(theta, N, steps=0):
     the circle. The golden ratio returns the exact star discrepancy of the
     first `steps` points, computed on a Fibonacci convergent grid fine
     enough that the convergent and the true orbit cannot differ at the
-    reported scale. More than MAX_STEPS steps raise SizeCapExceeded.
+    reported scale. More than MAX_STEPS steps, or a circumference over
+    MAX_CIRCUMFERENCE, raise SizeCapExceeded there; the rational path is
+    O(1) in N.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -545,6 +551,8 @@ def rotation_model_orbit(theta, N, steps=0):
     if steps < 1:
         raise ValueError("steps must be positive for the irrational path")
     require_under_cap(steps, MAX_STEPS, "the orbit has", "steps")
+    require_under_cap(N, MAX_CIRCUMFERENCE, "the golden orbit's circle is",
+                      "long")
     m = 2
     while _fib(m + 1) < steps * steps:
         m += 1

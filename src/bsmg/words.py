@@ -20,9 +20,33 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .errors import BoundExceeded, InvalidLevel, VerificationFailure
+from .errors import (BoundExceeded, InvalidLevel, VerificationFailure,
+                     require_under_cap)
 
 _TOKEN = re.compile(r"([aAtT])(?:\^(-?\d+))?")
+
+# the most t letters fold takes in one call: each is one step of its loop
+MAX_T_LETTERS = 2 ** 20
+# the most digits of a modular value's numerator or denominator: str
+# refuses ints of more (Python's default int_max_str_digits)
+MAX_VALUE_DIGITS = 4300
+_VALUE_CAP = 10 ** MAX_VALUE_DIGITS
+
+# One tuple per small pair, built once: the runs ("a", e) and ("t", e) for
+# 0 < |e| <= 64 and the syllables (+-1, k) for 0 <= k <= 64. A word or form
+# holds a pointer to the table's tuple instead of a fresh 56-byte tuple per
+# run; larger pairs stay fresh, so the table never grows.
+_SHARED_BOUND = 64
+_SHARED = {pair: pair for pair in
+           [(letter, e) for letter in "at"
+            for e in range(-_SHARED_BOUND, _SHARED_BOUND + 1) if e]
+           + [(e, k) for e in (1, -1) for k in range(_SHARED_BOUND + 1)]}
+
+
+def _pairs(firsts, seconds) -> tuple:
+    """The pairs zip(firsts, seconds) as a tuple, each pair of the table
+    stored as the table's tuple; the lookup runs in C, one per pair."""
+    return tuple(map(_SHARED.get, zip(firsts, seconds), zip(firsts, seconds)))
 
 
 @dataclass(frozen=True)
@@ -93,27 +117,30 @@ def generalized_valuation(m, b):
 class GroupWord:
     """A word over {a, t}, stored run-length and freely reduced as written.
 
-    Equality and hashing are syntactic (same written word). Group equality is
-    same_element / is_identity, which go through the normal form.
+    runs is a tuple of (letter, exponent) pairs; a run with |exponent| <= 64
+    is the shared tuple of the module's pair table, so a long word costs one
+    pointer per run. Equality and hashing are syntactic (same written
+    word). Group equality is same_element / is_identity, which go through
+    the normal form.
     """
 
     __slots__ = ("runs",)
 
     def __init__(self, runs=()):
-        reduced = []
+        letters, exps = [], []
         for letter, exp in runs:
             if letter not in ("a", "t"):
                 raise ValueError(f"unknown letter {letter!r}")
             if exp == 0:
                 continue
-            if reduced and reduced[-1][0] == letter:
-                merged = reduced[-1][1] + exp
-                reduced.pop()
-                if merged != 0:
-                    reduced.append((letter, merged))
-            else:
-                reduced.append((letter, exp))
-        self.runs = tuple(reduced)
+            if letters and letters[-1] == letter:
+                letters.pop()
+                exp += exps.pop()
+                if exp == 0:
+                    continue
+            letters.append(letter)
+            exps.append(exp)
+        self.runs = _pairs(letters, exps)
 
     @classmethod
     def _reduced(cls, runs: tuple) -> "GroupWord":
@@ -211,6 +238,8 @@ class BrittonNormalForm:
     """Normal form a^{k0} t^{e1} a^{k1} ... t^{en} a^{kn}.
 
     syllables is the tuple ((e1, k1), ..., (en, kn)) with each e = +1 or -1.
+    fold stores a syllable with k <= 64 as the shared tuple of the module's
+    pair table, as GroupWord does its runs.
     """
 
     k0: int
@@ -232,19 +261,21 @@ class BrittonNormalForm:
         exponent between them share one sign and make one run. A form with
         a t^e t^-e seam is not normal and goes through the checked
         constructor instead."""
-        runs = [("a", self.k0)] if self.k0 else []
+        letters, exps = (["a"], [self.k0]) if self.k0 else ([], [])
         for e, k in self.syllables:
-            if runs and runs[-1][0] == "t":
-                if runs[-1][1] * e < 0:
+            if letters and letters[-1] == "t":
+                if exps[-1] * e < 0:
                     return GroupWord([("a", self.k0)] + [
                         run for e, k in self.syllables
                         for run in (("t", e), ("a", k))])
-                runs[-1] = ("t", runs[-1][1] + e)
+                exps[-1] += e
             else:
-                runs.append(("t", e))
+                letters.append("t")
+                exps.append(e)
             if k:
-                runs.append(("a", k))
-        return GroupWord._reduced(tuple(runs))
+                letters.append("a")
+                exps.append(k)
+        return GroupWord._reduced(_pairs(letters, exps))
 
     def __str__(self):
         return self.to_word().to_text()
@@ -261,7 +292,8 @@ def fold(form: BrittonNormalForm, runs, params: BSParams) -> BrittonNormalForm:
     stable letter reduces it to the transversal [0,|q|) or [0,|p|), pushes
     the quotient through as a carry, and cancels a t^-1 t or t t^-1 seam
     with zero exponent between. So a tree step folds a^i t^+-1 onto a
-    vertex's form instead of normalizing the whole word again.
+    vertex's form instead of normalizing the whole word again. Runs of over
+    MAX_T_LETTERS t letters in all raise SizeCapExceeded.
     """
     p, q = params.p, params.q
     ap, aq = abs(p), abs(q)
@@ -271,10 +303,19 @@ def fold(form: BrittonNormalForm, runs, params: BSParams) -> BrittonNormalForm:
         trail = exps.pop()
     else:
         signs, exps, trail = [], [], form.k0
+    runs = iter(runs)
+    t_letters = 0
     for letter, exp in runs:
         if letter == "a":
             trail += exp
-        elif exp > 0:
+            continue
+        t_letters += abs(exp)
+        if t_letters > MAX_T_LETTERS:
+            # the rest of the runs only completes the count it names
+            require_under_cap(
+                t_letters + sum(abs(e) for x, e in runs if x == "t"),
+                MAX_T_LETTERS, "the word has", "t letters")
+        if exp > 0:
             for _ in range(exp):
                 r = trail % aq
                 carry = p * ((trail - r) // q)
@@ -297,7 +338,7 @@ def fold(form: BrittonNormalForm, runs, params: BSParams) -> BrittonNormalForm:
                     exps.append(r)
                     trail = carry
     exps.append(trail)
-    return BrittonNormalForm(exps[0], tuple(zip(signs, exps[1:])))
+    return BrittonNormalForm(exps[0], _pairs(signs, exps[1:]))
 
 
 def normalize(word: GroupWord, params: BSParams) -> BrittonNormalForm:
@@ -315,8 +356,29 @@ def same_element(w1: GroupWord, w2: GroupWord, params: BSParams) -> bool:
 
 
 def modular_hom(word: GroupWord, params: BSParams) -> Fraction:
-    """|q/p| raised to the t-exponent sum, in lowest terms."""
-    return Fraction(abs(params.q), abs(params.p)) ** word.t_exponent_sum()
+    """|q/p| raised to the t-exponent sum, in lowest terms. A sum that would
+    give the value's numerator or denominator over MAX_VALUE_DIGITS digits
+    raises SizeCapExceeded before the power is taken."""
+    s = word.t_exponent_sum()
+    ratio = Fraction(abs(params.q), abs(params.p))
+    base = ratio.numerator
+    # base = |q0| >= |p0| and base^|s| < 2^(|s| b), b its bit length: only
+    # a sum past the bound can reach the digit cap
+    if base > 1 and abs(s) * base.bit_length() >= _VALUE_CAP.bit_length():
+        require_under_cap(abs(s), _largest_power(base),
+                          "the modular value takes", f"powers of {ratio}")
+    return ratio ** s
+
+
+def _largest_power(base: int) -> int:
+    """The largest n with base^n under 10^MAX_VALUE_DIGITS, for base >= 2:
+    a bisection below n = c // (b - 1) + 1, where base^n >= 2^(c + 1) with c
+    the bit length of the cap and b that of base."""
+    low, high = 0, _VALUE_CAP.bit_length() // (base.bit_length() - 1) + 1
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if base ** mid < _VALUE_CAP else (low, mid)
+    return low
 
 
 def is_elliptic(word: GroupWord, params: BSParams) -> bool:

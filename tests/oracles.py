@@ -6,8 +6,9 @@ and cycle walks, trial-division factoring, a Cesaro loop on ThetaAffine
 values, bound arithmetic on interval thetas, groupoid products composed
 from the arrow labels, a scan of the laws a groupoid map must keep, the
 pair certificate derived from a principal map, and the small readers of thetas, partial isomorphisms, restrictions and
-components that only tests need, and the level model grown from its seed
-maps or written one arrow at a time. None of it shares code with the
+components that only tests need, the level model grown from its seed
+maps or written one arrow at a time, and words and normal forms held as
+fresh tuples. None of it shares code with the
 implementations under test beyond the public data types, the exact
 ThetaAffine sign, floor and division, and the composable-pairs walk.
 """
@@ -32,7 +33,7 @@ from bsmg.dynamics import (
 from bsmg.errors import PrecisionError
 from bsmg.groupoid.core import PairCertificate, composable_pairs
 from bsmg.groupoid.pseudogroup import PartialIso
-from bsmg.words import GroupWord, normalize
+from bsmg.words import BrittonNormalForm, GroupWord, normalize
 
 
 def oracle_normal_form(word, params):
@@ -96,6 +97,28 @@ def _to_syllables(word):
             for _ in range(abs(exp)):
                 syls.append((step, 0))
     return k0, syls
+
+
+def fresh_word(runs):
+    """The free reduction of runs as a GroupWord of fresh tuples, one
+    allocated per run, with no pair shared with the words module's table."""
+    reduced = []
+    for letter, exp in runs:
+        if exp == 0:
+            continue
+        if reduced and reduced[-1][0] == letter:
+            merged = reduced.pop()[1] + exp
+            if merged:
+                reduced.append((letter, merged))
+        else:
+            reduced.append((letter, exp))
+    return GroupWord._reduced(tuple(reduced))
+
+
+def fresh_form(word, params):
+    """The normal form of word as a BrittonNormalForm whose syllables are
+    the fresh tuples of the pinch-scan oracle."""
+    return BrittonNormalForm(*oracle_normal_form(word, params))
 
 
 def oracle_is_identity(word, params):

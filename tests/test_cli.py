@@ -706,9 +706,24 @@ class TestSizeCaps:
          "the table has over 1048576 units"),
         (["dynamics", "rotation", "--theta", "golden", "--steps",
           "100000000"], "the orbit has 100000000 steps, over the cap of 1048576"),
+        (["bs", "normalize", "--p", "2", "--q", "3", "--word", "t^30000000"],
+         "the word has 30000000 t letters, over the cap of 1048576"),
+        # the runs after the one past the cap complete the count
+        (["bs", "same", "--p", "2", "--q", "3", "--word",
+          "t^700000 a t^700000 a T^700000", "--other", "e"],
+         "the word has 2100000 t letters, over the cap of 1048576"),
+        (["bs", "modular", "--p", "2", "--q", "3", "--word", "t^3000000"],
+         "the modular value takes 3000000 powers of 3/2, over the cap of 9012"),
+        (["bs", "modular", "--p", "2", "--q", "-3", "--word",
+          "T^1000000000"], "the modular value takes 1000000000 powers of "
+         "3/2, over the cap of 9012"),
+        (["dynamics", "rotation", "--theta", "golden", "--steps", "300000",
+          "--N", "1" + "0" * 4000],
+         "the golden orbit's circle is over 18446744073709551616 long"),
     ], ids=["verify-40-40", "verify-7-6", "verify-d0", "verify-64-bits",
             "scaled-product", "components", "components-64-bits",
-            "rotation"])
+            "rotation", "normalize", "same", "modular", "modular-10^9",
+            "circumference"])
     def test_an_input_over_its_cap_is_refused_at_once(self, argv, message):
         # refused before anything of its size is allocated; timed inside a
         # child process with its address space capped, as the level model
@@ -748,3 +763,23 @@ class TestSizeCaps:
                        "--n", "80")
         assert doc == {"kind": "III_lambda", "lambda": str(
             Fraction(2, 3) ** 80)}
+
+    def test_the_largest_word_sizes_are_under_the_caps(self, capsys):
+        doc = run_json(capsys, "bs", "normalize", "--p", "2", "--q", "3",
+                       "--word", "t^1048576")
+        assert doc["normal_form"] == "t^1048576"
+        assert doc["t_length"] == 1048576
+        doc = run_json(capsys, "bs", "same", "--p", "2", "--q", "3",
+                       "--word", "t^524288 a^3 T^524288", "--other",
+                       "a^2 t^3 A^2 T^3")
+        assert doc == {"same_element": False}
+        numerator, denominator = run_json(
+            capsys, "bs", "modular", "--p", "2", "--q", "3", "--word",
+            "t^9012")["value"].split("/")
+        assert (len(numerator), len(denominator)) == (4300, 2713)
+        doc = run_json(capsys, "bs", "modular", "--p", "2", "--q", "3",
+                       "--word", "t^5000")
+        assert doc["value"] == str(Fraction(3, 2) ** 5000)
+        doc = run_json(capsys, "dynamics", "rotation", "--theta", "golden",
+                       "--steps", "1000", "--N", str(2 ** 64))
+        assert doc["steps"] == 1000

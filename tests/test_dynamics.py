@@ -353,6 +353,15 @@ class TestLineCoordinate:
         w1, w2 = n_element_words(P23, count=2)
         assert l_theta(w1 * w2, P23).coefficient == 0
 
+    def test_a_t_sum_past_the_modular_cap_still_answers(self):
+        # the modular value of t^10000 is refused (over 4300 digits); its
+        # line coordinate is not, and it is off the kernel
+        lt = l_theta(GroupWord.parse("t^10000 a T^10000 t^10000"), P23)
+        assert lt.coefficient == Fraction(3, 2) ** 10000
+        assert not lt.in_hom_domain
+        assert l_theta(GroupWord.t(10 ** 9), BSParams(3, -3)).in_hom_domain
+        assert l_theta(GroupWord.parse("t^20000 T^20000"), P23).in_hom_domain
+
 
 class TestCouplingAction:
     def test_translation_letter(self):

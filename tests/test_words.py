@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsmg import words
+from bsmg.errors import SizeCapExceeded
 from bsmg.words import (
     BrittonNormalForm,
     BSParams,
@@ -15,11 +17,13 @@ from bsmg.words import (
     fold,
     is_amenable,
     is_elliptic,
+    is_identity,
     modular_hom,
     normalize,
     same_element,
 )
-from oracles import oracle_is_identity, oracle_normal_form
+from oracles import (fresh_form, fresh_word, oracle_is_identity,
+                     oracle_normal_form)
 
 PARAMS_POOL = [
     BSParams(2, 3),
@@ -318,3 +322,123 @@ def test_to_word_of_a_form_with_a_seam_still_reduces():
     # not a normal form: t a^0 T is a pinch, so the word reduces to a^2
     form = BrittonNormalForm(2, ((1, 0), (-1, 0)))
     assert form.to_word() == GroupWord.a(2)
+
+
+# Shared pairs: a run or syllable with |exponent| <= 64 is the pair table's
+# own tuple; what a word or form holds is equal to fresh tuples.
+SHARED_PARAMS = SIGNED_PARAMS + [BSParams(3, 130), BSParams(-70, 140)]
+WIDE_RUNS = st.lists(st.one_of(
+    st.tuples(st.just("a"), st.integers(-200, 200)),
+    st.tuples(st.just("a"), st.integers(-10 ** 40, 10 ** 40)),
+    st.tuples(st.just("t"), st.integers(-70, 70))), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SHARED_PARAMS), WIDE_RUNS, st.integers(-10 ** 60, 10 ** 60))
+def test_shared_pairs_equal_fresh_tuples(params, runs, k0):
+    runs = [("a", k0)] + runs
+    word, fresh = GroupWord(runs), fresh_word(runs)
+    assert word.runs == fresh.runs
+    assert word.to_text() == fresh.to_text()
+    assert hash(word) == hash(fresh) and word == fresh
+    form, oracle = normalize(word, params), fresh_form(fresh, params)
+    assert form == normalize(fresh, params) == oracle
+    assert form.syllables == oracle.syllables
+    assert str(form) == str(oracle) and hash(form) == hash(oracle)
+    assert form.to_word().runs == fresh_word(form.to_word().runs).runs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SHARED_PARAMS), WIDE_RUNS)
+def test_every_small_pair_is_the_tables_tuple(params, runs):
+    table = words._SHARED
+    size = len(table)
+    word = GroupWord(runs)
+    form = normalize(word, params)
+    runs = (word.runs + word.inverse().runs + (word * word).runs
+            + form.to_word().runs)
+    for pair in runs:
+        assert pair is table[pair] if abs(pair[1]) <= 64 else \
+            pair not in table
+    for pair in form.syllables:
+        assert pair is table[pair] if 0 <= pair[1] <= 64 else \
+            pair not in table
+    # big exponents are stored fresh: the table does not grow
+    assert len(table) == size == 4 * 64 + 2 * 65
+
+
+def test_the_constructors_share_their_pairs():
+    table = words._SHARED
+    for word in (GroupWord.a(5), GroupWord.t(-64), GroupWord.parse("t^3 A^2"),
+                 GroupWord.a(3) * GroupWord.t(), GroupWord.t(7).inverse()):
+        assert all(run is table[run] for run in word.runs)
+    assert GroupWord.a(65).runs[0] not in table
+
+
+def _traced_bytes(build):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        built = build()
+        return built, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_long_word_and_its_form_hold_one_pointer_per_pair():
+    # 10^5 letters in 66,624 runs and a form of 39,750 syllables: fresh
+    # tuples of 56 bytes each trace 4.3 MB for the word and 2.5 MB for the
+    # form; shared pairs leave the pointers, 0.5 and 0.3 MB
+    rng = random.Random(27)
+    pairs, letters = [], 0
+    while letters < 10 ** 5:
+        exp = rng.choice((-2, -1, 1, 2))
+        pairs.append(("at"[len(pairs) % 2], exp))
+        letters += abs(exp)
+    word, word_bytes = _traced_bytes(lambda: GroupWord(pairs))
+    form, form_bytes = _traced_bytes(lambda: normalize(word, BSParams(2, 3)))
+    assert len(word.runs) > 60_000 and form.t_length > 10_000
+    assert word_bytes < 2 ** 20 and form_bytes < 2 ** 20, (
+        word_bytes, form_bytes)
+
+
+class TestWordCaps:
+    def test_the_t_letter_cap_counts_across_runs(self):
+        params = BSParams(2, 3)
+        half = GroupWord.t(words.MAX_T_LETTERS // 2 + 1)
+        with pytest.raises(SizeCapExceeded, match=(
+                f"the word has {words.MAX_T_LETTERS + 3} t letters, over "
+                f"the cap of {words.MAX_T_LETTERS}")):
+            normalize(half * GroupWord.a() * half * GroupWord.a(-5)
+                      * GroupWord.t(), params)
+        long = GroupWord.t(words.MAX_T_LETTERS + 1)
+        with pytest.raises(SizeCapExceeded):
+            is_identity(long, params)
+        with pytest.raises(SizeCapExceeded):
+            same_element(GroupWord(), long, params)
+
+    def test_the_largest_t_letter_count_answers(self):
+        form = normalize(GroupWord.t(words.MAX_T_LETTERS), BSParams(2, 3))
+        assert form.t_length == words.MAX_T_LETTERS and form.k0 == 0
+        assert str(form) == f"t^{words.MAX_T_LETTERS}"
+
+    @pytest.mark.parametrize("params, largest", [
+        (BSParams(2, 3), 9012), (BSParams(2, -3), 9012),
+        (BSParams(4, 6), 9012), (BSParams(2, 5), 6151),
+        (BSParams(2, 10 ** 2200 + 1), 1)])
+    def test_the_modular_cap_is_the_digit_limit(self, params, largest):
+        base = abs(params.q0)
+        assert base ** largest < 10 ** 4300 <= base ** (largest + 1)
+        for sign in (1, -1):
+            value = modular_hom(GroupWord.t(sign * largest), params)
+            assert len(str(value.numerator)) <= 4300
+            assert len(str(value.denominator)) <= 4300
+            with pytest.raises(SizeCapExceeded, match=(
+                    f"takes {largest + 1} powers of .*, over the cap of "
+                    f"{largest}$")):
+                modular_hom(GroupWord.t(sign * (largest + 1)), params)
+
+    def test_a_modular_value_of_one_has_no_cap(self):
+        assert modular_hom(GroupWord.t(10 ** 9), BSParams(3, -3)) == 1
+        assert modular_hom(GroupWord.t(10 ** 9), BSParams(2, 2)) == 1
