@@ -7,10 +7,8 @@ shadow: the line coordinate is kept as an exact affine expression a + b*theta
 TruncatedProfiniteInt with explicit level, and every scaling letter consumes
 or produces one level on the ring side.
 
-theta itself comes in three flavors. Exact rationals and the golden ratio
-are fully decidable (golden sign tests reduce to comparing u^2 against
-5 w^2, no intervals involved); an interval theta answers only what its two
-rational ends agree on (_at_both_ends) and raises PrecisionError otherwise.
+theta itself is exact: a rational or the golden ratio, so every sign test
+is decidable (a golden one reduces to comparing u^2 against 5 w^2).
 
 An affine value is three integers (p, q, d) meaning (p + q*theta)/d, in
 lowest terms with d > 0. An exact theta is (u + w*sqrt(5))/v, w = 0 for a
@@ -36,7 +34,6 @@ from .errors import (
     NotAnInteger,
     NotErgodic,
     ParamMismatch,
-    PrecisionError,
     VerificationFailure,
     require_under_cap,
 )
@@ -55,19 +52,16 @@ MAX_TABLE_UNITS = 2 ** 20
 # -- theta ------------------------------------------------------------------
 
 class ThetaValue:
-    """A nonzero translation length: rational, golden ratio, or interval.
-    An exact theta is (u + w*sqrt(5))/v, v > 0, held as u, w, v."""
+    """A nonzero translation length: a rational or the golden ratio, held
+    as (u + w*sqrt(5))/v with v > 0 in u, w, v."""
 
-    __slots__ = ("kind", "frac", "lo", "hi", "u", "w", "v")
+    __slots__ = ("kind", "frac", "u", "w", "v")
 
-    def __init__(self, kind, frac=None, lo=None, hi=None):
+    def __init__(self, kind, frac=None):
         self.kind = kind
         self.frac = frac
-        self.lo = lo
-        self.hi = hi
         self.u, self.w, self.v = ((1, 1, 2) if kind == "golden" else
-                                  (frac.numerator, 0, frac.denominator)
-                                  if kind == "rational" else (None,) * 3)
+                                  (frac.numerator, 0, frac.denominator))
 
     @classmethod
     def from_rational(cls, value):
@@ -80,28 +74,15 @@ class ThetaValue:
     def golden(cls):
         return cls("golden")
 
-    @classmethod
-    def from_interval(cls, lo, hi):
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not lo <= hi:
-            raise ValueError("empty interval")
-        if lo <= 0 <= hi:
-            raise ValueError("theta interval must not contain zero")
-        return cls("interval", lo=lo, hi=hi)
-
     def __float__(self):
         if self.kind == "rational":
             return float(self.frac)
-        if self.kind == "golden":
-            return (1 + math.sqrt(5)) / 2
-        return float((self.lo + self.hi) / 2)
+        return (1 + math.sqrt(5)) / 2
 
     def __repr__(self):
         if self.kind == "rational":
             return f"ThetaValue({self.frac})"
-        if self.kind == "golden":
-            return "ThetaValue(golden)"
-        return f"ThetaValue([{self.lo}, {self.hi}])"
+        return "ThetaValue(golden)"
 
 
 def _fib(n):
@@ -205,7 +186,7 @@ def as_affine(x):
 
 
 def _pair_sign(theta, p, q):
-    """Exact sign of p + q*theta for a rational or golden theta: -1, 0, +1.
+    """Exact sign of p + q*theta: -1, 0, +1.
     (p + q*theta)/d has the same sign for any d > 0, and v*(p + q*theta) =
     A + B*sqrt(5) for A = p*v + q*u, B = q*w, the sign of A|A| + 5B|B|:
     A and B agree, or A^2 != 5B^2 decides (5 is not a square)."""
@@ -216,51 +197,34 @@ def _pair_sign(theta, p, q):
 
 
 def _pair_floor(theta, p, q, d):
-    """Largest integer n with n <= (p + q*theta)/d, d > 0, for a rational
-    or golden theta: (A + floor(B*sqrt(5))) // (d*v), A and B as in
-    _pair_sign. floor(B*sqrt(5)) is isqrt(5 B^2), or -isqrt(5 B^2) - 1 for
-    B < 0 (5 B^2 is a square only at B = 0)."""
+    """Largest integer n with n <= (p + q*theta)/d, d > 0:
+    (A + floor(B*sqrt(5))) // (d*v), A and B as in _pair_sign.
+    floor(B*sqrt(5)) is isqrt(5 B^2), or -isqrt(5 B^2) - 1 for B < 0
+    (5 B^2 is a square only at B = 0)."""
     A = p * theta.v + q * theta.u
     B = q * theta.w
     root = math.isqrt(5 * B * B)
     return (A + (root if B >= 0 else -root - 1)) // (d * theta.v)
 
 
-def _at_both_ends(theta, decide, *args):
-    """decide(theta, *args); for an interval theta, the answer decide gives
-    at both rational ends, PrecisionError when they differ. Each decision
-    passed here is monotone in theta (a + b*theta is linear in theta), so
-    ends that agree decide every theta between them."""
-    if theta.kind != "interval":
-        return decide(theta, *args)
-    lo, hi = (decide(ThetaValue.from_rational(end), *args)
-              for end in (theta.lo, theta.hi))
-    if lo != hi:
-        raise PrecisionError(f"the ends of {theta!r} disagree: {lo} and {hi}")
-    return lo
-
-
 def affine_sign(theta, value):
     """Exact sign of a + b*theta: -1, 0, or +1."""
     value = as_affine(value)
-    return _at_both_ends(theta, _pair_sign, value.p, value.q)
+    return _pair_sign(theta, value.p, value.q)
 
 
 def affine_floor(theta, value):
     """Largest integer n with n <= a + b*theta, decided exactly."""
     value = as_affine(value)
-    return _at_both_ends(theta, _pair_floor, value.p, value.q, value.d)
+    return _pair_floor(theta, value.p, value.q, value.d)
 
 
 def theta_is_positive(theta):
-    if theta.kind == "interval":
-        return theta.lo > 0
     return theta.kind == "golden" or theta.frac > 0
 
 
 def _inverse_pair(theta):
-    """(ip, iq, idd) with 1/theta = (ip + iq*theta)/idd and idd > 0, for a
-    rational or golden theta."""
+    """(ip, iq, idd) with 1/theta = (ip + iq*theta)/idd and idd > 0."""
     if theta.kind == "rational":
         u, v = theta.frac.numerator, theta.frac.denominator
         return (v, 0, u) if u > 0 else (-v, 0, -u)
@@ -269,9 +233,7 @@ def _inverse_pair(theta):
 
 
 def div_by_theta(theta, value):
-    """(a + b*theta) / theta as an exact affine value (rational or golden)."""
-    if theta.kind == "interval":
-        raise PrecisionError("exact division by an interval theta")
+    """(a + b*theta) / theta as an exact affine value."""
     value = as_affine(value)
     # (p + q theta)/theta = ((p ip + q idd) + p iq theta)/idd
     ip, iq, idd = _inverse_pair(theta)
@@ -284,12 +246,12 @@ def div_by_theta(theta, value):
 def _abs_theta(theta):
     if theta.kind == "rational":
         return _raw(abs(theta.frac.numerator), 0, theta.frac.denominator)
-    return _raw(0, 1 if theta_is_positive(theta) else -1, 1)
+    return _raw(0, 1, 1)
 
 
 def _window(theta, p, q, d):
     """-1, 0 or 1 as (p + q*theta)/d lies below [0, |theta|), inside it, or
-    at |theta| or above, for a rational or golden theta."""
+    at |theta| or above."""
     if _pair_sign(theta, p, q) < 0:
         return -1
     # |theta| - (p + q*theta)/d = (-p + (s d - q)*theta)/d, |theta| = s*theta
@@ -298,9 +260,9 @@ def _window(theta, p, q, d):
 
 
 def _return_time(theta, p, q, d):
-    """The m with y + theta*m in [0, |theta|) for y = (p + q*theta)/d and a
-    rational or golden theta, -s*floor(s*y/theta) for s the sign of theta;
-    VerificationFailure unless the landing point is in the window."""
+    """The m with y + theta*m in [0, |theta|) for y = (p + q*theta)/d,
+    -s*floor(s*y/theta) for s the sign of theta; VerificationFailure unless
+    the landing point is in the window."""
     # y/theta = ((p ip + q idd) + p iq*theta)/(d idd)
     ip, iq, idd = _inverse_pair(theta)
     s = 1 if theta_is_positive(theta) else -1
@@ -310,9 +272,13 @@ def _return_time(theta, p, q, d):
     return m
 
 
-def _beta(n, x, theta):
-    """(m, p, q, d): the return time of beta_cocycle and the landing point
-    (p + q*theta)/d its window check read."""
+def beta_cocycle(n, x, theta):
+    """The unique integer m with x - n + theta*m in [0, |theta|).
+
+    n must be an int or an integral Fraction (NotAnInteger), x must lie in
+    [0, |theta|) (ValueError). Decided exactly on the integers of x - n,
+    and the landing point is checked to lie in the window.
+    """
     if not isinstance(n, int) and not (isinstance(n, Fraction)
                                        and n.denominator == 1):
         raise NotAnInteger(f"beta_cocycle needs an integer n, got {n!r}")
@@ -321,41 +287,17 @@ def _beta(n, x, theta):
     else:
         value = x if isinstance(x, (int, Fraction)) else Fraction(x)
         p, q, d = value.numerator, 0, value.denominator
-    where = _at_both_ends(theta, _window, p, q, d)
+    where = _window(theta, p, q, d)
     if where:
         raise ValueError(f"{x} is negative" if where < 0 else
                          f"{x} is not below {_abs_theta(theta)}")
-    p -= int(n) * d
-    m = _at_both_ends(theta, _return_time, p, q, d)
-    return m, p, q + m * d, d
-
-
-def beta_cocycle(n, x, theta):
-    """The unique integer m with x - n + theta*m in [0, |theta|).
-
-    n must be an int or an integral Fraction (NotAnInteger), x must lie in
-    [0, |theta|) (ValueError). Decided on the integers of x - n, exact for
-    rational theta and the golden ratio; an interval theta answers what its
-    two rational ends agree on (PrecisionError when they differ).
-    """
-    return _beta(n, x, theta)[0]
+    return _return_time(theta, p - int(n) * d, q, d)
 
 
 def _theta_times(theta, m):
     if theta.kind == "rational":
         return _affine(theta.frac.numerator * m, 0, theta.frac.denominator)
     return _raw(0, m, 1)
-
-
-def beta_step(n, x, theta):
-    """(m, landing point): the return time together with x - n + theta*m,
-    the point its window check read. The landing point is a Fraction for
-    rational theta, affine otherwise."""
-    m, p, q, d = _beta(n, x, theta)
-    if theta.kind == "rational":
-        u, v = theta.frac.numerator, theta.frac.denominator
-        return m, Fraction(p * v + q * u, d * v)
-    return m, _affine(p, q, d)
 
 
 # -- the scaling homomorphism on the line coordinate -------------------------
@@ -546,8 +488,6 @@ def rotation_model_orbit(theta, N, steps=0):
         grid = N * v
         period = 1 if s == 0 else grid // gcd(abs(s), grid)
         return OrbitReport("rational", period, s % grid == 0, grid, None, 0)
-    if theta.kind != "golden":
-        raise ValueError("orbit statistics need a rational or golden theta")
     if steps < 1:
         raise ValueError("steps must be positive for the irrational path")
     require_under_cap(steps, MAX_STEPS, "the orbit has", "steps")
@@ -685,8 +625,6 @@ def cesaro_mixing_test(base, theta, A1, B1, A2, B2, horizon, *,
     """
     if horizon < 1:
         raise ValueError(f"the horizon must be at least 1, got {horizon}")
-    if theta.kind == "interval":
-        raise PrecisionError("Cesaro averages need a rational or golden theta")
     if not theta_is_positive(theta):
         raise ValueError("the mixing diagnostic expects a positive theta")
     A1 = _interval_list(theta, A1, "A1")

@@ -114,9 +114,5 @@ class NotErgodic(BsmgError, ValueError):
     """Operation requires an ergodic base action; the input is refused."""
 
 
-class PrecisionError(BsmgError):
-    """Interval arithmetic could not decide a comparison at maximum precision."""
-
-
 class VerificationFailure(BsmgError):
     """A verified identity failed; carries the offending instance."""

@@ -16,7 +16,6 @@ deterministic. Arrows 0..n_units-1 are always the unit loops.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -525,9 +524,6 @@ class FiniteMeasuredGroupoid:
         return cls(names, masses, src, rng, inv, labs, table_product(prod),
                    product_complete=bool(doc.get("product_complete")),
                    rn_values=rn)
-
-    def to_json(self):
-        return json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))
 
 
 class Subgroupoid:

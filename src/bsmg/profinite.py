@@ -26,7 +26,6 @@ from .errors import (
     VerificationFailure,
     require_under_cap,
 )
-from .words import generalized_valuation
 
 # the most residues verify_limit_shadow may sweep, (K + 1)(L + 1) M: every
 # scaling (k, l) visits the base submodule and every unit of Z/M
@@ -183,59 +182,6 @@ def u0_membership(r):
     the base submodule."""
     _require_unit(r)
     return (r.params.d0 * (r.residue - 1)) % r.modulus == 0
-
-
-def torsion_vanishing_modulus(x, m):
-    """Given m . x = 0 at x's level, the modulus at which x itself must
-    vanish: M / gcd(M, m). This is an exact consequence of the ring
-    structure and is asserted, not just reported."""
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    M = x.modulus
-    if (m * x.residue) % M:
-        raise ValueError(f"{m} * {x.to_text()} is not 0")
-    out = M // gcd(M, abs(m))
-    if x.residue % out:
-        raise VerificationFailure(
-            f"torsion shadow violated: {m} * {x.to_text()} = 0 but "
-            f"{x.to_text()} is not 0 modulo {out}")
-    return out
-
-
-def torsion_shadow_valuation(x, m):
-    """The valuation form of the torsion shadow: m . x = 0 at level (K, L)
-    forces x = 0 at level (K - v_p0(m), L - v_q0(m)).
-
-    True whenever |p0| and |q0| are prime and m is coprime to d0; can fail
-    for composite p0 or q0 (the gcd form above is the sharp statement).
-    Returns the honest boolean.
-    """
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    M = x.modulus
-    if (m * x.residue) % M:
-        raise ValueError(f"{m} * {x.to_text()} is not 0")
-    K, L = x.level
-    vp = min(generalized_valuation(m, x.params.p0), K)
-    vq = min(generalized_valuation(m, x.params.q0), L)
-    target = x.params.level_modulus(K - vp, L - vq)
-    return x.residue % target == 0
-
-
-def enumerate_levels(params, max_modulus):
-    """All levels (K, L) with modulus at most max_modulus, largest last.
-    Needs |p0|, |q0| >= 2 so that the enumeration is finite."""
-    if abs(params.p0) < 2 or abs(params.q0) < 2:
-        raise ValueError("level enumeration needs |p0|, |q0| >= 2")
-    out = []
-    K = 0
-    while params.level_modulus(K, 0) <= max_modulus:
-        L = 0
-        while params.level_modulus(K, L) <= max_modulus:
-            out.append((K, L))
-            L += 1
-        K += 1
-    return sorted(out, key=lambda kl: params.level_modulus(*kl))
 
 
 def verify_limit_shadow(params, K, L, *, rng=None):

@@ -107,11 +107,6 @@ def canonical_vertex(word: GroupWord, params: BSParams) -> TreeVertex:
     return TreeVertex(params, _strip_trailing(normalize(word, params)))
 
 
-def canonical_edge(word: GroupWord, params: BSParams) -> BrittonNormalForm:
-    """Canonical form of the edge coset word<a^q>."""
-    return _edge_form(normalize(word, params), params)
-
-
 def neighbors(vertex: TreeVertex) -> list:
     """All |q| + |p| neighbors as (edge, vertex) pairs, outgoing first.
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .errors import (BoundExceeded, InvalidLevel, VerificationFailure,
-                     require_under_cap)
+from .errors import (BoundExceeded, InvalidLevel, NotAnInteger,
+                     VerificationFailure, require_under_cap)
 
 _TOKEN = re.compile(r"([aAtT])(?:\^(-?\d+))?")
 
@@ -117,7 +117,8 @@ def generalized_valuation(m, b):
 class GroupWord:
     """A word over {a, t}, stored run-length and freely reduced as written.
 
-    runs is a tuple of (letter, exponent) pairs; a run with |exponent| <= 64
+    runs is a tuple of (letter, exponent) pairs, each exponent an int (any
+    other type raises NotAnInteger); a run with |exponent| <= 64
     is the shared tuple of the module's pair table, so a long word costs one
     pointer per run. Equality and hashing are syntactic (same written
     word). Group equality is same_element / is_identity, which go through
@@ -131,6 +132,9 @@ class GroupWord:
         for letter, exp in runs:
             if letter not in ("a", "t"):
                 raise ValueError(f"unknown letter {letter!r}")
+            if type(exp) is not int:
+                raise NotAnInteger(
+                    f"the exponent of {letter} must be an int, got {exp!r}")
             if exp == 0:
                 continue
             if letters and letters[-1] == letter:

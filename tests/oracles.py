@@ -3,16 +3,19 @@
 Everything here is written for obviousness, not speed: whole-word rescans,
 breadth-first walks, smallest-power searches, whole-word tree steps, orbit
 and cycle walks, trial-division factoring, a Cesaro loop on ThetaAffine
-values, bound arithmetic on interval thetas, groupoid products composed
-from the arrow labels, a scan of the laws a groupoid map must keep, the
-pair certificate derived from a principal map, and the small readers of thetas, partial isomorphisms, restrictions and
-components that only tests need, the level model grown from its seed
+values, groupoid products composed from the arrow labels, a scan of the
+laws a groupoid map must keep, the pair certificate derived from a
+principal map, and the small readers of thetas, partial isomorphisms,
+restrictions, components, tree edges, groupoid documents and truncated
+ring levels that only tests need, the level model grown from its seed
 maps or written one arrow at a time, and words and normal forms held as
-fresh tuples. None of it shares code with the
-implementations under test beyond the public data types, the exact
-ThetaAffine sign, floor and division, and the composable-pairs walk.
+fresh tuples. None of it shares code with the implementations under test
+beyond the public data types, the exact ThetaAffine sign, floor and
+division, the composable-pairs walk, the tree's edge-coset reduction and
+the words valuation.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -30,10 +33,11 @@ from bsmg.dynamics import (
     as_affine,
     div_by_theta,
 )
-from bsmg.errors import PrecisionError
+from bsmg.errors import VerificationFailure
 from bsmg.groupoid.core import PairCertificate, composable_pairs
 from bsmg.groupoid.pseudogroup import PartialIso
-from bsmg.words import BrittonNormalForm, GroupWord, normalize
+from bsmg.words import (BrittonNormalForm, GroupWord, generalized_valuation,
+                        normalize)
 
 
 def oracle_normal_form(word, params):
@@ -340,8 +344,6 @@ def theta_bounds(theta, depth=40):
     are consecutive Fibonacci convergents at the given depth."""
     if theta.kind == "rational":
         return theta.frac, theta.frac
-    if theta.kind == "interval":
-        return theta.lo, theta.hi
     a, b = _fib(depth), _fib(depth + 1)
     c, d = b, a + b
     lo, hi = Fraction(b, a), Fraction(d, c)
@@ -378,34 +380,10 @@ def conditional_mass(dec, x):
     return G.masses[x] / sum(G.masses[y] for y in dec.component(x))
 
 
-def interval_sign(theta, value):
-    """Sign of a + b*theta on an interval theta [lo, hi] by bound
-    arithmetic: the least and greatest values over the interval, read at the
-    end that minimizes or maximizes b*theta. PrecisionError when they do
-    not share a sign (or both vanish)."""
-    a, b = value.a, value.b
-    vlo = a + b * (theta.lo if b >= 0 else theta.hi)
-    vhi = a + b * (theta.hi if b >= 0 else theta.lo)
-    if vlo > 0:
-        return 1
-    if vhi < 0:
-        return -1
-    if vlo == vhi == 0:
-        return 0
-    raise PrecisionError(f"cannot decide the sign of {value} on {theta!r}")
-
-
-def interval_floor(theta, value):
-    """Floor of a + b*theta on an interval theta: a candidate from the
-    midpoint, then the fencepost settled by interval_sign of value - n and
-    value - (n + 1), which raises PrecisionError where either straddles 0,
-    an exact-integer end included."""
-    n = math.floor(value.a + value.b * (theta.lo + theta.hi) / 2)
-    while interval_sign(theta, value - n) < 0:
-        n -= 1
-    while interval_sign(theta, value - (n + 1)) >= 0:
-        n += 1
-    return n
+def doc_json(G):
+    """G's document as compact JSON with sorted keys: one string per
+    groupoid, for hashing and round-trip comparisons."""
+    return json.dumps(G.to_doc(), sort_keys=True, separators=(",", ":"))
 
 
 def arrows_from(G, x):
@@ -632,6 +610,11 @@ def endpoint_map(G):
     return lambda s, r: ids.get((s, r))
 
 
+def canonical_edge(word, params):
+    """Canonical form of the edge coset word<a^q>."""
+    return tree._edge_form(normalize(word, params), params)
+
+
 def scratch_neighbors(vertex):
     """tree.neighbors with every neighbour normalized from the whole word
     rep * a^i (* t or * t^-1)."""
@@ -640,12 +623,12 @@ def scratch_neighbors(vertex):
     result = []
     for i in range(abs(params.q)):
         shifted = rep * GroupWord.a(i)
-        edge = tree.TreeEdge(params, tree.canonical_edge(shifted, params), 1)
+        edge = tree.TreeEdge(params, canonical_edge(shifted, params), 1)
         result.append((edge, tree.canonical_vertex(shifted * GroupWord.t(),
                                                    params)))
     for j in range(abs(params.p)):
         shifted = rep * GroupWord.a(j) * GroupWord.t(-1)
-        edge = tree.TreeEdge(params, tree.canonical_edge(shifted, params), -1)
+        edge = tree.TreeEdge(params, canonical_edge(shifted, params), -1)
         result.append((edge, tree.canonical_vertex(shifted, params)))
     return result
 
@@ -660,10 +643,10 @@ def scratch_geodesic(u, v):
     for e, k in diff.syllables:
         if e == 1:
             edges.append(tree.TreeEdge(
-                params, tree.canonical_edge(prefix, params), 1))
+                params, canonical_edge(prefix, params), 1))
         else:
             edges.append(tree.TreeEdge(
-                params, tree.canonical_edge(prefix * GroupWord.t(-1), params),
+                params, canonical_edge(prefix * GroupWord.t(-1), params),
                 -1))
         prefix = prefix * GroupWord.t(e) * GroupWord.a(k)
         vertices.append(tree.canonical_vertex(prefix, params))
@@ -916,3 +899,58 @@ def level_arrays_by_pairs(params, k, l):
             src[tid], rng[tid], inv[tid] = N + yj, x, gid
             labels[gid], labels[tid] = ("t", j, i), ("T", j, i)
     return src, rng, inv, labels
+
+
+# -- the truncated ring's torsion shadow and its levels ----------------------
+
+def torsion_vanishing_modulus(x, m):
+    """Given m . x = 0 at x's level, the modulus at which x itself must
+    vanish: M / gcd(M, m). This is an exact consequence of the ring
+    structure and is asserted, not just reported."""
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    M = x.modulus
+    if (m * x.residue) % M:
+        raise ValueError(f"{m} * {x.to_text()} is not 0")
+    out = M // math.gcd(M, abs(m))
+    if x.residue % out:
+        raise VerificationFailure(
+            f"torsion shadow violated: {m} * {x.to_text()} = 0 but "
+            f"{x.to_text()} is not 0 modulo {out}")
+    return out
+
+
+def torsion_shadow_valuation(x, m):
+    """The valuation form of the torsion shadow: m . x = 0 at level (K, L)
+    forces x = 0 at level (K - v_p0(m), L - v_q0(m)).
+
+    True whenever |p0| and |q0| are prime and m is coprime to d0; can fail
+    for composite p0 or q0 (the gcd form above is the sharp statement).
+    Returns the honest boolean.
+    """
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    M = x.modulus
+    if (m * x.residue) % M:
+        raise ValueError(f"{m} * {x.to_text()} is not 0")
+    K, L = x.level
+    vp = min(generalized_valuation(m, x.params.p0), K)
+    vq = min(generalized_valuation(m, x.params.q0), L)
+    target = x.params.level_modulus(K - vp, L - vq)
+    return x.residue % target == 0
+
+
+def enumerate_levels(params, max_modulus):
+    """All levels (K, L) with modulus at most max_modulus, largest last.
+    Needs |p0|, |q0| >= 2 so that the enumeration is finite."""
+    if abs(params.p0) < 2 or abs(params.q0) < 2:
+        raise ValueError("level enumeration needs |p0|, |q0| >= 2")
+    out = []
+    K = 0
+    while params.level_modulus(K, 0) <= max_modulus:
+        L = 0
+        while params.level_modulus(K, L) <= max_modulus:
+            out.append((K, L))
+            L += 1
+        K += 1
+    return sorted(out, key=lambda kl: params.level_modulus(*kl))

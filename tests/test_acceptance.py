@@ -14,7 +14,7 @@ from bsmg.cocycle.levelmodel import BSLevelModel
 from bsmg.cocycle.mackey import TypeLabel, classify_type, one_loop_model
 from bsmg.dynamics import ThetaValue, rotation_model_orbit
 from bsmg.groupoid.randomgen import partition_groupoid
-from bsmg.profinite import enumerate_levels, verify_limit_shadow
+from bsmg.profinite import verify_limit_shadow
 from bsmg.suite import (check_beta_laws, check_cesaro_mixing,
                         check_component_counts, check_flow_types,
                         check_index_laws, check_local_index_group,
@@ -23,7 +23,8 @@ from bsmg.suite import (check_beta_laws, check_cesaro_mixing,
                         check_trivial_words)
 from bsmg.words import BSParams, GroupWord, classify_isomorphism, normalize
 
-from oracles import ball, iso_orbit, oracle_normal_form, smallest_power_index
+from oracles import (ball, enumerate_levels, iso_orbit, oracle_normal_form,
+                     smallest_power_index)
 
 PARAM_PAIRS = ((2, 3), (2, 5), (4, 6), (6, 9), (2, -3))
 

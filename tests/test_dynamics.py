@@ -24,7 +24,6 @@ from bsmg.dynamics import (
     affine_floor,
     affine_sign,
     beta_cocycle,
-    beta_step,
     cesaro_mixing_test,
     component_counts,
     coupling_action,
@@ -42,13 +41,11 @@ from bsmg.errors import (
     NotAnInteger,
     NotErgodic,
     ParamMismatch,
-    PrecisionError,
 )
 from bsmg.profinite import TruncatedProfiniteInt
 from bsmg.words import BSParams, GroupWord, commutator, is_identity, modular_hom
 
-from oracles import (cesaro_reference, interval_floor, interval_sign,
-                     is_rational, sqrt5_sign, theta_bounds)
+from oracles import cesaro_reference, is_rational, sqrt5_sign, theta_bounds
 
 P23 = BSParams(2, 3)
 THETA32 = ThetaValue.from_rational(Fraction(3, 2))
@@ -69,14 +66,6 @@ class TestTheta:
         assert (lo, hi) == (Fraction(144, 89), Fraction(89, 55))
         assert float(lo) < float(GOLDEN) < float(hi)
         assert not is_rational(GOLDEN)
-
-    def test_interval(self):
-        t = ThetaValue.from_interval(Fraction(31, 10), Fraction(32, 10))
-        assert theta_bounds(t) == (Fraction(31, 10), Fraction(32, 10))
-        with pytest.raises(ValueError):
-            ThetaValue.from_interval(2, 1)
-        with pytest.raises(ValueError):
-            ThetaValue.from_interval(-1, 1)
 
 
 # numerators up to 10^400; denominators that share factors (powers of 2, 3
@@ -210,27 +199,15 @@ class TestBetaCocycle:
         with pytest.raises(ValueError):
             beta_cocycle(1, -1, THETA32)
 
-    def test_interval_theta(self):
-        wide = ThetaValue.from_interval(Fraction(31, 10), Fraction(32, 10))
-        assert beta_cocycle(1, 0, wide) == 1
-        coarse = ThetaValue.from_interval(Fraction(1, 2), Fraction(3, 2))
-        with pytest.raises(PrecisionError):
-            beta_cocycle(1, 0, coarse)
-
-    def test_step_returns_the_landing_point(self):
-        assert beta_step(1, 0, THETA32) == (1, Fraction(1, 2))
-
     def test_integral_fraction_n_is_accepted(self):
         assert beta_cocycle(Fraction(6, 2), 0, THETA32) == beta_cocycle(3, 0, THETA32)
-        assert beta_step(Fraction(-4), 0, GOLDEN) == beta_step(-4, 0, GOLDEN)
+        assert beta_cocycle(Fraction(-4), 0, GOLDEN) == beta_cocycle(-4, 0, GOLDEN)
 
     @pytest.mark.parametrize("n", [Fraction(7, 2), 3.9, Fraction(1, 2), "3"])
     def test_non_integer_n_is_rejected(self, n):
-        # int(n) would answer for a truncated n and land beta_step outside
-        # its window
-        for call in (beta_cocycle, beta_step):
-            with pytest.raises(NotAnInteger, match="integer n"):
-                call(n, 0, THETA32)
+        # int(n) would answer for a truncated n
+        with pytest.raises(NotAnInteger, match="integer n"):
+            beta_cocycle(n, 0, THETA32)
 
     @pytest.mark.parametrize("n", [10 ** 20, -10 ** 20, 10 ** 27, -10 ** 27,
                                    10 ** 400, -10 ** 400])
@@ -243,89 +220,20 @@ class TestBetaCocycle:
         assert sqrt5_sign(u, m) >= 0
         assert sqrt5_sign(u - 1, m - 1) < 0    # landed < phi
 
-
-# small endpoints and values, so that the two ends of an interval often
-# agree and often do not
-SMALL = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 20))
-SMALL_AFFINES = st.builds(ThetaAffine, SMALL, SMALL)
-INTERVAL_THETAS = st.builds(
-    lambda lo, width: (lo, lo + width), SMALL.filter(bool),
-    st.builds(Fraction, st.integers(0, 20), st.integers(1, 100))).filter(
-        lambda ends: not ends[0] <= 0 <= ends[1]).map(
-            lambda ends: ThetaValue.from_interval(*ends))
-
-
-def outcome(call, *args):
-    """call(*args), or the exception it raises: PrecisionError, or for a
-    point outside the window of beta_cocycle ValueError and whether the
-    point lies below it."""
-    try:
-        return call(*args)
-    except PrecisionError:
-        return PrecisionError
-    except ValueError as exc:
-        return ValueError, str(exc).endswith("is negative")
-
-
-def at_ends(call, theta, *args):
-    """The outcomes of call at the rational ends lo and hi of theta."""
-    return [outcome(call, *args, ThetaValue.from_rational(end))
-            for end in theta_bounds(theta)]
-
-
-class TestIntervalTheta:
-    """An interval theta answers what its two rational ends agree on. The
-    bound arithmetic it replaced (oracles.interval_sign, interval_floor) is
-    the reference for sign and floor."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(INTERVAL_THETAS, SMALL_AFFINES)
-    def test_sign_is_the_bound_arithmetic(self, theta, x):
-        assert outcome(affine_sign, theta, x) == \
-            outcome(interval_sign, theta, x)
-
-    @settings(max_examples=300, deadline=None)
-    @given(INTERVAL_THETAS, SMALL_AFFINES)
-    def test_floor_answers_where_the_fencepost_did(self, theta, x):
-        got = outcome(affine_floor, theta, x)
-        want = outcome(interval_floor, theta, x)
-        if want is not PrecisionError:
-            assert got == want
-        else:
-            # the fencepost also raised at an exact-integer end, where both
-            # rational ends agree on the floor
-            lo, hi = at_ends(lambda x, t: affine_floor(t, x), theta, x)
-            assert got == (lo if lo == hi else PrecisionError)
-
-    def test_integer_end_is_answered(self):
-        # theta - 1 is 0 at the end lo = 1, so the fencepost could not tell
-        # floor(theta) from floor(theta) - 1
-        theta = ThetaValue.from_interval(1, Fraction(3, 2))
-        x = ThetaAffine(0, 1)
-        with pytest.raises(PrecisionError):
-            interval_floor(theta, x)
-        assert affine_floor(theta, x) == 1
-
     def test_beta_reads_the_theta_part_of_x(self):
-        # the bound arithmetic read only the rational part of x and answered
-        # 1, landing x - 1 + theta in [3.65, 3.8], outside [0, theta)
-        theta = ThetaValue.from_interval(Fraction(31, 10), Fraction(32, 10))
+        # x = phi/2 has no rational part: an answer read off that part alone
+        # is beta_cocycle(n, 0), which differs at the first four n
         x = ThetaAffine(0, Fraction(1, 2))
-        assert beta_cocycle(1, x, theta) == 0
-        m, landed = beta_step(1, x, theta)
-        assert (m, landed) == (0, ThetaAffine(-1, Fraction(1, 2)))
-
-    @settings(max_examples=300, deadline=None)
-    @given(INTERVAL_THETAS, SMALL_AFFINES, st.integers(-30, 30))
-    def test_beta_is_the_common_answer_of_the_ends(self, theta, x, n):
-        lo, hi = at_ends(beta_cocycle, theta, n, x)
-        got = outcome(beta_cocycle, n, x, theta)
-        if lo == hi:
-            # one return time, or x on the same side outside the window at
-            # both ends
-            assert got == lo
-        else:
-            assert got is PrecisionError
+        ns = (-3, -1, 2, 4, 10 ** 20, -10 ** 20)
+        ms = [beta_cocycle(n, x, GOLDEN) for n in ns]
+        assert ms[:4] == [-2, -1, 1, 2]
+        assert [beta_cocycle(n, 0, GOLDEN) for n in ns[:4]] == [-1, 0, 2, 3]
+        for n, m in zip(ns, ms):
+            # the landing point x - n + phi*m = -n + (m + 1/2)*phi is
+            # (u + w sqrt5)/4, checked in Z[sqrt5]
+            u, w = 2 * m + 1 - 4 * n, 2 * m + 1
+            assert sqrt5_sign(u, w) >= 0
+            assert sqrt5_sign(u - 2, w - 2) < 0    # landed < phi
 
 
 class TestLineCoordinate:
@@ -435,9 +343,6 @@ class TestRotationModel:
             rotation_model_orbit(THETA32, 0)
         with pytest.raises(ValueError):
             rotation_model_orbit(GOLDEN, 1)
-        wide = ThetaValue.from_interval(1, 2)
-        with pytest.raises(ValueError):
-            rotation_model_orbit(wide, 1, steps=5)
 
 
 class TestBernoulli:
@@ -492,9 +397,6 @@ class TestCesaro:
     def test_theta_restrictions(self):
         base = BernoulliBase()
         c = CylinderSet.of({0: 1})
-        wide = ThetaValue.from_interval(1, 2)
-        with pytest.raises(PrecisionError):
-            cesaro_mixing_test(base, wide, [(0, 1)], c, [(0, 1)], c, 5)
         neg = ThetaValue.from_rational(-2)
         with pytest.raises(ValueError):
             cesaro_mixing_test(base, neg, [(0, 1)], c, [(0, 1)], c, 5)
@@ -687,8 +589,6 @@ class TestCesaroDomain:
         bad = [(1, 0)]
         with pytest.raises(ValueError, match="horizon must be at least 1"):
             self.run(bad, bad, horizon=0)
-        with pytest.raises(PrecisionError):
-            self.run(bad, bad, theta=ThetaValue.from_interval(1, 2))
         with pytest.raises(ValueError, match="expects a positive theta"):
             self.run(bad, bad, theta=ThetaValue.from_rational(-2))
 

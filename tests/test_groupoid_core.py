@@ -41,6 +41,7 @@ from oracles import (
     arrows_into,
     certify_pair,
     conditional_mass,
+    doc_json,
     endpoint_map,
     label_product,
     left_class_count,
@@ -264,7 +265,7 @@ class TestRandomGroupoid:
         # default draw is on at most 12 <= isqrt(400) units
         h = hashlib.sha256()
         for seed in range(200):
-            h.update(random_groupoid(random.Random(seed)).to_json().encode())
+            h.update(doc_json(random_groupoid(random.Random(seed))).encode())
         assert h.hexdigest() == (
             "5fcddf00cc1488c92f17c20a23875658cbde345e270852b3f591f2982cd0dfe6")
 
@@ -505,12 +506,12 @@ class TestSerialization:
             products={(0, 0): None, (1, 1): None},
             rn_values=[2, HALF],
         )
-        H = FiniteMeasuredGroupoid.from_doc(json.loads(G.to_json()))
+        H = FiniteMeasuredGroupoid.from_doc(json.loads(doc_json(G)))
         assert H.rn_values == G.rn_values
 
     def test_json_deterministic(self):
         G = s3_action()
-        assert G.to_json() == s3_action().to_json()
+        assert doc_json(G) == doc_json(s3_action())
 
     def test_validate_catches_broken_inverse(self):
         G = s3_action()
@@ -639,7 +640,7 @@ class TestFiberWalk:
         assert problems == product_violations(H)
 
 
-# sha256 of to_json(), product tables included, recorded from the
+# sha256 of doc_json(G), product tables included, recorded from the
 # all-arrow-pairs scans that the fiber walk replaced: it must give the same
 # arrow ids and list the same products in the same order
 GROWN_LEVEL_DIGESTS = {
@@ -652,7 +653,7 @@ SAMPLED_DIGEST = "e3555a30bde89e49ab98c0b4fbcf69ffb3f35631e9dae01570e3e6da8de3c1
 
 
 def doc_digest(G):
-    return hashlib.sha256(G.to_json().encode()).hexdigest()
+    return hashlib.sha256(doc_json(G).encode()).hexdigest()
 
 
 class TestDocDigests:
@@ -672,8 +673,8 @@ class TestDocDigests:
     def test_direct_level_model_round_trips(self, k, l):
         # labels ("a", m), ("t", j, i), ("T", j, i) render as tag + indices
         G = BSLevelModel(BSParams(2, 3), k, l).groupoid
-        text = G.to_json()
-        assert FiniteMeasuredGroupoid.from_doc(json.loads(text)).to_json() == text
+        text = doc_json(G)
+        assert doc_json(FiniteMeasuredGroupoid.from_doc(json.loads(text))) == text
         rendered = {G.label_text(g) for g in range(G.n_arrows)}
         assert {"e", "a1", "t0,0", "T0,0", "t1,1", "T1,1"} <= rendered
 

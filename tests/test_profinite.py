@@ -17,16 +17,14 @@ from bsmg.errors import (
 from bsmg.profinite import (
     TruncatedProfiniteInt,
     check_unit_fixes_level,
-    enumerate_levels,
-    generalized_valuation,
     sigma_inverse,
     sigma_map,
-    torsion_shadow_valuation,
-    torsion_vanishing_modulus,
     u0_membership,
     verify_limit_shadow,
 )
-from bsmg.words import BSParams
+from bsmg.words import BSParams, generalized_valuation
+from oracles import (enumerate_levels, torsion_shadow_valuation,
+                     torsion_vanishing_modulus)
 
 P23 = BSParams(2, 3)
 P46 = BSParams(4, 6)

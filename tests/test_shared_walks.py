@@ -180,11 +180,6 @@ class TestVertexMapTree:
                     G, s_ids, rho, params, radius=radius)
 
 
-def test_profinite_reexports_the_words_valuation():
-    from bsmg import profinite
-    assert profinite.generalized_valuation is generalized_valuation
-
-
 def _random_loops(rng):
     def number():
         return math.prod(rng.choice((2, 3, 5, 7, 11, 13, 97))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsmg import words
-from bsmg.errors import SizeCapExceeded
+from bsmg.errors import BsmgError, NotAnInteger, SizeCapExceeded
 from bsmg.words import (
     BrittonNormalForm,
     BSParams,
@@ -123,6 +123,30 @@ class TestGroupWord:
 
     def test_t_exponent_sum(self):
         assert GroupWord.parse("t a t^-3 a t").t_exponent_sum() == -1
+
+    @pytest.mark.parametrize("exp", [2.5, Fraction(5, 2), "2", 2.0, 1.5],
+                             ids=repr)
+    @pytest.mark.parametrize("letter", ["a", "t"])
+    def test_an_exponent_that_is_not_an_int_is_refused(self, letter, exp):
+        # a float was folded into a form that is no group element (a^2.5 t),
+        # or ended in an untyped TypeError from range
+        with pytest.raises(NotAnInteger, match=f"exponent of {letter}"):
+            normalize(GroupWord([("a", 1), (letter, exp), ("t", 1)]),
+                      BSParams(2, 3))
+        with pytest.raises(NotAnInteger):
+            GroupWord(((letter, exp),))
+        assert issubclass(NotAnInteger, BsmgError)
+        assert issubclass(NotAnInteger, ValueError)
+
+    def test_a_thousand_digit_exponent_is_an_int(self):
+        big = 10 ** 999 + 7
+        w = GroupWord([("a", big), ("t", 1), ("a", -big), ("a", 2)])
+        assert w.runs == (("a", big), ("t", 1), ("a", 2 - big))
+        assert GroupWord([("a", big), ("a", -big)]) == GroupWord.identity()
+        assert is_identity(w * w.inverse(), BSParams(2, 3))
+        form = normalize(w, BSParams(2, 3))
+        assert (form.k0, form.syllables) == oracle_normal_form(
+            w, BSParams(2, 3))
 
 
 class TestNormalize:
